@@ -29,6 +29,14 @@ whose antidiagonals all lie whole, so its norm is at most the l^2 norm
 of w(t) a_t over t < 2*size-1.  A section that cuts live
 antidiagonals can sit strictly above the lower end: the flat lacunary
 profile at size 3 has norm equal to the golden ratio, against sqrt(2).
+
+A (beta, phi) pattern, block beta(i, j) C_{phi(i+j)} at (i, j), is
+assembled once, by :func:`car_pattern_operator`, as the sparse operator
+sum_t B_t (x) C_{phi(t)} with B_t the scalar coefficients on antidiagonal
+t.  Its dense section (:func:`car_pattern_matrix`, refused above the
+dense cap) and its matrix-free matvecs (``linalg.matvec_oracles``, or
+:func:`car_hankel_oracles` for the Hankel pattern) are two forms of that
+one operator.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from .errors import (
     InvalidPatternError,
     SizeCapExceededError,
 )
-from .linalg import DENSE_SIZE_CAP, op_norm_dense, op_norm_power
+from .linalg import DENSE_SIZE_CAP, matvec_oracles, op_norm_dense, op_norm_power
 from .sequences import WeightSequence
 from .summation import exact_sum
 
@@ -87,9 +95,7 @@ def _residual_norm(r, dense_cap: int = DENSE_SIZE_CAP) -> float:
         return 0.0
     if r.shape[0] <= dense_cap:
         return op_norm_dense(r.toarray()).value
-    rh = r.conj().T.tocsr()
-    est = op_norm_power(lambda v: r @ v, lambda v: rh @ v, r.shape[0])
-    return est.value
+    return op_norm_power(*matvec_oracles(r)).value
 
 
 def car_check(alg: CarAlgebra) -> tuple[float, float]:
@@ -144,31 +150,31 @@ def commutator_pattern(alpha):
 # ---- generator-valued sections ----------------------------------------
 
 
-def car_pattern_matrix(
+def _coefficients(beta: Callable[[int, int], complex], size: int) -> np.ndarray:
+    return np.array([[complex(beta(i, j)) for j in range(size)] for i in range(size)])
+
+
+def car_pattern_operator(
     beta: Callable[[int, int], complex],
     phi: Callable[[int], int],
     size: int,
     alg: CarAlgebra | None = None,
-    dense_cap: int = DENSE_SIZE_CAP,
-) -> np.ndarray:
-    """Dense block matrix with (i, j) block beta(i, j) C_{phi(i+j)}.
+) -> sp.csr_matrix:
+    """Sparse block matrix with (i, j) block beta(i, j) C_{phi(i+j)}.
 
-    ``phi`` maps the antidiagonal index to a generator index and is only
-    consulted on antidiagonals where some beta(i, j) is nonzero; it must
-    be injective there (distinct antidiagonals, distinct generators) —
-    that independence is what makes the row/column bounds of
-    :func:`rc_bounds` meaningful.
+    ``phi`` maps the antidiagonal index
+    to a generator index and is only consulted on antidiagonals where
+    some beta(i, j) is nonzero; it must be injective there (distinct
+    antidiagonals, distinct generators) — that independence is what makes
+    the row/column bounds of :func:`rc_bounds` meaningful.  Without
+    ``alg`` the algebra has just the modes the live antidiagonals need.
     """
     if size < 1:
         raise InvalidDimensionError("size must be >= 1")
-    coeffs = np.array(
-        [[complex(beta(i, j)) for j in range(size)] for i in range(size)]
-    )
-    needed = sorted(
-        {i + j for i in range(size) for j in range(size) if coeffs[i, j] != 0.0}
-    )
+    coeffs = _coefficients(beta, size)
+    anti = np.add.outer(np.arange(size), np.arange(size))
     gen_of = {}
-    for t in needed:
+    for t in np.unique(anti[coeffs != 0.0]).tolist():
         g = int(phi(t))
         if g < 0:
             raise InvalidPatternError(f"phi({t}) = {g} is negative")
@@ -182,19 +188,28 @@ def car_pattern_matrix(
         raise InvalidModesError(
             f"need {modes} generator modes, algebra has {alg.modes}"
         )
-    d = alg.dim
-    if size * d > dense_cap:
-        raise SizeCapExceededError(
-            f"dense size {size * d} exceeds cap {dense_cap}"
-        )
-    out = np.zeros((size * d, size * d), dtype=np.complex128)
-    gen_dense = {t: alg.dense(g) for t, g in gen_of.items()}
-    for i in range(size):
-        for j in range(size):
-            c = coeffs[i, j]
-            if c != 0.0:
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = c * gen_dense[i + j]
+    dim = size * alg.dim
+    out = sp.csr_matrix((dim, dim), dtype=np.complex128)
+    for t, g in gen_of.items():
+        b_t = np.where(anti == t, coeffs, 0.0)
+        out = out + sp.kron(b_t, alg.generators[g], format="csr")
     return out
+
+
+def car_pattern_matrix(
+    beta: Callable[[int, int], complex],
+    phi: Callable[[int], int],
+    size: int,
+    alg: CarAlgebra | None = None,
+    dense_cap: int = DENSE_SIZE_CAP,
+) -> np.ndarray:
+    """Dense form of :func:`car_pattern_operator`, refused above ``dense_cap``."""
+    op = car_pattern_operator(beta, phi, size, alg=alg)
+    if op.shape[0] > dense_cap:
+        raise SizeCapExceededError(
+            f"dense size {op.shape[0]} exceeds cap {dense_cap}"
+        )
+    return op.toarray()
 
 
 def car_hankel(
@@ -219,48 +234,13 @@ def car_hankel_oracles(
 ):
     """Matrix-free (apply, apply_adjoint, dim) for the generator Hankel.
 
-    Keeps the 2^(2*size-1)-dimensional generator blocks sparse; the block
-    structure of the adjoint reuses the same antidiagonal scalars, since
-    block (i, j) of the adjoint is the adjoint of block (j, i) and both
-    sit on antidiagonal i + j.
+    The two matvecs of the sparse :func:`car_pattern_operator` of the
+    section :func:`car_hankel` would densify, on 2*size-1 modes.
     """
-    if size < 1:
-        raise InvalidDimensionError("size must be >= 1")
-    if alg is None:
+    if alg is None and size >= 1:
         alg = build_car(2 * size - 1)
-    elif alg.modes < 2 * size - 1:
-        raise InvalidModesError(
-            f"need {2 * size - 1} generator modes, algebra has {alg.modes}"
-        )
-    a = _coeff_fn(alpha)
-    w = (lambda k: 1.0) if weight is None else weight
-    d = alg.dim
-    blocks = []
-    blocks_h = []
-    for t in range(2 * size - 1):
-        b = (w(t) * a(t)) * alg.generators[t]
-        b = sp.csr_matrix(b)
-        blocks.append(b)
-        blocks_h.append(b.conj().T.tocsr())
-    dim = size * d
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.complex128).reshape(size, d)
-        out = np.zeros((size, d), dtype=np.complex128)
-        for i in range(size):
-            for j in range(size):
-                out[i] += blocks[i + j] @ v[j]
-        return out.reshape(dim)
-
-    def apply_adjoint(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.complex128).reshape(size, d)
-        out = np.zeros((size, d), dtype=np.complex128)
-        for i in range(size):
-            for j in range(size):
-                out[i] += blocks_h[i + j] @ v[j]
-        return out.reshape(dim)
-
-    return apply, apply_adjoint, dim
+    beta, phi = hankel_pattern(alpha, weight)
+    return matvec_oracles(car_pattern_operator(beta, phi, size, alg=alg))
 
 
 # ---- scalar-profile norm bounds ---------------------------------------
@@ -289,8 +269,7 @@ def rc_bounds(beta: Callable[[int, int], complex], size: int) -> RowColBounds:
     """
     if size < 1:
         raise InvalidDimensionError("size must be >= 1")
-    c = np.array([[complex(beta(i, j)) for j in range(size)] for i in range(size)])
-    sq = np.abs(c) ** 2
+    sq = np.abs(_coefficients(beta, size)) ** 2
     row_sup = max(np.sqrt(exact_sum(sq[i, :])) for i in range(size))
     col_sup = max(np.sqrt(exact_sum(sq[:, j])) for j in range(size))
     return RowColBounds(

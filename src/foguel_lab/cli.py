@@ -9,6 +9,17 @@ multiplier   witness lower bounds for structured Schur multiplier sections
 similarity   Sylvester-series similarity residuals for a shift-coupled block
 sweep        run a batch of the above from a JSON job file
 
+Each of the first five commands is stated once, as a :class:`Command` in
+``COMMANDS``: its parameters (:class:`Param`: flag and aliases, type,
+default, choices, whether it is required), its handler, its row family
+and that family's CSV fields.  The argparse subcommands, the parameter
+validation that sweep jobs share (:func:`normalize_params`),
+``FAMILY_OF`` and the CSV headers are all derived from it, so a flag and
+the sweep parameter of the same name (``-`` read as ``_``) have one
+default and one validator.  ``NORM_TARGETS`` likewise gives each ``norm``
+target its dense matrix and, for the generator-valued targets, the
+matrix-free route of the same sparse operator.
+
 Every command writes a CSV for its row family (norms.csv, bennett.csv,
 similarity.csv, car.csv or multiplier.csv) into --out, plus a JSON mirror
 of the same rows with parameters and extra diagnostics.  ``sweep`` writes
@@ -35,11 +46,16 @@ import csv
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .car import build_car, car_check, car_hankel, car_hankel_oracles, car_pattern_matrix, commutator_pattern
+from .car import (
+    build_car, car_check, car_hankel, car_hankel_oracles, car_pattern_matrix,
+    car_pattern_operator, commutator_pattern,
+)
 from .errors import ValidationError
 from .foguel import assemble_foguel, intertwiner_partial, similarity_check
 from .hankel import (
@@ -62,53 +78,58 @@ from .sequences import WeightSequence, bennett_sums, proof_chain_bound
 DEFAULT_SEED = 2002
 SEED_ENV_VAR = "FOGUEL_LAB_SEED"
 
-ROW_FIELDS = {
-    "norms": ("target", "N", "param", "method", "value", "iters", "converged"),
-    "bennett": (
-        "sequence",
-        "epsilon",
-        "terms",
-        "sum_a",
-        "sum_b",
-        "sum_c",
-        "second_diff_partial",
-        "verdict",
-    ),
-    "similarity": (
-        "N",
-        "rho",
-        "n_terms",
-        "window",
-        "residual_interior",
-        "residual_full",
-        "cond_L",
-    ),
-    "car": ("modes", "dev_anti", "dev_mixed"),
-    "multiplier": ("kind", "epsilon", "N", "witnesses", "lower_bound", "seed"),
+
+@dataclass(frozen=True)
+class NormTarget:
+    """How ``norm`` builds a target of size n from its coefficients ``seq``.
+
+    ``matrix(seq, n)`` is the dense section; ``oracles(seq, n)``, where
+    given, the matrix-free (apply, apply_adjoint, dim) of the same
+    operator, which ``auto`` takes once dim exceeds the dense cap.
+    """
+
+    matrix: Callable
+    oracles: Callable | None = None
+
+
+NORM_TARGETS = {
+    "shift": NormTarget(lambda seq, n: make_shift(n)),
+    "hankel": NormTarget(
+        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), unit_weight)),
+    "hankel-deriv": NormTarget(
+        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), derivative_weight)),
+    "derivation-commutator": NormTarget(
+        lambda seq, n: derivation_product(HankelSpec(seq, n), "commutator")),
+    "derivation-gamma-d": NormTarget(
+        lambda seq, n: derivation_product(HankelSpec(seq, n), "gamma_d")),
+    "derivation-dstar-gamma": NormTarget(
+        lambda seq, n: derivation_product(HankelSpec(seq, n), "dstar_gamma")),
+    "car-hankel": NormTarget(
+        lambda seq, n: car_hankel(seq, None, n),
+        lambda seq, n: car_hankel_oracles(seq, None, n)),
+    "car-hankel-deriv": NormTarget(
+        lambda seq, n: car_hankel(seq, derivative_weight, n),
+        lambda seq, n: car_hankel_oracles(seq, derivative_weight, n)),
+    "car-commutator": NormTarget(
+        lambda seq, n: car_pattern_matrix(*commutator_pattern(seq), n),
+        lambda seq, n: matvec_oracles(car_pattern_operator(*commutator_pattern(seq), n))),
 }
+_ALPHA_TARGETS = tuple(t for t in NORM_TARGETS if t != "shift")
 
-FAMILY_OF = {
-    "car-check": "car",
-    "norm": "norms",
-    "bennett": "bennett",
-    "multiplier": "multiplier",
-    "similarity": "similarity",
+#: parse_alpha's coefficient families: the fixed ones, then those that
+#: take one number after a colon.
+ALPHA_FIXED = {
+    "pisier-flat": WeightSequence.pisier_flat,
+    "pisier-geometric": WeightSequence.pisier_geometric,
+    "harmonic": WeightSequence.harmonic,
+    "constant": WeightSequence.constant,
 }
-
-NORM_TARGETS = (
-    "shift",
-    "hankel",
-    "hankel-deriv",
-    "derivation-commutator",
-    "derivation-gamma-d",
-    "derivation-dstar-gamma",
-    "car-hankel",
-    "car-hankel-deriv",
-    "car-commutator",
-)
-
-BENNETT_SEQUENCES = ("harmonic", "constant", "log", "loglog")
-MULTIPLIER_KINDS = ("difference-quotient", "log-damped", "loglog-damped")
+ALPHA_SCALED = {
+    "power": WeightSequence.power,
+    "geometric": WeightSequence.geometric,
+    "log": lambda eps: WeightSequence.log_family(eps).shifted(1),
+    "loglog": lambda eps: WeightSequence.loglog_family(eps).shifted(1),
+}
 
 ALPHA_HELP = (
     "pisier-flat | pisier-geometric | harmonic | constant | "
@@ -135,14 +156,8 @@ def resolve_seed(explicit: int | None) -> int:
 
 def parse_alpha(text: str) -> WeightSequence:
     t = str(text).strip()
-    if t == "pisier-flat":
-        return WeightSequence.pisier_flat()
-    if t == "pisier-geometric":
-        return WeightSequence.pisier_geometric()
-    if t == "harmonic":
-        return WeightSequence.harmonic()
-    if t == "constant":
-        return WeightSequence.constant()
+    if t in ALPHA_FIXED:
+        return ALPHA_FIXED[t]()
     head, sep, val = t.partition(":")
     if sep:
         try:
@@ -151,15 +166,14 @@ def parse_alpha(text: str) -> WeightSequence:
             raise ValidationError(
                 f"bad numeric parameter in alpha spec {text!r}"
             ) from None
-        if head == "power":
-            return WeightSequence.power(x)
-        if head == "geometric":
-            return WeightSequence.geometric(x)
-        if head == "log":
-            return WeightSequence.log_family(x).shifted(1)
-        if head == "loglog":
-            return WeightSequence.loglog_family(x).shifted(1)
+        if head in ALPHA_SCALED:
+            return ALPHA_SCALED[head](x)
     raise ValidationError(f"unrecognized alpha spec {text!r}; expected {ALPHA_HELP}")
+
+
+def _alpha_text(text) -> str:
+    parse_alpha(text)  # validate eagerly for a prompt error
+    return str(text)
 
 
 def parse_sizes(value) -> list[int]:
@@ -184,12 +198,6 @@ def parse_sizes(value) -> list[int]:
     return sizes
 
 
-def _need(params: dict, key: str):
-    if key not in params or params[key] is None:
-        raise ValidationError(f"missing required parameter {key!r}")
-    return params[key]
-
-
 def _as_int(value, key: str, lo: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         try:
@@ -209,78 +217,65 @@ def _as_float(value, key: str) -> float:
         raise ValidationError(f"{key} must be a number") from None
 
 
+@dataclass(frozen=True)
+class Param:
+    """One parameter: flag ``--name`` (``_`` written ``-``), sweep key ``name``.
+
+    ``type`` is int (at least ``lo``), float or str (through ``parse``
+    when given).  A value outside ``choices`` is refused with ``unknown``.
+    ``applies=(key, values, unused)`` makes the parameter required when
+    the earlier parameter ``key`` is one of ``values``; otherwise it is
+    dropped, or refused with the message ``unused`` when one is given.
+    """
+
+    name: str
+    type: Callable = str
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    unknown: str = ""
+    lo: int | None = None
+    parse: Callable | None = None
+    applies: tuple = ()
+    aliases: tuple = ()
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def normalize(self, value, canon: dict):
+        if self.applies:
+            key, values, unused = self.applies
+            if canon[key] not in values:
+                if value is not None and unused:
+                    raise ValidationError(unused)
+                return None
+            if value is None:
+                raise ValidationError(f"{key} {canon[key]!r} requires {self.flag}")
+        if self.required and value is None:
+            raise ValidationError(f"missing required parameter {self.name!r}")
+        if self.choices and value not in self.choices:
+            raise ValidationError(self.unknown.format(value))
+        if self.type is int:
+            return _as_int(value, self.name, self.lo)
+        if self.type is float:
+            return _as_float(value, self.name)
+        return self.parse(value) if self.parse else value
+
+
 def normalize_params(command: str, params: dict) -> dict:
     """Coerce a raw parameter mapping to its canonical, serializable form.
 
     Shared by the argparse path and sweep jobs so that both validate and
-    execute identically.
+    execute identically; parameters are checked in their declared order.
     """
-    if command not in FAMILY_OF:
+    if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    p = dict(params)
-    if command == "car-check":
-        return {"modes": _as_int(p.get("modes", 6), "modes", lo=1)}
-    if command == "norm":
-        target = _need(p, "target")
-        if target not in NORM_TARGETS:
-            raise ValidationError(f"unknown norm target {target!r}")
-        alpha = p.get("alpha")
-        if target != "shift":
-            if alpha is None:
-                raise ValidationError(f"target {target!r} requires --alpha")
-            parse_alpha(alpha)  # validate eagerly for a prompt error
-        method = p.get("method", "auto")
-        if method not in ("auto", "dense", "power"):
-            raise ValidationError(f"method must be auto, dense or power, not {method!r}")
-        return {
-            "target": target,
-            "sizes": parse_sizes(_need(p, "sizes")),
-            "alpha": None if target == "shift" else str(alpha),
-            "method": method,
-            "tol": _as_float(p.get("tol", 1e-10), "tol"),
-            "max_iter": _as_int(p.get("max_iter", 1000), "max_iter", lo=1),
-        }
-    if command == "bennett":
-        name = _need(p, "sequence")
-        if name not in BENNETT_SEQUENCES:
-            raise ValidationError(f"unknown bennett sequence {name!r}")
-        eps = p.get("epsilon")
-        if name in ("log", "loglog"):
-            if eps is None:
-                raise ValidationError(f"sequence {name!r} requires --epsilon")
-            eps = _as_float(eps, "epsilon")
-        elif eps is not None:
-            raise ValidationError("epsilon only applies to the log/loglog sequences")
-        return {
-            "sequence": name,
-            "epsilon": eps,
-            "terms": _as_int(p.get("terms", 10000), "terms", lo=10),
-        }
-    if command == "multiplier":
-        kind = _need(p, "kind")
-        if kind not in MULTIPLIER_KINDS:
-            raise ValidationError(f"unknown multiplier kind {kind!r}")
-        eps = p.get("epsilon")
-        if kind in ("log-damped", "loglog-damped"):
-            if eps is None:
-                raise ValidationError(f"kind {kind!r} requires --epsilon")
-            eps = _as_float(eps, "epsilon")
-        elif eps is not None:
-            raise ValidationError("epsilon only applies to the damped kinds")
-        return {
-            "kind": kind,
-            "epsilon": eps,
-            "sizes": parse_sizes(p.get("sizes", "16,32,64")),
-            "witnesses": _as_int(p.get("witnesses", 3), "witnesses", lo=1),
-        }
-    # similarity
-    return {
-        "size": _as_int(p.get("size", 64), "size", lo=2),
-        "rho": _as_float(p.get("rho", 0.9), "rho"),
-        "n_terms": _as_int(p.get("n_terms", 100), "n_terms", lo=1),
-        "window": _as_int(p.get("window", 32), "window", lo=1),
-        "corner": _as_int(p.get("corner", 16), "corner", lo=1),
-    }
+    canon = {}
+    for prm in COMMANDS[command].params:
+        canon[prm.name] = prm.normalize(params.get(prm.name, prm.default), canon)
+    return canon
 
 
 # ---- command handlers --------------------------------------------------
@@ -302,42 +297,17 @@ def _run_car_check(p: dict, seed: int):
     return rows, diag, 0
 
 
-def _norm_target_matrix(target: str, n: int, seq) -> np.ndarray:
-    if target == "shift":
-        return make_shift(n)
-    if target in ("hankel", "hankel-deriv"):
-        w = unit_weight if target == "hankel" else derivative_weight
-        return make_weighted_hankel(HankelSpec(seq, n), w)
-    if target.startswith("derivation-"):
-        kind = target.removeprefix("derivation-").replace("-", "_")
-        return derivation_product(HankelSpec(seq, n), kind)
-    if target in ("car-hankel", "car-hankel-deriv"):
-        w = None if target == "car-hankel" else derivative_weight
-        return car_hankel(seq, w, n)
-    # car-commutator
-    beta, phi = commutator_pattern(seq)
-    return car_pattern_matrix(beta, phi, n)
-
-
-def _norm_estimate(
-    target: str, n: int, seq, method: str, tol: float, max_iter: int, seed: int
-):
-    car_like = target in ("car-hankel", "car-hankel-deriv")
-    if method == "auto" and car_like and n * 2 ** (2 * n - 1) > DENSE_SIZE_CAP:
-        method = "power"
-    if method == "power":
-        if car_like:
-            apply, apply_adjoint, dim = car_hankel_oracles(
-                seq, None if target == "car-hankel" else derivative_weight, n
-            )
-        else:
-            apply, apply_adjoint, dim = matvec_oracles(
-                _norm_target_matrix(target, n, seq)
-            )
-        return op_norm_power(
-            apply, apply_adjoint, dim, tol=tol, max_iter=max_iter, seed=seed
-        )
-    return op_norm_dense(_norm_target_matrix(target, n, seq))
+def _norm_estimate(p: dict, seq, n: int, seed: int):
+    route = NORM_TARGETS[p["target"]]
+    power = {"tol": p["tol"], "max_iter": p["max_iter"], "seed": seed}
+    if route.oracles is not None and p["method"] != "dense":
+        apply, apply_adjoint, dim = route.oracles(seq, n)
+        if p["method"] == "power" or dim > DENSE_SIZE_CAP:
+            return op_norm_power(apply, apply_adjoint, dim, **power)
+    matrix = route.matrix(seq, n)
+    if p["method"] == "power":
+        return op_norm_power(*matvec_oracles(matrix), **power)
+    return op_norm_dense(matrix)
 
 
 def _run_norm(p: dict, seed: int):
@@ -346,9 +316,7 @@ def _run_norm(p: dict, seed: int):
     rows = []
     code = 0
     for n in p["sizes"]:
-        est = _norm_estimate(
-            p["target"], n, seq, p["method"], p["tol"], p["max_iter"], seed
-        )
+        est = _norm_estimate(p, seq, n, seed)
         rows.append(
             {
                 "target": p["target"],
@@ -366,18 +334,9 @@ def _run_norm(p: dict, seed: int):
     return rows, diag, code
 
 
-def _bennett_sequence(name: str, eps: float | None) -> WeightSequence:
-    if name == "harmonic":
-        return WeightSequence.harmonic()
-    if name == "constant":
-        return WeightSequence.constant()
-    if name == "log":
-        return WeightSequence.log_family(eps).shifted(1)
-    return WeightSequence.loglog_family(eps).shifted(1)
-
-
 def _run_bennett(p: dict, seed: int):
-    seq = _bennett_sequence(p["sequence"], p["epsilon"])
+    name, eps = p["sequence"], p["epsilon"]
+    seq = ALPHA_FIXED[name]() if eps is None else ALPHA_SCALED[name](eps)
     rep = bennett_sums(seq, p["terms"])
     mrep = bennett_criterion(MultiplierSpec.from_sequence(seq), p["terms"])
     chain = proof_chain_bound(seq, p["terms"])
@@ -406,16 +365,8 @@ def _run_bennett(p: dict, seed: int):
     return [row], diag, 0
 
 
-def _multiplier_spec(kind: str, eps: float | None) -> MultiplierSpec:
-    if kind == "difference-quotient":
-        return MultiplierSpec.difference_quotient()
-    if kind == "log-damped":
-        return MultiplierSpec.log_damped(eps)
-    return MultiplierSpec.loglog_damped(eps)
-
-
 def _run_multiplier(p: dict, seed: int):
-    spec = _multiplier_spec(p["kind"], p["epsilon"])
+    spec = MultiplierSpec(p["kind"].replace("-", "_"), epsilon=p["epsilon"])
     rows = []
     probes = {}
     for n in p["sizes"]:
@@ -472,13 +423,99 @@ def _run_similarity(p: dict, seed: int):
     return [row], diag, 0
 
 
-HANDLERS = {
-    "car-check": _run_car_check,
-    "norm": _run_norm,
-    "bennett": _run_bennett,
-    "multiplier": _run_multiplier,
-    "similarity": _run_similarity,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its parameters, handler, row family and CSV fields.
+
+    ``run(canonical_params, seed)`` returns (rows, diagnostics, exit code).
+    """
+
+    help: str
+    params: tuple
+    run: Callable
+    family: str
+    fields: tuple
+
+
+_SIZES_HELP = "comma-separated section sizes"
+
+COMMANDS = {
+    "car-check": Command(
+        "anticommutation residual sweep",
+        (Param("modes", int, 6, lo=1, help="check 1..MODES generators"),),
+        _run_car_check,
+        family="car",
+        fields=("modes", "dev_anti", "dev_mixed"),
+    ),
+    "norm": Command(
+        "operator norms over a size ladder",
+        (
+            Param("target", required=True, choices=tuple(NORM_TARGETS),
+                  unknown="unknown norm target {!r}"),
+            Param("sizes", required=True, parse=parse_sizes, aliases=("--N",),
+                  help=_SIZES_HELP),
+            Param("alpha", parse=_alpha_text, applies=("target", _ALPHA_TARGETS, None),
+                  help=f"coefficients: {ALPHA_HELP}"),
+            Param("method", default="auto", choices=("auto", "dense", "power"),
+                  unknown="method must be auto, dense or power, not {!r}",
+                  help="norm route (auto: dense when within the size cap)"),
+            Param("tol", float, 1e-10, help="power-iteration tolerance"),
+            Param("max_iter", int, 1000, lo=1),
+        ),
+        _run_norm,
+        family="norms",
+        fields=("target", "N", "param", "method", "value", "iters", "converged"),
+    ),
+    "bennett": Command(
+        "summability report for a coefficient series",
+        (
+            Param("sequence", required=True,
+                  choices=("harmonic", "constant", "log", "loglog"),
+                  unknown="unknown bennett sequence {!r}"),
+            Param("epsilon", float, applies=(
+                "sequence", ("log", "loglog"),
+                "epsilon only applies to the log/loglog sequences")),
+            Param("terms", int, 10000, lo=10),
+        ),
+        _run_bennett,
+        family="bennett",
+        fields=("sequence", "epsilon", "terms", "sum_a", "sum_b", "sum_c",
+                "second_diff_partial", "verdict"),
+    ),
+    "multiplier": Command(
+        "witness lower bounds for multiplier sections",
+        (
+            Param("kind", required=True,
+                  choices=("difference-quotient", "log-damped", "loglog-damped"),
+                  unknown="unknown multiplier kind {!r}"),
+            Param("epsilon", float, applies=(
+                "kind", ("log-damped", "loglog-damped"),
+                "epsilon only applies to the damped kinds")),
+            Param("sizes", default="16,32,64", parse=parse_sizes, help=_SIZES_HELP),
+            Param("witnesses", int, 3, lo=1),
+        ),
+        _run_multiplier,
+        family="multiplier",
+        fields=("kind", "epsilon", "N", "witnesses", "lower_bound", "seed"),
+    ),
+    "similarity": Command(
+        "Sylvester-series similarity residuals",
+        (
+            Param("size", int, 64, lo=2),
+            Param("rho", float, 0.9, help="contraction factor of T1"),
+            Param("n_terms", int, 100, lo=1),
+            Param("window", int, 32, lo=1),
+            Param("corner", int, 16, lo=1, help="support of the coupling X"),
+        ),
+        _run_similarity,
+        family="similarity",
+        fields=("N", "rho", "n_terms", "window", "residual_interior",
+                "residual_full", "cond_L"),
+    ),
 }
+
+FAMILY_OF = {name: cmd.family for name, cmd in COMMANDS.items()}
+ROW_FIELDS = {cmd.family: cmd.fields for cmd in COMMANDS.values()}
 
 
 # ---- output writers ----------------------------------------------------
@@ -516,6 +553,10 @@ def write_json_mirror(
         "rows": rows,
         "diagnostics": diagnostics,
     }
+    _write_json(path, doc)
+
+
+def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -523,7 +564,7 @@ def write_json_mirror(
 
 def run_command(command: str, params: dict, seed: int, out_dir: Path) -> int:
     canon = normalize_params(command, params)
-    rows, diagnostics, code = HANDLERS[command](canon, seed)
+    rows, diagnostics, code = COMMANDS[command].run(canon, seed)
     family = FAMILY_OF[command]
     out_dir.mkdir(parents=True, exist_ok=True)
     write_family_csv(out_dir / f"{family}.csv", family, rows)
@@ -562,7 +603,7 @@ def load_sweep_spec(path: str) -> dict:
         if jid in seen:
             raise ValidationError(f"duplicate job id {jid}")
         seen.add(jid)
-        if job.get("command") not in HANDLERS:
+        if job.get("command") not in COMMANDS:
             raise ValidationError(f"unknown job command {job.get('command')!r}")
         if not isinstance(job.get("params", {}), dict):
             raise ValidationError("job params must be a JSON object")
@@ -581,22 +622,20 @@ def run_sweep(spec_path: str, cli_seed: int | None, out_dir: Path) -> int:
         jid = job["id"]
         command = job["command"]
         job_seed = global_seed ^ jid
-        entry = {"id": jid, "command": command, "seed": job_seed}
+        entry = {"id": jid, "command": command, "seed": job_seed, "rows": 0}
         try:
             canon = normalize_params(command, job.get("params", {}))
-            rows, _, code = HANDLERS[command](canon, job_seed)
+            rows, _, code = COMMANDS[command].run(canon, job_seed)
             family_rows[FAMILY_OF[command]].extend(rows)
             entry["family"] = FAMILY_OF[command]
             entry["rows"] = len(rows)
-            entry["exit_code"] = code
         except ValidationError as exc:
             entry["error"] = str(exc)
-            entry["rows"] = 0
-            entry["exit_code"] = code = 1
+            code = 1
         except Exception as exc:  # keep the batch going; surface at the end
             entry["error"] = f"{type(exc).__name__}: {exc}"
-            entry["rows"] = 0
-            entry["exit_code"] = code = 3
+            code = 3
+        entry["exit_code"] = code
         overall = max(overall, code)
         summaries.append(entry)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -610,9 +649,7 @@ def run_sweep(spec_path: str, cli_seed: int | None, out_dir: Path) -> int:
         "jobs": summaries,
         "exit_code": overall,
     }
-    with open(out_dir / "sweep.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "sweep.json", summary)
     return overall
 
 
@@ -637,60 +674,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("car-check", help="anticommutation residual sweep")
-    sp.add_argument("--modes", type=int, default=6, help="check 1..MODES generators")
-    _add_common(sp)
-
-    sp = sub.add_parser("norm", help="operator norms over a size ladder")
-    sp.add_argument("--target", required=True, choices=NORM_TARGETS)
-    sp.add_argument(
-        "--sizes", "--N", dest="sizes", required=True,
-        help="comma-separated section sizes",
-    )
-    sp.add_argument("--alpha", default=None, help=f"coefficients: {ALPHA_HELP}")
-    sp.add_argument(
-        "--method", choices=("auto", "dense", "power"), default="auto",
-        help="norm route (auto: dense when within the size cap)",
-    )
-    sp.add_argument("--tol", type=float, default=1e-10, help="power-iteration tolerance")
-    sp.add_argument("--max-iter", type=int, default=1000)
-    _add_common(sp)
-
-    sp = sub.add_parser("bennett", help="summability report for a coefficient series")
-    sp.add_argument("--sequence", required=True, choices=BENNETT_SEQUENCES)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--terms", type=int, default=10000)
-    _add_common(sp)
-
-    sp = sub.add_parser("multiplier", help="witness lower bounds for multiplier sections")
-    sp.add_argument("--kind", required=True, choices=MULTIPLIER_KINDS)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--sizes", default="16,32,64", help="comma-separated section sizes")
-    sp.add_argument("--witnesses", type=int, default=3)
-    _add_common(sp)
-
-    sp = sub.add_parser("similarity", help="Sylvester-series similarity residuals")
-    sp.add_argument("--size", type=int, default=64)
-    sp.add_argument("--rho", type=float, default=0.9, help="contraction factor of T1")
-    sp.add_argument("--n-terms", type=int, default=100)
-    sp.add_argument("--window", type=int, default=32)
-    sp.add_argument("--corner", type=int, default=16, help="support of the coupling X")
-    _add_common(sp)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for prm in cmd.params:
+            sp.add_argument(
+                prm.flag,
+                *prm.aliases,
+                dest=prm.name,
+                type=prm.type if prm.type in (int, float) else None,
+                default=prm.default,
+                required=prm.required,
+                choices=prm.choices or None,
+                help=prm.help,
+            )
+        _add_common(sp)
 
     sp = sub.add_parser("sweep", help="run a JSON-described batch of jobs")
     sp.add_argument("spec", help="path to the sweep JSON file")
     _add_common(sp)
 
     return parser
-
-
-_PARAM_KEYS = {
-    "car-check": ("modes",),
-    "norm": ("target", "sizes", "alpha", "method", "tol", "max_iter"),
-    "bennett": ("sequence", "epsilon", "terms"),
-    "multiplier": ("kind", "epsilon", "sizes", "witnesses"),
-    "similarity": ("size", "rho", "n_terms", "window", "corner"),
-}
 
 
 def main(argv=None) -> int:
@@ -703,7 +706,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             return run_sweep(args.spec, args.seed, out_dir)
-        params = {k: getattr(args, k) for k in _PARAM_KEYS[args.command]}
+        params = {p.name: getattr(args, p.name) for p in COMMANDS[args.command].params}
         seed = resolve_seed(args.seed)
         return run_command(args.command, params, seed, out_dir)
     except ValidationError as exc:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     InvalidDimensionError,
@@ -25,9 +26,6 @@ from .errors import (
 
 #: Largest Gram dimension accepted by the dense norm route.
 DENSE_SIZE_CAP = 4096
-
-#: Refuse Kronecker products whose result would exceed this many entries.
-KRON_ENTRY_CAP = 1 << 26
 
 
 def as_matrix(a) -> np.ndarray:
@@ -73,54 +71,6 @@ def make_shift(n: int) -> np.ndarray:
     return s
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise InvalidDimensionError(
-            f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ"
-        )
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise InvalidDimensionError(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(c, a) -> np.ndarray:
-    return complex(c) * as_matrix(a)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
-def transpose(a) -> np.ndarray:
-    """Entrywise transpose, no conjugation.
-
-    Beware: the transpose is isometric on individual matrices but is not a
-    completely bounded map, so block-level arguments must not rely on it.
-    """
-    return as_matrix(a).T.copy()
-
-
-def kron(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows * cols > KRON_ENTRY_CAP:
-        raise InvalidDimensionError(
-            f"Kronecker result {rows}x{cols} exceeds the {KRON_ENTRY_CAP}-entry cap"
-        )
-    return np.kron(a, b)
-
-
 def block2x2(a, b, c, d) -> np.ndarray:
     """Assemble [[A, B], [C, D]], validating that the four shapes conform."""
     a, b, c, d = (as_matrix(x) for x in (a, b, c, d))
@@ -129,18 +79,6 @@ def block2x2(a, b, c, d) -> np.ndarray:
     if a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
         raise InvalidDimensionError("block columns do not align")
     return np.block([[a, b], [c, d]])
-
-
-def compress(a, rows: int, cols: int | None = None) -> np.ndarray:
-    """Leading-corner compression a[:rows, :cols]."""
-    a = as_matrix(a)
-    if cols is None:
-        cols = rows
-    if not (1 <= rows <= a.shape[0]) or not (1 <= cols <= a.shape[1]):
-        raise InvalidDimensionError(
-            f"window {rows}x{cols} does not fit inside {a.shape}"
-        )
-    return a[:rows, :cols].copy()
 
 
 @dataclass(frozen=True)
@@ -193,13 +131,18 @@ def op_norm_dense(a, size_cap: int = DENSE_SIZE_CAP) -> NormEstimate:
 
 
 def matvec_oracles(a) -> tuple[Callable, Callable, int]:
-    """(apply, apply_adjoint, dim) callables for a dense matrix.
+    """(apply, apply_adjoint, dim) callables for a dense or sparse matrix.
 
-    Convenience wrapper so a dense operator can be fed to
-    :func:`op_norm_power`; ``dim`` is the domain dimension.
+    Lets a matrix be fed to :func:`op_norm_power`; a ``scipy.sparse``
+    matrix stays sparse (both products in CSR form), and ``dim`` is the
+    domain dimension.
     """
-    a = as_matrix(a)
-    ah = a.conj().T
+    if sp.issparse(a):
+        a = a.tocsr()
+        ah = a.conj().T.tocsr()
+    else:
+        a = as_matrix(a)
+        ah = a.conj().T
 
     def apply(x):
         return a @ x

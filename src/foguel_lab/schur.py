@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import as_matrix, op_norm_dense
-from .sequences import WeightSequence
+from .sequences import WeightSequence, _decade_windows, _strictly_decreasing_tail
 from .summation import exact_sum
 
 _STRUCTURED = ("difference_quotient", "log_damped", "loglog_damped", "from_sequence")
@@ -230,11 +230,11 @@ def bennett_criterion(
                 )
             parts[t] = acc
         sums = parts
-    windows, full = _windows_for(n_lo, terms)
+    windows, full = _decade_windows(n_lo, terms)
     increments = tuple(
         exact_sum(sums[(ns >= a0) & (ns <= b0)]) for a0, b0 in windows
     )
-    verdict = _tail_decreasing(increments, full)
+    verdict = _strictly_decreasing_tail(increments, full)
     probe = tail_index if tail_index is not None else max(10 * terms, 10 ** 6)
     near = range(spec.offset, spec.offset + 4)
     row_tail = max(abs(spec.entry(probe, j)) for j in near)
@@ -251,18 +251,6 @@ def bennett_criterion(
         row_tail=row_tail,
         col_tail=col_tail,
     )
-
-
-def _windows_for(n_lo: int, terms: int):
-    from .sequences import _decade_windows
-
-    return _decade_windows(n_lo, terms)
-
-
-def _tail_decreasing(increments, full_flags, need: int = 3) -> bool:
-    from .sequences import _strictly_decreasing_tail
-
-    return _strictly_decreasing_tail(increments, full_flags, need)
 
 
 def iterated_limits(spec: MultiplierSpec, row_index: int, col_index: int) -> tuple[float, float]:

@@ -1,9 +1,9 @@
-"""Compensated summation helpers.
+"""Exactly rounded summation.
 
 Partial sums of the slowly convergent series studied here (tails like
 1/(n log^2 n)) lose their meaning in double precision if accumulated
 naively over 10^5..10^6 terms, so every series total in this package goes
-through one of these two routes.
+through :func:`exact_sum`.
 """
 
 from __future__ import annotations
@@ -11,27 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-class KahanSum:
-    """Streaming Kahan (error-feedback) accumulator.
-
-    Keeps a running carry so that adding many small terms to a large total
-    does not silently drop their low-order bits.
-    """
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self, start: float = 0.0):
-        self.total = float(start)
-        self.carry = 0.0
-
-    def add(self, value: float) -> float:
-        y = float(value) - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-        return self.total
 
 
 def exact_sum(values) -> float:

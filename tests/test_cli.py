@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 from foguel_lab import WeightSequence, bennett_sums
-from foguel_lab.cli import DEFAULT_SEED, SEED_ENV_VAR, main, parse_alpha, resolve_seed
+from foguel_lab.cli import (
+    DEFAULT_SEED,
+    FAMILY_OF,
+    SEED_ENV_VAR,
+    main,
+    parse_alpha,
+    resolve_seed,
+)
 
 
 def read_csv(path: Path):
@@ -88,15 +95,28 @@ def test_norm_dense_values(tmp_path):
 
 
 def test_norm_power_route_agrees_with_dense(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    base = ["norm", "--target", "car-hankel", "--alpha", "pisier-flat", "--N", "3"]
-    assert main(base + ["--method", "dense", "--out", str(a)]) == 0
-    assert main(base + ["--method", "power", "--out", str(b)]) == 0
-    va = float(read_csv(a / "norms.csv")[1][4])
-    vb = float(read_csv(b / "norms.csv")[1][4])
-    assert abs(va - vb) < 1e-8
-    assert read_csv(b / "norms.csv")[1][3] == "power"
+    for target, n in (("car-hankel", "3"), ("car-commutator", "4")):
+        a = tmp_path / target / "a"
+        b = tmp_path / target / "b"
+        base = ["norm", "--target", target, "--alpha", "pisier-flat", "--N", n]
+        assert main(base + ["--method", "dense", "--out", str(a)]) == 0
+        assert main(base + ["--method", "power", "--out", str(b)]) == 0
+        va = float(read_csv(a / "norms.csv")[1][4])
+        vb = float(read_csv(b / "norms.csv")[1][4])
+        assert abs(va - vb) < 1e-8
+        assert read_csv(b / "norms.csv")[1][3] == "power"
+
+
+@pytest.mark.parametrize("method", ["power", "auto"])
+def test_car_commutator_above_the_dense_cap_runs_matrix_free(tmp_path, method):
+    # dimension 7 * 2^11 = 14336 > DENSE_SIZE_CAP: the power route must not
+    # build the dense matrix; 1000 iterations do not converge here (exit 2)
+    argv = ["norm", "--target", "car-commutator", "--alpha", "geometric:0.5", "--N", "7"]
+    assert main(argv + ["--method", method, "--out", str(tmp_path)]) == 2
+    row = read_csv(tmp_path / "norms.csv")[1]
+    assert row[3] == "power"
+    assert row[5] == "1000"
+    assert row[6] == "false"
 
 
 def test_bennett_row_matches_library(tmp_path):
@@ -308,3 +328,29 @@ def test_sweep_keeps_going_past_a_bad_job(tmp_path):
     assert "error" in summary["jobs"][0]
     assert summary["jobs"][1]["exit_code"] == 0
     assert len(read_csv(out / "car.csv")) == 3  # the good job still ran
+
+
+REQUIRED_ONLY = {
+    "car-check": {},
+    "norm": {"target": "hankel", "alpha": "geometric:0.5", "sizes": "8"},
+    "bennett": {"sequence": "harmonic"},
+    "multiplier": {"kind": "difference-quotient"},
+    "similarity": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ONLY))
+def test_flags_and_sweep_params_share_their_defaults(tmp_path, command):
+    """A command given only its required parameters writes the same CSV
+    from the command line as from a one-job sweep at the same seed."""
+    params = REQUIRED_ONLY[command]
+    argv = [command]
+    for key, value in params.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    flags, swept = tmp_path / "flags", tmp_path / "sweep"
+    assert main(argv + ["--seed", "11", "--out", str(flags)]) == 0
+    job = {"id": 0, "command": command, "params": params}
+    spec = make_sweep_spec(tmp_path / "spec.json", [job], seed=11)
+    assert main(["sweep", str(spec), "--out", str(swept)]) == 0
+    family = FAMILY_OF[command]
+    assert (flags / f"{family}.csv").read_bytes() == (swept / f"{family}.csv").read_bytes()

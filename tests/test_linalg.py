@@ -7,12 +7,9 @@ from hypothesis import given, strategies as st
 from foguel_lab import (
     InvalidDimensionError,
     SizeCapExceededError,
-    adjoint,
     as_matrix,
     block2x2,
-    compress,
     eye,
-    kron,
     make_shift,
     matvec_oracles,
     op_norm_dense,
@@ -48,9 +45,9 @@ def test_block2x2_identity_doubling():
 
 def test_block2x2_zero_coupling_squares_blockwise():
     s = make_shift(4)
-    r = block2x2(adjoint(s), zeros(4), zeros(4), s)
+    r = block2x2(s.conj().T, zeros(4), zeros(4), s)
     r2 = r @ r
-    assert np.array_equal(r2[:4, :4], adjoint(s) @ adjoint(s))
+    assert np.array_equal(r2[:4, :4], s.conj().T @ s.conj().T)
     assert np.array_equal(r2[4:, 4:], s @ s)
     assert np.abs(r2[:4, 4:]).max() == 0.0
     assert np.abs(r2[4:, :4]).max() == 0.0
@@ -60,16 +57,6 @@ def test_block2x2_top_right_roundtrip(rng):
     x = random_complex(rng, 5)
     r = block2x2(eye(5), x, zeros(5), eye(5))
     assert np.array_equal(r[:5, 5:], x)
-
-
-def test_compress_takes_leading_window(rng):
-    a = random_complex(rng, 6)
-    assert np.array_equal(compress(a, 2, 4), a[:2, :4])
-
-
-def test_kron_matches_numpy(rng):
-    a, b = random_complex(rng, 3), random_complex(rng, 2)
-    assert np.allclose(kron(a, b), np.kron(a, b))
 
 
 def test_op_norm_dense_against_numpy(rng):
