@@ -454,7 +454,9 @@ COMMANDS = {
                   unknown="unknown norm target {!r}"),
             Param("sizes", required=True, parse=parse_sizes, aliases=("--N",),
                   help=_SIZES_HELP),
-            Param("alpha", parse=_alpha_text, applies=("target", _ALPHA_TARGETS, None),
+            Param("alpha", parse=_alpha_text,
+                  applies=("target", _ALPHA_TARGETS,
+                           "alpha does not apply to the shift target"),
                   help=f"coefficients: {ALPHA_HELP}"),
             Param("method", default="auto", choices=("auto", "dense", "power"),
                   unknown="method must be auto, dense or power, not {!r}",

@@ -6,6 +6,7 @@ two norm routes everything else relies on:
 
 * ``op_norm_dense`` — largest singular value through an eigendecomposition
   of the Gram matrix A*A (the smaller of the two Gram matrices is used);
+  an operand whose entries are all real is normed in real arithmetic;
 * ``op_norm_power`` — seeded power iteration on A*A driven purely by
   matvec callables, usable when the operator is too large to hold densely.
 """
@@ -102,13 +103,17 @@ def op_norm_dense(a, size_cap: int = DENSE_SIZE_CAP) -> NormEstimate:
     """Largest singular value via eigendecomposition of the Gram matrix.
 
     Uses A*A or AA* — whichever is smaller — and reports the square root of
-    the top eigenvalue, clipped at zero.
+    the top eigenvalue, clipped at zero.  When every imaginary part is
+    exactly zero the Gram matrix is formed from the real part, so the
+    eigensolve is real symmetric rather than complex Hermitian.
     """
     a = as_matrix(a)
     if min(a.shape) > size_cap:
         raise SizeCapExceededError(
             f"min(shape)={min(a.shape)} exceeds dense cap {size_cap}"
         )
+    if not a.imag.any():
+        a = np.ascontiguousarray(a.real)
     if a.shape[0] < a.shape[1]:
         gram = a @ a.conj().T
     else:

@@ -175,6 +175,21 @@ def test_bennett_epsilon_rules(tmp_path):
     )
 
 
+def test_shift_alpha_rules(tmp_path):
+    shift = ["norm", "--target", "shift", "--sizes", "3"]
+    # the shift target takes no coefficients, so any --alpha is refused ...
+    for alpha in ("junk", "geometric:0.5"):
+        assert main(shift + ["--alpha", alpha, "--out", str(tmp_path)]) == 1
+    # ... and without one it runs
+    assert main(shift + ["--out", str(tmp_path)]) == 0
+    # a one-job sweep applies the same rule
+    for params, code in (({"alpha": "junk"}, 1), ({}, 0)):
+        job = {"id": 0, "command": "norm",
+               "params": {"target": "shift", "sizes": [3], **params}}
+        spec = make_sweep_spec(tmp_path / "spec.json", [job])
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == code
+
+
 def test_multiplier_rows_and_seed_column(tmp_path):
     rc = main(
         [

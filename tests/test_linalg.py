@@ -68,6 +68,22 @@ def test_op_norm_dense_against_numpy(rng):
         assert est.value == pytest.approx(np.linalg.norm(a, 2), abs=1e-10)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(6, 6), (9, 4), (3, 8)]))
+def test_op_norm_dense_real_operands(seed, shape):
+    # real-valued complex128 operands take the real route; square, tall, wide
+    a = np.random.default_rng(seed).standard_normal(shape).astype(np.complex128)
+    est = op_norm_dense(a)
+    assert est.value == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    assert est.relative_residual <= 1e-12
+    assert op_norm_dense(a.real) == est
+
+
+def test_op_norm_dense_keeps_a_small_imaginary_part():
+    # real part alone has norm 1; the 1e-3j entry must still count
+    est = op_norm_dense(np.array([[1.0, 1e-3j]]))
+    assert est.value == pytest.approx(np.sqrt(1 + 1e-6), rel=1e-14)
+
+
 def test_op_norm_dense_respects_cap(rng):
     a = random_complex(rng, 16)
     with pytest.raises(SizeCapExceededError):
