@@ -56,7 +56,7 @@ from .errors import (
 )
 from .linalg import DENSE_SIZE_CAP, matvec_oracles, op_norm_dense, op_norm_power
 from .sequences import WeightSequence
-from .summation import exact_sum
+from .summation import exact_sums
 
 _MAX_MODES = 14
 
@@ -270,8 +270,9 @@ def rc_bounds(beta: Callable[[int, int], complex], size: int) -> RowColBounds:
     if size < 1:
         raise InvalidDimensionError("size must be >= 1")
     sq = np.abs(_coefficients(beta, size)) ** 2
-    row_sup = max(np.sqrt(exact_sum(sq[i, :])) for i in range(size))
-    col_sup = max(np.sqrt(exact_sum(sq[:, j])) for j in range(size))
+    rows = range(0, size * size + 1, size)
+    row_sup = max(np.sqrt(exact_sums(sq.ravel(), rows)[0]))
+    col_sup = max(np.sqrt(exact_sums(sq.T.ravel(), rows)[0]))
     return RowColBounds(
         row_sup=float(row_sup),
         col_sup=float(col_sup),

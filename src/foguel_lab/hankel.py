@@ -182,10 +182,3 @@ def sylvester_residual(y, gamma, window: int | None = None) -> float:
     r = s.conj().T @ y - y @ s - gamma
     return op_norm_dense(r[:w, :w]).value
 
-
-def antisym_part(y) -> np.ndarray:
-    """(Y - Y^t) / 2, the transpose-antisymmetric component."""
-    y = as_matrix(y)
-    if y.shape[0] != y.shape[1]:
-        raise InvalidDimensionError("expected a square matrix")
-    return (y - y.T) / 2.0

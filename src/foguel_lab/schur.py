@@ -30,9 +30,14 @@ from .errors import (
     InvalidOffsetError,
     ValidationError,
 )
-from .linalg import as_matrix, op_norm_dense
-from .sequences import WeightSequence, _decade_windows, _strictly_decreasing_tail
-from .summation import exact_sum
+from .linalg import op_norm_dense
+from .sequences import (
+    WeightSequence,
+    _decade_windows,
+    _strictly_decreasing_tail,
+    _window_cuts,
+)
+from .summation import exact_sums
 
 _STRUCTURED = ("difference_quotient", "log_damped", "loglog_damped", "from_sequence")
 
@@ -125,15 +130,6 @@ class MultiplierSpec:
         if self.kind == "from_sequence":
             return f"quotient[{self.sequence.describe()}]"
         return "custom"
-
-
-def schur_product(a, b) -> np.ndarray:
-    """Entrywise (Hadamard) product of two same-shape matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise InvalidDimensionError(f"shapes {a.shape} and {b.shape} differ")
-    return a * b
 
 
 def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
@@ -231,9 +227,7 @@ def bennett_criterion(
             parts[t] = acc
         sums = parts
     windows, full = _decade_windows(n_lo, terms)
-    increments = tuple(
-        exact_sum(sums[(ns >= a0) & (ns <= b0)]) for a0, b0 in windows
-    )
+    increments, total = exact_sums(sums, _window_cuts(windows, n_lo))
     verdict = _strictly_decreasing_tail(increments, full)
     probe = tail_index if tail_index is not None else max(10 * terms, 10 ** 6)
     near = range(spec.offset, spec.offset + 4)
@@ -244,7 +238,7 @@ def bennett_criterion(
         offset=spec.offset,
         ns=ns,
         antidiagonal_sums=sums,
-        total=exact_sum(sums),
+        total=total,
         decades=tuple(windows),
         decade_increments=increments,
         verdict=verdict,

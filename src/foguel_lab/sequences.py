@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidLengthError, ValidationError
-from .summation import exact_sum
+from .summation import exact_sum, exact_sums
 
 _BASE_START = {
     "pisier_flat": 0,
@@ -164,66 +164,6 @@ class WeightSequence:
         return label
 
 
-def gen_weights(seq: WeightSequence, count: int) -> np.ndarray:
-    """Values at indices start_index .. count-1 (empty if count is below start)."""
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    lo = seq.start_index
-    if count <= lo:
-        return np.zeros(0, dtype=float)
-    return seq.values_at(np.arange(lo, count))
-
-
-def tail_weight_sup(seq: WeightSequence, count: int) -> float:
-    """sup over 0 <= k < count of (k+1)^2 * sum_{k <= i < count} |a_i|^2.
-
-    The quantity that controls polynomial boundedness of the associated
-    block operator; finite iff the tails decay like 1/(k+1).  Call at a
-    ladder of counts to monitor growth or plateau.
-    """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    vals = seq.values_at(np.arange(count))
-    sq = np.abs(vals) ** 2
-    # accumulate the suffix sums from the small (far) end for accuracy
-    suffix = np.cumsum(sq[::-1])[::-1]
-    k = np.arange(count, dtype=float)
-    return float(np.max((k + 1.0) ** 2 * suffix))
-
-
-def weighted_sum(
-    seq: WeightSequence,
-    count: int,
-    power: float = 2.0,
-    log_power: float = 0.0,
-    loglog_power: float = 0.0,
-) -> float:
-    """Compensated partial sum of w(k) |a_k|^2 with
-    w(k) = (k+1)^power * log(k+1)^log_power * loglog(k+1)^loglog_power.
-
-    ``power=2`` is the plain square-summability functional whose value
-    coincides with the squared norm of the derivative-weighted block
-    Hankel operator; the log/loglog exponents give the damped variants.
-    When ``loglog_power`` is used the sum starts at k = 2, the first index
-    where the iterated logarithm is positive.
-    """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    lo = seq.start_index
-    if loglog_power != 0.0:
-        lo = max(lo, 2)
-    if count <= lo:
-        return 0.0
-    ks = np.arange(lo, count, dtype=float)
-    w = (ks + 1.0) ** power
-    if log_power != 0.0:
-        w = w * np.log(ks + 1.0) ** log_power
-    if loglog_power != 0.0:
-        w = w * np.log(np.log(ks + 1.0)) ** loglog_power
-    vals = seq.values_at(np.arange(lo, count))
-    return exact_sum(w * np.abs(vals) ** 2)
-
-
 def diff1(a) -> np.ndarray:
     """First forward difference b_n = a_n - a_{n+1} (length len(a) - 1)."""
     arr = np.asarray(a, dtype=float)
@@ -284,6 +224,11 @@ def _decade_windows(n_start: int, terms: int):
     return windows, full
 
 
+def _window_cuts(windows, n_start: int) -> list[int]:
+    """Index cuts of the contiguous ``windows`` in an array indexed from n_start."""
+    return [windows[0][0] - n_start] + [b + 1 - n_start for _, b in windows]
+
+
 def _strictly_decreasing_tail(increments, full_flags, need: int = 3) -> bool:
     vals = [v for v, f in zip(increments, full_flags) if f]
     if len(vals) < need:
@@ -315,21 +260,19 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
         ns * np.abs(c),
     )
     windows, full = _decade_windows(n0, terms)
-    increments = []
-    for s in series:
-        inc = tuple(exact_sum(s[(ns >= a0) & (ns <= b0)]) for a0, b0 in windows)
-        increments.append(inc)
+    cuts = _window_cuts(windows, n0)
+    increments, totals = zip(*(exact_sums(s, cuts) for s in series))
     verdicts = tuple(
         _strictly_decreasing_tail(inc, full) for inc in increments
     )
     return BennettReport(
         terms=terms,
         n_start=n0,
-        sum_a_over_n=exact_sum(series[0]),
-        sum_abs_diff1=exact_sum(series[1]),
-        sum_weighted_diff2=exact_sum(series[2]),
+        sum_a_over_n=totals[0],
+        sum_abs_diff1=totals[1],
+        sum_weighted_diff2=totals[2],
         decades=tuple(windows),
-        decade_increments=tuple(increments),
+        decade_increments=increments,
         verdicts=verdicts,  # type: ignore[arg-type]
     )
 

@@ -10,7 +10,6 @@ from foguel_lab import (
     InvalidWindowError,
     ValidationError,
     WeightSequence,
-    antisym_part,
     derivation_matrix,
     derivation_product,
     derivative_weight,
@@ -23,7 +22,6 @@ from foguel_lab import (
     sylvester_residual,
     unit_weight,
 )
-from conftest import random_complex
 
 
 def test_hankel_entries_follow_the_sequence():
@@ -217,18 +215,3 @@ def test_sylvester_residual_shape_mismatch():
     with pytest.raises(InvalidDimensionError):
         sylvester_residual(np.zeros((4, 4)), np.zeros((5, 5)), 2)
 
-
-# ---- antisymmetric part -----------------------------------------------
-
-
-def test_antisym_part_is_antisymmetric_and_dominated(rng):
-    for _ in range(5):
-        y = random_complex(rng, 7)
-        a = antisym_part(y)
-        assert np.abs(a + a.T).max() < 1e-14
-        assert op_norm_dense(a).value <= op_norm_dense(y).value + 1e-12
-
-
-def test_antisym_part_of_symmetric_is_zero():
-    h = make_hankel(HankelSpec(WeightSequence.harmonic(), 5))
-    assert np.abs(antisym_part(h)).max() == 0.0

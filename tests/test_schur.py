@@ -20,7 +20,6 @@ from foguel_lab import (
     multiplier_lower_bound,
     op_norm_dense,
     proof_chain_bound,
-    schur_product,
 )
 
 
@@ -33,15 +32,9 @@ def haar_unitary(n, rng):
 # ---- the array itself --------------------------------------------------
 
 
-def test_schur_product_small_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(schur_product(a, b), [[5.0, 12.0], [21.0, 32.0]])
-
-
-def test_all_ones_is_schur_identity(rng):
-    a = rng.standard_normal((4, 4))
-    assert np.array_equal(schur_product(np.ones((4, 4)), a), a)
+def test_all_ones_is_schur_identity():
+    probe = multiplier_lower_bound(MultiplierSpec.custom(lambda i, j: 1.0), 4, witnesses=6)
+    assert [r for _, r in probe.ratios] == [1.0] * 6
 
 
 @given(
