@@ -123,20 +123,18 @@ def car_check(alg: CarAlgebra) -> tuple[float, float]:
 # ---- coefficient plumbing ---------------------------------------------
 
 
-def _coeff_fn(alpha) -> Callable[[int], complex]:
-    if isinstance(alpha, WeightSequence):
-        return lambda k: complex(alpha.value(k)) if k >= 0 else 0.0
-    return lambda k: complex(alpha(k)) if k >= 0 else 0.0
+def _coeff_fn(alpha: WeightSequence) -> Callable[[int], complex]:
+    return lambda k: complex(alpha.value(k)) if k >= 0 else 0.0
 
 
-def hankel_pattern(alpha, weight: Callable[[int], float] | None = None):
+def hankel_pattern(alpha: WeightSequence, weight: Callable[[int], float] | None = None):
     """(beta, phi) for entries weight(i+j) a_{i+j} C_{i+j}."""
     a = _coeff_fn(alpha)
     w = (lambda k: 1.0) if weight is None else weight
     return (lambda i, j: w(i + j) * a(i + j)), (lambda t: t)
 
 
-def commutator_pattern(alpha):
+def commutator_pattern(alpha: WeightSequence):
     """(beta, phi) for entries (j - i) a_{i+j-1} C_{i+j-1}.
 
     This is the coefficient pattern of Gamma D - D Gamma when Gamma has

@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -163,9 +164,9 @@ def parse_alpha(text: str) -> WeightSequence:
         try:
             x = float(val)
         except ValueError:
-            raise ValidationError(
-                f"bad numeric parameter in alpha spec {text!r}"
-            ) from None
+            x = math.nan
+        if not math.isfinite(x):
+            raise ValidationError(f"bad numeric parameter in alpha spec {text!r}")
         if head in ALPHA_SCALED:
             return ALPHA_SCALED[head](x)
     raise ValidationError(f"unrecognized alpha spec {text!r}; expected {ALPHA_HELP}")
@@ -210,19 +211,25 @@ def _as_int(value, key: str, lo: int | None = None) -> int:
     return value
 
 
-def _as_float(value, key: str) -> float:
+def _as_float(value, key: str, positive: bool) -> float:
     try:
-        return float(value)
+        value = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{key} must be a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+    if positive and value <= 0:
+        raise ValidationError(f"{key} must be > 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class Param:
     """One parameter: flag ``--name`` (``_`` written ``-``), sweep key ``name``.
 
-    ``type`` is int (at least ``lo``), float or str (through ``parse``
-    when given).  A value outside ``choices`` is refused with ``unknown``.
+    ``type`` is int (at least ``lo``), float (finite, and > 0 when
+    ``positive``) or str (through ``parse`` when given).  A value outside
+    ``choices`` is refused with ``unknown``.
     ``applies=(key, values, unused)`` makes the parameter required when
     the earlier parameter ``key`` is one of ``values``; otherwise it is
     dropped, or refused with the message ``unused`` when one is given.
@@ -235,6 +242,7 @@ class Param:
     choices: tuple = ()
     unknown: str = ""
     lo: int | None = None
+    positive: bool = False
     parse: Callable | None = None
     applies: tuple = ()
     aliases: tuple = ()
@@ -260,7 +268,7 @@ class Param:
         if self.type is int:
             return _as_int(value, self.name, self.lo)
         if self.type is float:
-            return _as_float(value, self.name)
+            return _as_float(value, self.name, self.positive)
         return self.parse(value) if self.parse else value
 
 
@@ -461,7 +469,8 @@ COMMANDS = {
             Param("method", default="auto", choices=("auto", "dense", "power"),
                   unknown="method must be auto, dense or power, not {!r}",
                   help="norm route (auto: dense when within the size cap)"),
-            Param("tol", float, 1e-10, help="power-iteration tolerance"),
+            Param("tol", float, 1e-10, positive=True,
+                  help="power-iteration tolerance"),
             Param("max_iter", int, 1000, lo=1),
         ),
         _run_norm,

@@ -1,21 +1,26 @@
-"""Schur (entrywise) products and structured multiplier diagnostics.
+"""Structured Schur multiplier sections and their diagnostics.
 
 The matrices studied here are sections of infinite arrays m(i, j) defined
-for i, j >= offset.  Four structured kinds share the antisymmetric form
-m(i, j) = (j - i) g(i + j):
+for i, j >= offset.  Every structured kind is the quotient array of a
+coefficient sequence a (a :class:`~foguel_lab.sequences.WeightSequence`),
 
-* ``difference_quotient`` — g(n) = 1/(n+1), the bounded-entry array whose
-  distinct iterated limits (-1 along rows, +1 along columns) obstruct it
-  from being a bounded Schur multiplier;
-* ``log_damped(eps)``     — g(n) = 1/((n+1) log^(1+eps)(n+1));
-* ``loglog_damped(eps)``  — g(n) = 1/((n+1) log(n+1) loglog^(1+eps)(n+1));
-* ``from_sequence(a)``    — g(n) = a(n)/(n+1) for any coefficient sequence.
+    m(i, j) = (j - i) g(i + j),    g(n) = a(n) / (n + 1),
 
-``log_damped(eps)`` coincides entrywise with
-``from_sequence(log_family(eps).shifted(1))`` and likewise for the loglog
-kind, which ties the matrix diagnostics to the scalar series diagnostics
-in :mod:`foguel_lab.sequences`.  A ``custom`` kind takes an arbitrary
-entry callable (used for reference cases such as constant arrays).
+and the three named kinds are the quotient arrays of named sequences:
+
+* ``difference_quotient``  — ``constant()``, so m(i, j) = (j-i)/(i+j+1), the
+  bounded-entry array whose distinct iterated limits (-1 along rows, +1
+  along columns) obstruct it from being a bounded Schur multiplier;
+* ``log_damped(eps)``      — ``log_family(eps).shifted(1)``, so
+  m(i, j) = (j-i) / ((i+j+1) log^(1+eps)(i+j+1));
+* ``loglog_damped(eps)``   — ``loglog_family(eps).shifted(1)``, so
+  m(i, j) = (j-i) / ((i+j+1) log(i+j+1) loglog^(1+eps)(i+j+1));
+* ``from_sequence(a)``     — any other coefficient sequence a.
+
+Each formula is therefore written once, in :mod:`foguel_lab.sequences`,
+which ties the matrix diagnostics to the scalar series diagnostics there.
+A ``custom`` kind takes an arbitrary entry callable (used for reference
+cases such as constant arrays and literal closed forms).
 """
 
 from __future__ import annotations
@@ -31,19 +36,21 @@ from .errors import (
     ValidationError,
 )
 from .linalg import op_norm_dense
-from .sequences import (
-    WeightSequence,
-    _decade_windows,
-    _strictly_decreasing_tail,
-    _window_cuts,
-)
-from .summation import exact_sums
+from .sequences import WeightSequence, decade_sums, diff2
 
-_STRUCTURED = ("difference_quotient", "log_damped", "loglog_damped", "from_sequence")
+#: The named kinds, each the quotient array of the sequence built from epsilon.
+_NAMED = {
+    "difference_quotient": lambda eps: WeightSequence.constant(),
+    "log_damped": lambda eps: WeightSequence.log_family(eps).shifted(1),
+    "loglog_damped": lambda eps: WeightSequence.loglog_family(eps).shifted(1),
+}
+_STRUCTURED = tuple(_NAMED) + ("from_sequence",)
 
 
 @dataclass(frozen=True)
 class MultiplierSpec:
+    """One multiplier kind; a named kind builds ``sequence`` from ``epsilon``."""
+
     kind: str
     epsilon: float | None = None
     sequence: WeightSequence | None = None
@@ -63,6 +70,8 @@ class MultiplierSpec:
                     "damped kinds need offset >= 1 so the (iterated) logarithm "
                     "of i+j+1 is positive"
                 )
+        if self.kind in _NAMED:
+            object.__setattr__(self, "sequence", _NAMED[self.kind](self.epsilon))
         if self.kind == "from_sequence" and self.sequence is None:
             raise ValidationError("from_sequence needs a sequence")
         if self.kind == "custom" and self.entry_fn is None:
@@ -97,19 +106,11 @@ class MultiplierSpec:
         return self.kind in _STRUCTURED
 
     def g_values(self, ns) -> np.ndarray:
-        """The radial factor g(n) with m(i,j) = (j-i) g(i+j); structured only."""
+        """The radial factor g(n) = a(n)/(n+1) with m(i,j) = (j-i) g(i+j)."""
+        if not self.structured:
+            raise ValidationError("custom kind has no radial factor")
         ns = np.asarray(ns, dtype=np.int64)
-        n = ns.astype(float)
-        if self.kind == "difference_quotient":
-            return 1.0 / (n + 1.0)
-        if self.kind == "log_damped":
-            return 1.0 / ((n + 1.0) * np.log(n + 1.0) ** (1.0 + self.epsilon))
-        if self.kind == "loglog_damped":
-            lg = np.log(n + 1.0)
-            return 1.0 / ((n + 1.0) * lg * np.log(lg) ** (1.0 + self.epsilon))
-        if self.kind == "from_sequence":
-            return self.sequence.values_at(ns) / (n + 1.0)
-        raise ValidationError("custom kind has no radial factor")
+        return self.sequence.values_at(ns) / (ns + 1.0)
 
     def entry(self, i: int, j: int) -> float:
         if i < self.offset or j < self.offset:
@@ -121,15 +122,9 @@ class MultiplierSpec:
         return float((j - i) * self.g_values(i + j))
 
     def describe(self) -> str:
-        if self.kind == "difference_quotient":
-            return "difference-quotient"
-        if self.kind == "log_damped":
-            return "log-damped"
-        if self.kind == "loglog_damped":
-            return "loglog-damped"
         if self.kind == "from_sequence":
             return f"quotient[{self.sequence.describe()}]"
-        return "custom"
+        return self.kind.replace("_", "-")
 
 
 def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
@@ -208,8 +203,7 @@ def bennett_criterion(
         raise ValidationError(f"terms must be >= {n_lo + 2}")
     ns = np.arange(n_lo, terms + 1, dtype=np.int64)
     if spec.structured:
-        g = spec.g_values(np.arange(n_lo, terms + 3))
-        d2 = g[:-2] - 2.0 * g[1:-1] + g[2:]
+        d2 = diff2(spec.g_values(np.arange(n_lo, terms + 3)))
         sums = antidiag_abs_coeff(ns, spec.offset) * np.abs(d2)
     else:
         parts = np.zeros(len(ns), dtype=float)
@@ -226,9 +220,7 @@ def bennett_criterion(
                 )
             parts[t] = acc
         sums = parts
-    windows, full = _decade_windows(n_lo, terms)
-    increments, total = exact_sums(sums, _window_cuts(windows, n_lo))
-    verdict = _strictly_decreasing_tail(increments, full)
+    windows, increments, total, verdict = decade_sums(sums, n_lo, terms)
     probe = tail_index if tail_index is not None else max(10 * terms, 10 ** 6)
     near = range(spec.offset, spec.offset + 4)
     row_tail = max(abs(spec.entry(probe, j)) for j in near)
@@ -239,7 +231,7 @@ def bennett_criterion(
         ns=ns,
         antidiagonal_sums=sums,
         total=total,
-        decades=tuple(windows),
+        decades=windows,
         decade_increments=increments,
         verdict=verdict,
         row_tail=row_tail,

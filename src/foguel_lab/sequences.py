@@ -205,11 +205,14 @@ class BennettReport:
     verdicts: tuple[bool, bool, bool]
 
 
-def _decade_windows(n_start: int, terms: int):
-    """Windows (10^(d-1), 10^d] clipped to [n_start, terms].
+def decade_sums(series, n_start: int, terms: int):
+    """(windows, increments, total, verdict) of one series over [n_start, terms].
 
-    Returns (windows, full_flags): a window is "full" when it is entirely
-    inside the summation range, so its increment is comparable across runs.
+    ``series[k]`` is the term at n = n_start + k.  The windows are
+    (10^(d-1), 10^d] clipped to [n_start, terms]; one exactly rounded pass
+    gives the increment of every window and the total.  The verdict is
+    True iff the increments over the last three windows that lie entirely
+    inside the range (so are comparable across runs) strictly decrease.
     """
     windows = []
     full = []
@@ -221,20 +224,11 @@ def _decade_windows(n_start: int, terms: int):
             windows.append((a, b))
             full.append(lo + 1 >= n_start and hi <= terms)
         d += 1
-    return windows, full
-
-
-def _window_cuts(windows, n_start: int) -> list[int]:
-    """Index cuts of the contiguous ``windows`` in an array indexed from n_start."""
-    return [windows[0][0] - n_start] + [b + 1 - n_start for _, b in windows]
-
-
-def _strictly_decreasing_tail(increments, full_flags, need: int = 3) -> bool:
-    vals = [v for v, f in zip(increments, full_flags) if f]
-    if len(vals) < need:
-        return False
-    tail = vals[-need:]
-    return all(tail[i] > tail[i + 1] for i in range(need - 1))
+    cuts = [windows[0][0] - n_start] + [b + 1 - n_start for _, b in windows]
+    increments, total = exact_sums(series, cuts)
+    tail = [v for v, f in zip(increments, full) if f][-3:]
+    verdict = len(tail) == 3 and tail[0] > tail[1] > tail[2]
+    return tuple(windows), increments, total, verdict
 
 
 def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
@@ -251,27 +245,20 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
         raise ValidationError(f"terms must exceed the series start {n0}")
     ns = np.arange(n0, terms + 1, dtype=np.int64)
     ext = seq.values_at(np.arange(n0, terms + 3))
-    a = ext[: len(ns)]
-    b = ext[: len(ns)] - ext[1 : len(ns) + 1]
-    c = ext[: len(ns)] - 2.0 * ext[1 : len(ns) + 1] + ext[2 : len(ns) + 2]
     series = (
-        np.abs(a) / ns,
-        np.abs(b),
-        ns * np.abs(c),
+        np.abs(ext[: len(ns)]) / ns,
+        np.abs(diff1(ext)[: len(ns)]),
+        ns * np.abs(diff2(ext)),
     )
-    windows, full = _decade_windows(n0, terms)
-    cuts = _window_cuts(windows, n0)
-    increments, totals = zip(*(exact_sums(s, cuts) for s in series))
-    verdicts = tuple(
-        _strictly_decreasing_tail(inc, full) for inc in increments
-    )
+    reports = [decade_sums(s, n0, terms) for s in series]
+    windows, increments, totals, verdicts = zip(*reports)
     return BennettReport(
         terms=terms,
         n_start=n0,
         sum_a_over_n=totals[0],
         sum_abs_diff1=totals[1],
         sum_weighted_diff2=totals[2],
-        decades=tuple(windows),
+        decades=windows[0],
         decade_increments=increments,
         verdicts=verdicts,  # type: ignore[arg-type]
     )
@@ -293,14 +280,12 @@ def proof_chain_terms(seq: WeightSequence, terms: int) -> tuple[np.ndarray, np.n
     ns = np.arange(n0, terms + 1, dtype=np.int64)
     ext = seq.values_at(np.arange(n0, terms + 4))
     L = len(ns)
-    a = ext
-    b = ext[:-1] - ext[1:]
-    c = ext[:-2] - 2.0 * ext[1:-1] + ext[2:]
+    b = diff1(ext)
     chain = (
-        ns * np.abs(c[:L])
+        ns * np.abs(diff2(ext)[:L])
         + np.abs(b[:L])
         + np.abs(b[1 : L + 1])
-        + 2.0 * np.abs(a[2 : L + 2]) / (ns + 2.0)
+        + 2.0 * np.abs(ext[2 : L + 2]) / (ns + 2.0)
     )
     return ns, chain
 

@@ -345,6 +345,34 @@ def test_sweep_keeps_going_past_a_bad_job(tmp_path):
     assert len(read_csv(out / "car.csv")) == 3  # the good job still ran
 
 
+HANKEL4 = {"target": "hankel", "alpha": "geometric:0.5", "sizes": "4"}
+
+BAD_FLOATS = {
+    "tol-inf-power": ("norm", {**HANKEL4, "method": "power", "tol": "inf"}),
+    "tol-nan-power": ("norm", {**HANKEL4, "method": "power", "tol": "nan"}),
+    "tol-nan-dense": ("norm", {**HANKEL4, "method": "dense", "tol": "nan"}),
+    "tol-zero-dense": ("norm", {**HANKEL4, "method": "dense", "tol": "0"}),
+    "alpha-inf": ("norm", {**HANKEL4, "alpha": "power:inf"}),
+    "epsilon-inf": ("bennett", {"sequence": "log", "epsilon": "inf", "terms": "100"}),
+    "rho-inf": ("similarity", {"size": "8", "rho": "inf", "window": "4", "corner": "2"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLOATS))
+def test_non_finite_floats_and_non_positive_tol_are_refused(tmp_path, capsys, case):
+    """The command line and a one-job sweep both exit 1 with one message."""
+    command, params = BAD_FLOATS[case]
+    argv = [command]
+    for key, value in params.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    assert main(argv + ["--out", str(tmp_path / "flags")]) == 1
+    job = {"id": 0, "command": command, "params": params}
+    spec = make_sweep_spec(tmp_path / "spec.json", [job])
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 1
+    summary = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert capsys.readouterr().err == f"error: {summary['jobs'][0]['error']}\n"
+
+
 REQUIRED_ONLY = {
     "car-check": {},
     "norm": {"target": "hankel", "alpha": "geometric:0.5", "sizes": "8"},

@@ -17,7 +17,6 @@ from foguel_lab import (
     make_hankel,
     make_shift,
     make_weighted_hankel,
-    number_matrix,
     op_norm_dense,
     sylvester_residual,
     unit_weight,
@@ -40,10 +39,9 @@ def test_weighted_hankel_carries_the_derivative_weight():
             assert h[i, j] == (i + j + 1) * 0.5 ** (i + j)
 
 
-def test_callable_coefficients_are_accepted():
-    spec = HankelSpec(lambda k: complex(k), 3)
-    h = make_hankel(spec)
-    assert np.array_equal(h, [[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+def test_non_sequence_coefficients_are_refused():
+    with pytest.raises(ValidationError):
+        HankelSpec(lambda k: complex(k), 3)
 
 
 def test_hilbert_type_section_climbs_toward_pi():
@@ -56,25 +54,6 @@ def test_hilbert_type_section_climbs_toward_pi():
     assert all(a < b for a, b in zip(norms, norms[1:]))
     assert all(v < np.pi for v in norms)
     assert norms[-1] > 2.3  # well on its way at N = 256
-
-
-def test_block_sections_repeat_blocks_along_antidiagonals():
-    pauli_like = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
-    spec = HankelSpec(
-        WeightSequence.geometric(0.5),
-        3,
-        block_dim=2,
-        block_map=lambda k: pauli_like[k % 2],
-    )
-    h = make_hankel(spec)
-    assert h.shape == (6, 6)
-    assert hankel_defect(h, block_dim=2) == 0.0
-    assert np.array_equal(h[:2, 2:4], 0.5 * pauli_like[1])
-
-
-def test_block_dim_requires_block_map():
-    with pytest.raises(ValidationError):
-        HankelSpec(WeightSequence.constant(), 3, block_dim=2)
 
 
 def test_defect_detects_a_corrupted_entry():
@@ -102,10 +81,6 @@ def test_derivation_matrix_differentiates_monomials():
     assert out[2] == 3.0 and np.abs(out).sum() == 3.0
 
 
-def test_number_matrix_is_the_diagonal():
-    assert np.array_equal(number_matrix(4), np.diag([0.0, 1.0, 2.0, 3.0]))
-
-
 @pytest.mark.parametrize("kind", ["commutator", "gamma_d", "dstar_gamma"])
 def test_derivation_products_match_literal_matmul(kind):
     """Entry formulas vs. actual matrix products — two independent routes."""
@@ -127,12 +102,7 @@ def test_commutator_is_difference_of_the_one_sided_products():
     assert np.array_equal(lhs, rhs)
 
 
-def test_derivation_product_rejects_blocks_and_bad_kinds():
-    block_spec = HankelSpec(
-        WeightSequence.constant(), 3, block_dim=2, block_map=lambda k: np.eye(2)
-    )
-    with pytest.raises(ValidationError):
-        derivation_product(block_spec, "commutator")
+def test_derivation_product_rejects_bad_kinds():
     with pytest.raises(ValidationError):
         derivation_product(HankelSpec(WeightSequence.constant(), 3), "sideways")
 

@@ -6,6 +6,8 @@ the norm and the structure of the unit ball of a matrix algebra, the
 supremum of ||M * A|| over the whole unit ball is attained on unitaries.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +53,27 @@ def test_structured_entries_are_antisymmetric(kind, i, j):
     }[kind]
     assert spec.entry(i, j) == pytest.approx(-spec.entry(j, i), abs=1e-15)
     assert spec.entry(i, i) == 0.0
+
+
+@given(
+    st.sampled_from(["dq", "log", "loglog"]),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.floats(0.05, 2.0),
+)
+def test_named_kinds_match_their_closed_forms(kind, offset, di, dj, eps):
+    """Each named kind against its entry formula written out literally."""
+    i, j = offset + di, offset + dj
+    n = i + j + 1.0
+    literal, spec = {
+        "dq": ((j - i) / n, MultiplierSpec.difference_quotient(offset)),
+        "log": ((j - i) / (n * math.log(n) ** (1 + eps)),
+                MultiplierSpec.log_damped(eps, offset)),
+        "loglog": ((j - i) / (n * math.log(n) * math.log(math.log(n)) ** (1 + eps)),
+                   MultiplierSpec.loglog_damped(eps, offset)),
+    }[kind]
+    assert spec.entry(i, j) == pytest.approx(literal, rel=1e-15, abs=0.0)
 
 
 def test_make_multiplier_matches_entry_loop():
