@@ -33,10 +33,10 @@ profile at size 3 has norm equal to the golden ratio, against sqrt(2).
 A (beta, phi) pattern, block beta(i, j) C_{phi(i+j)} at (i, j), is
 assembled once, by :func:`car_pattern_operator`, as the sparse operator
 sum_t B_t (x) C_{phi(t)} with B_t the scalar coefficients on antidiagonal
-t.  Its dense section (:func:`car_pattern_matrix`, refused above the
-dense cap) and its matrix-free matvecs (``linalg.matvec_oracles``, or
-:func:`car_hankel_oracles` for the Hankel pattern) are two forms of that
-one operator.
+t.  ``linalg.op_norm`` norms that operator as it stands: densified
+within the dense cap, matrix-free above it.  :func:`car_hankel_operator`
+is the Hankel pattern on 2*size-1 modes, and :func:`car_pattern_matrix`
+and :func:`car_hankel` are the dense forms, refused above the cap.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ from .errors import (
     InvalidDimensionError,
     InvalidModesError,
     InvalidPatternError,
-    SizeCapExceededError,
 )
-from .linalg import DENSE_SIZE_CAP, matvec_oracles, op_norm_dense, op_norm_power
+from .linalg import check_dense_cap, op_norm
 from .sequences import WeightSequence
 from .summation import exact_sums
 
@@ -88,14 +87,10 @@ def build_car(modes: int) -> CarAlgebra:
     return CarAlgebra(modes=modes, dim=2 ** modes, generators=tuple(gens))
 
 
-def _residual_norm(r, dense_cap: int = DENSE_SIZE_CAP) -> float:
+def _residual_norm(r) -> float:
     r = sp.csr_matrix(r)
     r.eliminate_zeros()
-    if r.nnz == 0:
-        return 0.0
-    if r.shape[0] <= dense_cap:
-        return op_norm_dense(r.toarray()).value
-    return op_norm_power(*matvec_oracles(r)).value
+    return op_norm(r).value if r.nnz else 0.0
 
 
 def car_check(alg: CarAlgebra) -> tuple[float, float]:
@@ -199,46 +194,32 @@ def car_pattern_matrix(
     phi: Callable[[int], int],
     size: int,
     alg: CarAlgebra | None = None,
-    dense_cap: int = DENSE_SIZE_CAP,
 ) -> np.ndarray:
-    """Dense form of :func:`car_pattern_operator`, refused above ``dense_cap``."""
-    op = car_pattern_operator(beta, phi, size, alg=alg)
-    if op.shape[0] > dense_cap:
-        raise SizeCapExceededError(
-            f"dense size {op.shape[0]} exceeds cap {dense_cap}"
-        )
-    return op.toarray()
+    """Dense form of :func:`car_pattern_operator`, refused above the dense cap."""
+    return _dense(car_pattern_operator(beta, phi, size, alg=alg))
 
 
-def car_hankel(
-    alpha,
-    weight: Callable[[int], float] | None,
-    size: int,
-    alg: CarAlgebra | None = None,
-    dense_cap: int = DENSE_SIZE_CAP,
-) -> np.ndarray:
-    """Dense generator-valued Hankel section [w(i+j) a_{i+j} C_{i+j}]."""
-    if alg is None and size >= 1:
-        alg = build_car(2 * size - 1)
-    beta, phi = hankel_pattern(alpha, weight)
-    return car_pattern_matrix(beta, phi, size, alg=alg, dense_cap=dense_cap)
+def car_hankel_operator(
+    alpha, weight: Callable[[int], float] | None, size: int
+) -> sp.csr_matrix:
+    """Sparse generator-valued Hankel section [w(i+j) a_{i+j} C_{i+j}].
 
-
-def car_hankel_oracles(
-    alpha,
-    weight: Callable[[int], float] | None,
-    size: int,
-    alg: CarAlgebra | None = None,
-):
-    """Matrix-free (apply, apply_adjoint, dim) for the generator Hankel.
-
-    The two matvecs of the sparse :func:`car_pattern_operator` of the
-    section :func:`car_hankel` would densify, on 2*size-1 modes.
+    The algebra has 2*size-1 modes, one per antidiagonal, whether or not
+    the antidiagonal is live, so the dimension is size * 2^(2*size-1).
     """
-    if alg is None and size >= 1:
-        alg = build_car(2 * size - 1)
+    alg = build_car(2 * size - 1) if size >= 1 else None
     beta, phi = hankel_pattern(alpha, weight)
-    return matvec_oracles(car_pattern_operator(beta, phi, size, alg=alg))
+    return car_pattern_operator(beta, phi, size, alg=alg)
+
+
+def car_hankel(alpha, weight: Callable[[int], float] | None, size: int) -> np.ndarray:
+    """Dense form of :func:`car_hankel_operator`, refused above the dense cap."""
+    return _dense(car_hankel_operator(alpha, weight, size))
+
+
+def _dense(op: sp.csr_matrix) -> np.ndarray:
+    check_dense_cap(op.shape)
+    return op.toarray()
 
 
 # ---- scalar-profile norm bounds ---------------------------------------

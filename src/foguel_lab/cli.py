@@ -17,8 +17,9 @@ validation that sweep jobs share (:func:`normalize_params`),
 ``FAMILY_OF`` and the CSV headers are all derived from it, so a flag and
 the sweep parameter of the same name (``-`` read as ``_``) have one
 default and one validator.  ``NORM_TARGETS`` likewise gives each ``norm``
-target its dense matrix and, for the generator-valued targets, the
-matrix-free route of the same sparse operator.
+target the operator it norms: a dense section, or for the
+generator-valued targets one sparse operator; ``linalg.op_norm`` picks
+the route.
 
 Every command writes a CSV for its row family (norms.csv, bennett.csv,
 similarity.csv, car.csv or multiplier.csv) into --out, plus a JSON mirror
@@ -31,8 +32,8 @@ files byte for byte.
 
 Randomness (witness matrices, power-iteration starts, coupling corners)
 is driven by one seed with precedence: --seed, then the FOGUEL_LAB_SEED
-environment variable, then the built-in default 2002.  Sweep jobs run
-with the global seed XOR the job id.
+environment variable, then the built-in default 2002; a negative seed is
+refused.  Sweep jobs run with the global seed XOR the job id.
 
 Exit codes: 0 success; 1 bad arguments or validation failure; 2 a norm
 computation failed to converge (outputs are still written); 3 unexpected
@@ -54,8 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .car import (
-    build_car, car_check, car_hankel, car_hankel_oracles, car_pattern_matrix,
-    car_pattern_operator, commutator_pattern,
+    build_car, car_check, car_hankel_operator, car_pattern_operator, commutator_pattern,
 )
 from .errors import ValidationError
 from .foguel import assemble_foguel, intertwiner_partial, similarity_check
@@ -66,13 +66,7 @@ from .hankel import (
     make_weighted_hankel,
     unit_weight,
 )
-from .linalg import (
-    DENSE_SIZE_CAP,
-    make_shift,
-    matvec_oracles,
-    op_norm_dense,
-    op_norm_power,
-)
+from .linalg import make_shift, op_norm, op_norm_dense
 from .schur import MultiplierSpec, bennett_criterion, multiplier_lower_bound
 from .sequences import WeightSequence, bennett_sums, proof_chain_bound
 
@@ -80,40 +74,22 @@ DEFAULT_SEED = 2002
 SEED_ENV_VAR = "FOGUEL_LAB_SEED"
 
 
-@dataclass(frozen=True)
-class NormTarget:
-    """How ``norm`` builds a target of size n from its coefficients ``seq``.
-
-    ``matrix(seq, n)`` is the dense section; ``oracles(seq, n)``, where
-    given, the matrix-free (apply, apply_adjoint, dim) of the same
-    operator, which ``auto`` takes once dim exceeds the dense cap.
-    """
-
-    matrix: Callable
-    oracles: Callable | None = None
-
-
+#: ``norm`` targets: the operator of size n built from the coefficients
+#: ``seq``, a dense section or, for the generator-valued targets, sparse.
 NORM_TARGETS = {
-    "shift": NormTarget(lambda seq, n: make_shift(n)),
-    "hankel": NormTarget(
-        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), unit_weight)),
-    "hankel-deriv": NormTarget(
-        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), derivative_weight)),
-    "derivation-commutator": NormTarget(
-        lambda seq, n: derivation_product(HankelSpec(seq, n), "commutator")),
-    "derivation-gamma-d": NormTarget(
-        lambda seq, n: derivation_product(HankelSpec(seq, n), "gamma_d")),
-    "derivation-dstar-gamma": NormTarget(
-        lambda seq, n: derivation_product(HankelSpec(seq, n), "dstar_gamma")),
-    "car-hankel": NormTarget(
-        lambda seq, n: car_hankel(seq, None, n),
-        lambda seq, n: car_hankel_oracles(seq, None, n)),
-    "car-hankel-deriv": NormTarget(
-        lambda seq, n: car_hankel(seq, derivative_weight, n),
-        lambda seq, n: car_hankel_oracles(seq, derivative_weight, n)),
-    "car-commutator": NormTarget(
-        lambda seq, n: car_pattern_matrix(*commutator_pattern(seq), n),
-        lambda seq, n: matvec_oracles(car_pattern_operator(*commutator_pattern(seq), n))),
+    "shift": lambda seq, n: make_shift(n),
+    "hankel": lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), unit_weight),
+    "hankel-deriv":
+        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), derivative_weight),
+    "derivation-commutator":
+        lambda seq, n: derivation_product(HankelSpec(seq, n), "commutator"),
+    "derivation-gamma-d":
+        lambda seq, n: derivation_product(HankelSpec(seq, n), "gamma_d"),
+    "derivation-dstar-gamma":
+        lambda seq, n: derivation_product(HankelSpec(seq, n), "dstar_gamma"),
+    "car-hankel": lambda seq, n: car_hankel_operator(seq, None, n),
+    "car-hankel-deriv": lambda seq, n: car_hankel_operator(seq, derivative_weight, n),
+    "car-commutator": lambda seq, n: car_pattern_operator(*commutator_pattern(seq), n),
 }
 _ALPHA_TARGETS = tuple(t for t in NORM_TARGETS if t != "shift")
 
@@ -142,17 +118,21 @@ ALPHA_HELP = (
 
 
 def resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return int(explicit)
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if explicit is not None:
+        seed = int(explicit)
+    elif env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValidationError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_SEED
+    else:
+        seed = DEFAULT_SEED
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def parse_alpha(text: str) -> WeightSequence:
@@ -305,26 +285,14 @@ def _run_car_check(p: dict, seed: int):
     return rows, diag, 0
 
 
-def _norm_estimate(p: dict, seq, n: int, seed: int):
-    route = NORM_TARGETS[p["target"]]
-    power = {"tol": p["tol"], "max_iter": p["max_iter"], "seed": seed}
-    if route.oracles is not None and p["method"] != "dense":
-        apply, apply_adjoint, dim = route.oracles(seq, n)
-        if p["method"] == "power" or dim > DENSE_SIZE_CAP:
-            return op_norm_power(apply, apply_adjoint, dim, **power)
-    matrix = route.matrix(seq, n)
-    if p["method"] == "power":
-        return op_norm_power(*matvec_oracles(matrix), **power)
-    return op_norm_dense(matrix)
-
-
 def _run_norm(p: dict, seed: int):
     seq = parse_alpha(p["alpha"]) if p["alpha"] is not None else None
     param = seq.describe() if seq is not None else None
+    target = NORM_TARGETS[p["target"]]
     rows = []
     code = 0
     for n in p["sizes"]:
-        est = _norm_estimate(p, seq, n, seed)
+        est = op_norm(target(seq, n), p["method"], p["tol"], p["max_iter"], seed)
         rows.append(
             {
                 "target": p["target"],

@@ -2,19 +2,22 @@
 
 Operators live as plain ``numpy.ndarray`` values of dtype complex128; the
 helpers here add shape/finiteness validation, the truncated shift and the
-two norm routes everything else relies on:
+one norm layer everything else relies on.  :func:`op_norm` takes a dense
+array or a ``scipy.sparse`` matrix and is the only place that picks a
+route:
 
 * ``op_norm_dense`` — largest singular value through an eigendecomposition
   of the Gram matrix A*A (the smaller of the two Gram matrices is used);
-  an operand whose entries are all real is normed in real arithmetic;
-* ``op_norm_power`` — seeded power iteration on A*A driven purely by
-  matvec callables, usable when the operator is too large to hold densely.
+  an operand whose entries are all real is normed in real arithmetic, and
+  a sparse operand is densified only once its size is within the cap;
+* ``op_norm_power`` — seeded power iteration on A*A through the products
+  of the matrix and its adjoint, usable on a sparse operator too large to
+  hold densely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +30,9 @@ from .errors import (
 
 #: Largest Gram dimension accepted by the dense norm route.
 DENSE_SIZE_CAP = 4096
+
+#: Consecutive iterations the power route needs below ``tol``.
+_POWER_WINDOW = 5
 
 
 def as_matrix(a) -> np.ndarray:
@@ -99,19 +105,45 @@ class NormEstimate:
     converged: bool
 
 
-def op_norm_dense(a, size_cap: int = DENSE_SIZE_CAP) -> NormEstimate:
+def check_dense_cap(shape) -> None:
+    """Refuse a dense form whose Gram dimension min(shape) exceeds the cap."""
+    if min(shape, default=0) > DENSE_SIZE_CAP:
+        raise SizeCapExceededError(
+            f"min(shape)={min(shape)} exceeds dense cap {DENSE_SIZE_CAP}"
+        )
+
+
+def op_norm(a, method: str = "auto", tol: float = 1e-10, max_iter: int = 1000,
+            seed: int = 0) -> NormEstimate:
+    """Operator norm of a dense array or ``scipy.sparse`` matrix ``a``.
+
+    ``method`` is ``dense`` (:func:`op_norm_dense`), ``power``
+    (:func:`op_norm_power`, which alone uses ``tol``, ``max_iter`` and
+    ``seed``) or ``auto``: dense, except that a sparse operator whose Gram
+    dimension min(shape) exceeds ``DENSE_SIZE_CAP`` takes power and is
+    never densified.
+    """
+    if method == "auto":
+        big = sp.issparse(a) and min(a.shape) > DENSE_SIZE_CAP
+        method = "power" if big else "dense"
+    if method == "dense":
+        return op_norm_dense(a)
+    if method == "power":
+        return op_norm_power(a, tol=tol, max_iter=max_iter, seed=seed)
+    raise ValidationError(f"norm method must be auto, dense or power, not {method!r}")
+
+
+def op_norm_dense(a) -> NormEstimate:
     """Largest singular value via eigendecomposition of the Gram matrix.
 
     Uses A*A or AA* — whichever is smaller — and reports the square root of
     the top eigenvalue, clipped at zero.  When every imaginary part is
     exactly zero the Gram matrix is formed from the real part, so the
-    eigensolve is real symmetric rather than complex Hermitian.
+    eigensolve is real symmetric rather than complex Hermitian.  The cap
+    is checked on the shape, before ``a`` is copied or densified.
     """
-    a = as_matrix(a)
-    if min(a.shape) > size_cap:
-        raise SizeCapExceededError(
-            f"min(shape)={min(a.shape)} exceeds dense cap {size_cap}"
-        )
+    check_dense_cap(np.shape(a))
+    a = as_matrix(a.toarray() if sp.issparse(a) else a)
     if not a.imag.any():
         a = np.ascontiguousarray(a.real)
     if a.shape[0] < a.shape[1]:
@@ -135,12 +167,18 @@ def op_norm_dense(a, size_cap: int = DENSE_SIZE_CAP) -> NormEstimate:
     )
 
 
-def matvec_oracles(a) -> tuple[Callable, Callable, int]:
-    """(apply, apply_adjoint, dim) callables for a dense or sparse matrix.
+def op_norm_power(
+    a, tol: float = 1e-10, max_iter: int = 1000, seed: int = 0
+) -> NormEstimate:
+    """Power iteration on A*A from a seeded pseudo-random start.
 
-    Lets a matrix be fed to :func:`op_norm_power`; a ``scipy.sparse``
-    matrix stays sparse (both products in CSR form), and ``dim`` is the
-    domain dimension.
+    ``a`` is a dense array or a ``scipy.sparse`` matrix; a sparse one stays
+    sparse, with both products in CSR form.  The Rayleigh estimate is
+    ||A v_k|| for the running unit vector v_k.  Convergence is declared
+    once the relative change of the estimate stays below ``tol`` for five
+    consecutive iterations; failing that, the best estimate is still
+    returned with ``converged=False`` (no exception).  Deterministic for a
+    fixed seed.
     """
     if sp.issparse(a):
         a = a.tocsr()
@@ -148,37 +186,11 @@ def matvec_oracles(a) -> tuple[Callable, Callable, int]:
     else:
         a = as_matrix(a)
         ah = a.conj().T
-
-    def apply(x):
-        return a @ x
-
-    def apply_adjoint(y):
-        return ah @ y
-
-    return apply, apply_adjoint, a.shape[1]
-
-
-def op_norm_power(
-    apply: Callable,
-    apply_adjoint: Callable,
-    dim: int,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-    seed: int = 0,
-    window: int = 5,
-) -> NormEstimate:
-    """Power iteration on A*A from a seeded pseudo-random start.
-
-    The Rayleigh estimate is ||A v_k|| for the running unit vector v_k.
-    Convergence is declared once the relative change of the estimate stays
-    below ``tol`` for ``window`` consecutive iterations; failing that, the
-    best estimate is still returned with ``converged=False`` (no exception).
-    Deterministic for a fixed seed.
-    """
-    if dim < 1:
-        raise InvalidDimensionError("dimension must be >= 1")
-    if tol <= 0 or max_iter < 1 or window < 1:
-        raise ValidationError("tol must be > 0 and max_iter, window >= 1")
+    if min(a.shape) < 1:
+        raise InvalidDimensionError(f"empty matrix shape {a.shape}")
+    if tol <= 0 or max_iter < 1:
+        raise ValidationError("tol must be > 0 and max_iter >= 1")
+    dim = a.shape[1]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -189,13 +201,13 @@ def op_norm_power(
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        w = np.asarray(apply(v))
+        w = a @ v
         est = float(np.linalg.norm(w))
         if est == 0.0:
             # v lies in the kernel of A; for the purposes of a largest
             # singular value estimate started at random this means A ~ 0.
             return NormEstimate(0.0, "power", it, 0.0, True)
-        u = np.asarray(apply_adjoint(w))
+        u = ah @ w
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
             return NormEstimate(est, "power", it, 0.0, True)
@@ -203,9 +215,9 @@ def op_norm_power(
         if est_prev is not None:
             rel = abs(est - est_prev) / est
             recent.append(rel)
-            if len(recent) > window:
+            if len(recent) > _POWER_WINDOW:
                 recent.pop(0)
-            if len(recent) == window and max(recent) < tol:
+            if len(recent) == _POWER_WINDOW and max(recent) < tol:
                 return NormEstimate(est, "power", it, max(recent), True)
         est_prev = est
     residual = max(recent) if recent else float("inf")

@@ -53,6 +53,10 @@ class WeightSequence:
     def __post_init__(self):
         if self.kind not in _BASE_START:
             raise ValidationError(f"unknown sequence kind {self.kind!r}")
+        if self.param is not None and not np.isfinite(self.param):
+            raise ValidationError(f"sequence parameter {self.param!r} is not finite")
+        if self.data is not None and not np.isfinite(self.data).all():
+            raise ValidationError("custom sequence values must be finite")
         if self.kind == "geometric" and not (0.0 < float(self.param) < 1.0):
             raise ValidationError("geometric ratio must lie in (0, 1)")
         if self.kind in ("log_family", "loglog_family") and not float(self.param) > 0.0:

@@ -18,7 +18,7 @@ from foguel_lab import (
     build_car,
     car_check,
     car_hankel,
-    car_hankel_oracles,
+    car_hankel_operator,
     car_pattern_matrix,
     commutator_pattern,
     hankel_defect,
@@ -110,7 +110,7 @@ def test_tiny_section_assembled_by_hand():
     """Independent assembly of the 2x2 generator Hankel via plain kron."""
     alpha = WeightSequence.geometric(0.5)
     alg = build_car(3)
-    got = car_hankel(alpha, None, 2, alg=alg)
+    got = car_hankel(alpha, None, 2)
     d = alg.dim
     expected = np.zeros((2 * d, 2 * d), dtype=complex)
     expected[:d, :d] = 1.0 * alg.dense(0)
@@ -151,8 +151,9 @@ def test_phi_only_consulted_on_live_antidiagonals():
 
 
 def test_dense_cap_enforced():
+    # dimension 6 * 2^11 = 12288 lies above the cap of 4096
     with pytest.raises(SizeCapExceededError):
-        car_hankel(WeightSequence.constant(), None, 4, dense_cap=100)
+        car_hankel(WeightSequence.constant(), None, 6)
 
 
 def test_extra_modes_leave_the_section_unchanged():
@@ -169,8 +170,9 @@ def test_matrix_free_oracles_agree_with_dense():
     alpha = WeightSequence.pisier_flat()
     for size in (2, 3):
         dense = op_norm_dense(car_hankel(alpha, None, size)).value
-        apply_, apply_adj, dim = car_hankel_oracles(alpha, None, size)
-        est = op_norm_power(apply_, apply_adj, dim, tol=1e-12, max_iter=3000)
+        op = car_hankel_operator(alpha, None, size)
+        assert op.shape == (size * 2 ** (2 * size - 1),) * 2
+        est = op_norm_power(op, tol=1e-12, max_iter=3000)
         assert est.value == pytest.approx(dense, abs=1e-8)
 
 

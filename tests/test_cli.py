@@ -249,6 +249,35 @@ def test_environment_seed_feeds_commands(tmp_path, monkeypatch):
     assert (a / "multiplier.csv").read_bytes() == (b / "multiplier.csv").read_bytes()
 
 
+SEEDED_JOBS = {
+    "multiplier": {"kind": "difference-quotient", "sizes": "8"},
+    "similarity": {"size": "16", "corner": "4", "n_terms": "5", "window": "8"},
+    "norm": {"target": "hankel", "alpha": "geometric:0.5", "sizes": "4",
+             "method": "power"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_JOBS))
+@pytest.mark.parametrize("source", ["flag", "env", "sweep"])
+def test_negative_seed_is_refused(tmp_path, monkeypatch, capsys, source, command):
+    """A seed below 0 exits 1 from every source, not 3 from the RNG."""
+    params = SEEDED_JOBS[command]
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if source == "sweep":
+        job = {"id": 0, "command": command, "params": params}
+        argv = ["sweep", str(make_sweep_spec(tmp_path / "spec.json", [job], seed=-2))]
+    else:
+        argv = [command]
+        for key, value in params.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, "-7")
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_unknown_flags_exit_one(tmp_path):
     assert main(["norm", "--target", "warp-drive", "--out", str(tmp_path)]) == 1
     assert main(["no-such-command"]) == 1

@@ -1,17 +1,20 @@
-"""Dense kernel sanity: shapes, norms, and the two norm routes."""
+"""Dense kernel sanity: shapes, norms, and the norm layer's routes."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from foguel_lab import (
+    DENSE_SIZE_CAP,
     InvalidDimensionError,
     SizeCapExceededError,
+    ValidationError,
     as_matrix,
     block2x2,
     eye,
     make_shift,
-    matvec_oracles,
+    op_norm,
     op_norm_dense,
     op_norm_power,
     zeros,
@@ -84,18 +87,63 @@ def test_op_norm_dense_keeps_a_small_imaginary_part():
     assert est.value == pytest.approx(np.sqrt(1 + 1e-6), rel=1e-14)
 
 
-def test_op_norm_dense_respects_cap(rng):
-    a = random_complex(rng, 16)
+def test_op_norm_dense_respects_cap(monkeypatch):
+    # refused on the shape alone: an empty 5000 x 5000 CSR is never densified
+    def densify(self, *args, **kwargs):
+        raise AssertionError("densified before the cap check")
+
+    monkeypatch.setattr(sp.csr_matrix, "toarray", densify)
+    big = sp.csr_matrix((5000, 5000))
     with pytest.raises(SizeCapExceededError):
-        op_norm_dense(a, size_cap=8)
+        op_norm_dense(big)
+    with pytest.raises(SizeCapExceededError):
+        op_norm(big, "dense")
+
+
+def _route_inputs(rng):
+    a = random_complex(rng, 7, 5)
+    a[np.abs(a) < 1.0] = 0.0
+    return {"dense": a, "sparse": sp.csr_matrix(a)}
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+@pytest.mark.parametrize("method", ["dense", "power", "auto"])
+def test_op_norm_matches_the_direct_route(rng, form, method):
+    a = _route_inputs(rng)[form]
+    direct = op_norm_power(a, seed=3) if method == "power" else op_norm_dense(a)
+    assert op_norm(a, method, seed=3) == direct
+
+
+def test_dense_route_densifies_sparse_input_exactly(rng):
+    inputs = _route_inputs(rng)
+    assert op_norm_dense(inputs["sparse"]) == op_norm_dense(inputs["dense"])
+
+
+def test_auto_takes_power_only_for_sparse_above_the_cap():
+    n = DENSE_SIZE_CAP + 1
+    # the cap bounds the Gram dimension min(shape), so a tall one stays dense
+    tall = op_norm(sp.csr_matrix(np.ones((n, 2))))
+    assert tall.method == "dense"
+    assert tall.value == pytest.approx(np.sqrt(2.0 * n), rel=1e-12)
+    est = op_norm(2.0 * sp.identity(n, format="csr"))
+    assert est.method == "power"
+    assert est.value == pytest.approx(2.0, rel=1e-12)
+    # a dense operand above the cap stays on the dense route, which refuses
+    # it on the shape of this zero-stride view before copying anything
+    with pytest.raises(SizeCapExceededError):
+        op_norm(np.broadcast_to(np.zeros(1), (n, n)))
+
+
+def test_op_norm_rejects_unknown_method(rng):
+    with pytest.raises(ValidationError):
+        op_norm(random_complex(rng, 3), "lanczos")
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_power_iteration_agrees_with_dense(seed):
     r = np.random.default_rng(seed)
     a = r.standard_normal((6, 6)) + 1j * r.standard_normal((6, 6))
-    apply_, apply_adj, dim = matvec_oracles(a)
-    est = op_norm_power(apply_, apply_adj, dim, seed=seed)
+    est = op_norm_power(a, seed=seed)
     dense = op_norm_dense(a).value
     assert est.method == "power"
     # the Rayleigh estimate is ||A v|| for a unit v, hence never above the norm
@@ -108,8 +156,7 @@ def test_power_iteration_rank_one(rng):
     u = random_complex(rng, 8, 1)
     v = random_complex(rng, 8, 1)
     a = u @ v.conj().T
-    apply_, apply_adj, dim = matvec_oracles(a)
-    est = op_norm_power(apply_, apply_adj, dim)
+    est = op_norm_power(a)
     exact = np.linalg.norm(u) * np.linalg.norm(v)
     assert est.value == pytest.approx(exact, rel=1e-9)
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from foguel_lab import (
     BennettReport,
+    MultiplierSpec,
     ValidationError,
     WeightSequence,
     bennett_sums,
@@ -201,3 +202,23 @@ def test_report_is_frozen():
     assert isinstance(rep, BennettReport)
     with pytest.raises(Exception):
         rep.terms = 1  # type: ignore[misc]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightSequence.power(np.nan),
+        lambda: WeightSequence.power(np.inf),
+        lambda: WeightSequence.geometric(np.nan),
+        lambda: WeightSequence.log_family(np.inf),
+        lambda: WeightSequence.loglog_family(np.nan),
+        lambda: WeightSequence.custom([1.0, np.nan]),
+        lambda: WeightSequence.custom([np.inf]),
+        lambda: MultiplierSpec.log_damped(np.inf),
+    ],
+    ids=["power-nan", "power-inf", "geometric-nan", "log-inf", "loglog-nan",
+         "custom-nan", "custom-inf", "log-damped-inf"],
+)
+def test_non_finite_parameters_are_refused(build):
+    with pytest.raises(ValidationError):
+        build()
