@@ -68,7 +68,7 @@ from .hankel import (
 )
 from .linalg import make_shift, op_norm, op_norm_dense
 from .schur import MultiplierSpec, bennett_criterion, multiplier_lower_bound
-from .sequences import WeightSequence, bennett_sums, proof_chain_bound
+from .sequences import WeightSequence, bennett_sums
 
 DEFAULT_SEED = 2002
 SEED_ENV_VAR = "FOGUEL_LAB_SEED"
@@ -256,10 +256,14 @@ def normalize_params(command: str, params: dict) -> dict:
     """Coerce a raw parameter mapping to its canonical, serializable form.
 
     Shared by the argparse path and sweep jobs so that both validate and
-    execute identically; parameters are checked in their declared order.
+    execute identically; a name the command does not declare is refused,
+    and parameters are checked in their declared order.
     """
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
+    unknown = sorted(set(params) - {prm.name for prm in COMMANDS[command].params})
+    if unknown:
+        raise ValidationError(f"unknown {command} parameters: {', '.join(unknown)}")
     canon = {}
     for prm in COMMANDS[command].params:
         canon[prm.name] = prm.normalize(params.get(prm.name, prm.default), canon)
@@ -315,7 +319,6 @@ def _run_bennett(p: dict, seed: int):
     seq = ALPHA_FIXED[name]() if eps is None else ALPHA_SCALED[name](eps)
     rep = bennett_sums(seq, p["terms"])
     mrep = bennett_criterion(MultiplierSpec.from_sequence(seq), p["terms"])
-    chain = proof_chain_bound(seq, p["terms"])
     all_ok = all(rep.verdicts) and mrep.verdict
     row = {
         "sequence": p["sequence"],
@@ -335,8 +338,8 @@ def _run_bennett(p: dict, seed: int):
         "matrix_verdict": bool(mrep.verdict),
         "row_tail": float(mrep.row_tail),
         "col_tail": float(mrep.col_tail),
-        "chain_bound": float(chain),
-        "chain_dominates": bool(mrep.total <= chain + 1e-12),
+        "chain_bound": float(rep.chain_bound),
+        "chain_dominates": bool(mrep.total <= rep.chain_bound + 1e-12),
     }
     return [row], diag, 0
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidWindowError, ValidationError
-from .linalg import as_matrix, make_shift, op_norm_dense
+from .linalg import as_matrix, check_dense_cap, make_shift, op_norm_dense
 from .sequences import WeightSequence
 
 
@@ -65,6 +65,7 @@ def make_hankel(spec: HankelSpec) -> np.ndarray:
 def make_weighted_hankel(spec: HankelSpec, weight: Callable) -> np.ndarray:
     """Section with (i, j) entry weight(i+j) a_{i+j}."""
     n = spec.size
+    check_dense_cap((n, n))
     table = spec.coeff_table(2 * n - 1)
     wtab = np.array([weight(k) for k in range(2 * n - 1)], dtype=np.complex128)
     i = np.arange(n)
@@ -117,6 +118,7 @@ def derivation_product(spec: HankelSpec, kind: str) -> np.ndarray:
     if kind not in _PRODUCT_KINDS:
         raise ValidationError(f"kind must be one of {_PRODUCT_KINDS}")
     n = spec.size
+    check_dense_cap((n, n))
     table = np.concatenate([[0.0], spec.coeff_table(2 * n - 1)[: 2 * n - 2]])
     i = np.arange(n)
     ii, jj = np.meshgrid(i, i, indexing="ij")

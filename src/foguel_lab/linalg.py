@@ -28,7 +28,8 @@ from .errors import (
     ValidationError,
 )
 
-#: Largest Gram dimension accepted by the dense norm route.
+#: Largest Gram dimension accepted by the dense norm route; the dense section
+#: builders refuse larger sizes before they allocate.
 DENSE_SIZE_CAP = 4096
 
 #: Consecutive iterations the power route needs below ``tol``.
@@ -72,6 +73,7 @@ def make_shift(n: int) -> np.ndarray:
     """
     if n < 1:
         raise InvalidDimensionError("shift size must be >= 1")
+    check_dense_cap((n, n))
     s = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n - 1)
     s[idx + 1, idx] = 1.0

@@ -150,15 +150,11 @@ def antidiag_abs_coeff(ns, offset: int = 1) -> np.ndarray:
     """sum over i+j = n, i,j >= offset of |j - i| (closed form).
 
     With span K = n - 2*offset the antidiagonal carries the values
-    K, K-2, ..., so the total is K(K/2 + 1) for even K and (K+1)^2/2 for
-    odd K; zero when the antidiagonal misses the section.
+    K, K-2, ..., so the total is floor((K+1)^2 / 2) (for even K that is
+    K(K/2 + 1)); zero when the antidiagonal misses the section.
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    K = ns - 2 * offset
-    even = K * (K // 2 + 1)
-    odd = (K + 1) ** 2 // 2
-    w = np.where(K % 2 == 0, even, odd).astype(float)
-    return np.where(K < 0, 0.0, w)
+    K = np.asarray(ns, dtype=np.int64) - 2 * offset
+    return np.where(K < 0, 0.0, (K + 1) ** 2 // 2)
 
 
 @dataclass(frozen=True)
@@ -166,14 +162,13 @@ class MatrixDiffReport:
     """Absolute second-difference mass of a multiplier section.
 
     ``antidiagonal_sums[t]`` is the total of |m(i,j) - m(i,j+1) - m(i+1,j)
-    + m(i+1,j+1)| over the antidiagonal i+j = ns[t]; summability of these
-    (plus vanishing row/column limits) is the classical sufficient
+    + m(i+1,j+1)| over the antidiagonal i+j = 2*offset + t; summability of
+    these (plus vanishing row/column limits) is the classical sufficient
     condition for the array to multiply boundedly.
     """
 
     terms: int
     offset: int
-    ns: np.ndarray
     antidiagonal_sums: np.ndarray
     total: float
     decades: tuple[tuple[int, int], ...]
@@ -183,9 +178,7 @@ class MatrixDiffReport:
     col_tail: float
 
 
-def bennett_criterion(
-    spec: MultiplierSpec, terms: int, tail_index: int | None = None
-) -> MatrixDiffReport:
+def bennett_criterion(spec: MultiplierSpec, terms: int) -> MatrixDiffReport:
     """Second-difference partial sums over the triangle i + j <= terms.
 
     For the structured kinds the inner antidiagonal sum collapses exactly:
@@ -195,8 +188,8 @@ def bennett_criterion(
     :func:`antidiag_abs_coeff` — the same grouping as direct summation but
     O(terms) instead of O(terms^2).  Custom kinds are summed directly.
 
-    Row/column vanishing is sampled at ``tail_index`` (default
-    max(10 * terms, 10^6)) in the first few columns/rows.
+    Row/column vanishing is sampled at index max(10 * terms, 10^6) in the
+    first few columns/rows.
     """
     n_lo = 2 * spec.offset
     if terms < n_lo + 2:
@@ -221,14 +214,13 @@ def bennett_criterion(
             parts[t] = acc
         sums = parts
     windows, increments, total, verdict = decade_sums(sums, n_lo, terms)
-    probe = tail_index if tail_index is not None else max(10 * terms, 10 ** 6)
+    probe = max(10 * terms, 10 ** 6)
     near = range(spec.offset, spec.offset + 4)
     row_tail = max(abs(spec.entry(probe, j)) for j in near)
     col_tail = max(abs(spec.entry(i, probe)) for i in near)
     return MatrixDiffReport(
         terms=terms,
         offset=spec.offset,
-        ns=ns,
         antidiagonal_sums=sums,
         total=total,
         decades=windows,

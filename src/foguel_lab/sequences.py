@@ -197,6 +197,15 @@ class BennettReport:
     (10^(d-1), 10^d] that were (at least partly) covered; a series verdict
     is True iff its increments over the last three fully covered decades
     are strictly decreasing — the empirical signature of convergence.
+
+    ``chain_bound`` totals, over the same n, the proof-chain terms
+
+        n |c_n| + |b_n| + |b_{n+1}| + 2 |a_{n+2}| / (n+2)
+
+    with b = Δa and c = Δ²a.  Their cumulative sums dominate, antidiagonal
+    by antidiagonal, the absolute second-difference mass of the quotient
+    matrix [(j-i) a_{i+j} / (i+j+1)], which is how summability of the
+    three series certifies the matrix as a bounded Schur multiplier.
     """
 
     terms: int
@@ -204,6 +213,7 @@ class BennettReport:
     sum_a_over_n: float
     sum_abs_diff1: float
     sum_weighted_diff2: float
+    chain_bound: float
     decades: tuple[tuple[int, int], ...]
     decade_increments: tuple[tuple[float, ...], ...]  # one tuple per series
     verdicts: tuple[bool, bool, bool]
@@ -238,9 +248,10 @@ def decade_sums(series, n_start: int, terms: int):
 def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
     """Summability diagnostics for the series view (a_n) of ``seq``.
 
-    The series starts at n_start = max(1, start_index); the two difference
-    series look ahead to a_{terms+2}, which lazy evaluation provides.
-    Totals use exactly rounded summation.
+    The series starts at n_start = max(1, start_index); one evaluation of
+    a_n over [n_start, terms + 3] feeds the three series and the proof
+    chain, which look ahead to a_{terms+3}.  Each series array is dropped
+    once its exactly rounded sums are taken.
     """
     if terms < 10:
         raise ValidationError("terms must be >= 10")
@@ -248,13 +259,21 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
     if terms <= n0:
         raise ValidationError(f"terms must exceed the series start {n0}")
     ns = np.arange(n0, terms + 1, dtype=np.int64)
-    ext = seq.values_at(np.arange(n0, terms + 3))
-    series = (
-        np.abs(ext[: len(ns)]) / ns,
-        np.abs(diff1(ext)[: len(ns)]),
-        ns * np.abs(diff2(ext)),
-    )
-    reports = [decade_sums(s, n0, terms) for s in series]
+    L = len(ns)
+    a = seq.values_at(np.arange(n0, terms + 4))
+    reports = [decade_sums(np.abs(a[:L]) / ns, n0, terms)]
+    b = np.abs(diff1(a))
+    reports.append(decade_sums(b[:L], n0, terms))
+    # The weighted second differences n|c_n| are the third series and the
+    # first proof-chain term; the other three terms are added in place.
+    chain = ns * np.abs(diff2(a)[:L])
+    reports.append(decade_sums(chain, n0, terms))
+    chain += b[:L]
+    chain += b[1 : L + 1]
+    del b
+    chain += 2.0 * np.abs(a[2 : L + 2]) / (ns + 2.0)
+    del a
+    chain_bound = exact_sum(chain)
     windows, increments, totals, verdicts = zip(*reports)
     return BennettReport(
         terms=terms,
@@ -262,39 +281,8 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
         sum_a_over_n=totals[0],
         sum_abs_diff1=totals[1],
         sum_weighted_diff2=totals[2],
+        chain_bound=chain_bound,
         decades=windows[0],
         decade_increments=increments,
         verdicts=verdicts,  # type: ignore[arg-type]
     )
-
-
-def proof_chain_terms(seq: WeightSequence, terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-n terms of the summability bound
-
-        n |c_n| + |b_n| + |b_{n+1}| + 2 |a_{n+2}| / (n+2)
-
-    for n in [n_start, terms].  The cumulative sums of these terms dominate,
-    antidiagonal by antidiagonal, the absolute second-difference mass of the
-    quotient matrix [(j-i) a_{i+j} / (i+j+1)], which is how summability of
-    the three series certifies the matrix as a bounded Schur multiplier.
-    """
-    if terms < 10:
-        raise ValidationError("terms must be >= 10")
-    n0 = max(1, seq.start_index)
-    ns = np.arange(n0, terms + 1, dtype=np.int64)
-    ext = seq.values_at(np.arange(n0, terms + 4))
-    L = len(ns)
-    b = diff1(ext)
-    chain = (
-        ns * np.abs(diff2(ext)[:L])
-        + np.abs(b[:L])
-        + np.abs(b[1 : L + 1])
-        + 2.0 * np.abs(ext[2 : L + 2]) / (ns + 2.0)
-    )
-    return ns, chain
-
-
-def proof_chain_bound(seq: WeightSequence, terms: int) -> float:
-    """Total of :func:`proof_chain_terms` up to ``terms``."""
-    _, chain = proof_chain_terms(seq, terms)
-    return exact_sum(chain)

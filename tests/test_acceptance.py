@@ -53,7 +53,6 @@ from foguel_lab import (
     multiplier_lower_bound,
     op_norm_dense,
     power_offdiag,
-    proof_chain_bound,
     rc_bounds,
     similarity_check,
     sylvester_residual,
@@ -200,7 +199,7 @@ def test_c05_damped_families_converge_with_bounded_matrix_sum():
         notes.append(f"{name} matrix decades {mm[0]:.4f}>{mm[1]:.4f}>{mm[2]:.4f}")
         for t in (10**3, 10**4, 10**5):
             total = bennett_criterion(spec, t).total
-            bound = proof_chain_bound(seq, t)
+            bound = bennett_sums(seq, t).chain_bound
             ok = ok and total <= bound
         notes.append(f"{name} chain-dominated at T=1e3..1e5")
     line = verdict(5, "damped-family decade decrease + chain bound", ok,

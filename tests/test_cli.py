@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from foguel_lab import WeightSequence, bennett_sums
+from foguel_lab import HankelSpec, WeightSequence, bennett_sums
 from foguel_lab.cli import (
     DEFAULT_SEED,
     FAMILY_OF,
@@ -117,6 +117,22 @@ def test_car_commutator_above_the_dense_cap_runs_matrix_free(tmp_path, method):
     assert row[3] == "power"
     assert row[5] == "1000"
     assert row[6] == "false"
+
+
+@pytest.mark.parametrize("method", ["power", "auto"])
+@pytest.mark.parametrize("target", ["hankel", "derivation-commutator", "shift"])
+def test_dense_section_above_the_cap_is_refused_before_it_is_built(
+    tmp_path, monkeypatch, capsys, target, method
+):
+    def no_table(self, count):
+        raise AssertionError("coefficient table built for an oversize section")
+
+    monkeypatch.setattr(HankelSpec, "coeff_table", no_table)
+    argv = ["norm", "--target", target, "--sizes", "4097", "--method", method]
+    if target != "shift":
+        argv += ["--alpha", "geometric:0.5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "exceeds dense cap 4096" in capsys.readouterr().err
 
 
 def test_bennett_row_matches_library(tmp_path):
@@ -371,6 +387,26 @@ def test_sweep_keeps_going_past_a_bad_job(tmp_path):
     summary = json.loads((out / "sweep.json").read_text())
     assert "error" in summary["jobs"][0]
     assert summary["jobs"][1]["exit_code"] == 0
+    assert len(read_csv(out / "car.csv")) == 3  # the good job still ran
+
+
+def test_sweep_refuses_unknown_parameter_names(tmp_path):
+    jobs = [
+        {"id": 0, "command": "multiplier",
+         "params": {"kind": "difference-quotient", "sizes": [4], "witness": 5}},
+        {"id": 1, "command": "norm",
+         "params": {"target": "shift", "sizes": [4], "metod": "power"}},
+        {"id": 2, "command": "car-check", "params": {"modes": 2}},
+    ]
+    spec = make_sweep_spec(tmp_path / "spec.json", jobs)
+    out = tmp_path / "out"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 1
+    summary = json.loads((out / "sweep.json").read_text())
+    assert [j["exit_code"] for j in summary["jobs"]] == [1, 1, 0]
+    assert "witness" in summary["jobs"][0]["error"]
+    assert "metod" in summary["jobs"][1]["error"]
+    assert len(read_csv(out / "multiplier.csv")) == 1  # header only
+    assert len(read_csv(out / "norms.csv")) == 1
     assert len(read_csv(out / "car.csv")) == 3  # the good job still ran
 
 

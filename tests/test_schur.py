@@ -17,11 +17,11 @@ from foguel_lab import (
     ValidationError,
     WeightSequence,
     bennett_criterion,
+    bennett_sums,
     iterated_limits,
     make_multiplier,
     multiplier_lower_bound,
     op_norm_dense,
-    proof_chain_bound,
 )
 
 
@@ -166,7 +166,7 @@ def test_log_damped_passes_the_criterion():
     assert rep.col_tail < 1e-2
     # and the chain of series bounds dominates the matrix partial sum
     seq = WeightSequence.log_family(1.0).shifted(1)
-    assert rep.total <= proof_chain_bound(seq, 10_000)
+    assert rep.total <= bennett_sums(seq, 10_000).chain_bound
 
 
 def test_criterion_rejects_tiny_ranges():

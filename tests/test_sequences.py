@@ -15,8 +15,6 @@ from foguel_lab import (
     diff1,
     diff2,
     exact_sum,
-    proof_chain_bound,
-    proof_chain_terms,
 )
 
 
@@ -142,6 +140,17 @@ def test_bennett_sums_match_direct_loop(seq):
     assert rep.sum_a_over_n == pytest.approx(sa, rel=1e-13)
     assert rep.sum_abs_diff1 == pytest.approx(sb, rel=1e-13)
     assert rep.sum_weighted_diff2 == pytest.approx(sc, rel=1e-13)
+    a = seq.value
+    chain = [
+        n * abs(a(n) - 2 * a(n + 1) + a(n + 2))
+        + abs(a(n) - a(n + 1))
+        + abs(a(n + 1) - a(n + 2))
+        + 2.0 * abs(a(n + 2)) / (n + 2.0)
+        for n in range(rep.n_start, 401)
+    ]
+    assert rep.chain_bound == pytest.approx(exact_sum(chain), rel=1e-13)
+    # the chain contains the weighted second differences as one of its terms
+    assert rep.chain_bound >= rep.sum_weighted_diff2
 
 
 def test_harmonic_first_difference_telescopes_exactly():
@@ -183,18 +192,6 @@ def test_decade_windows_cover_range():
         heads,
     ):
         assert head + exact_sum(np.array(inc)) == pytest.approx(total, rel=1e-12)
-
-
-def test_proof_chain_dominates_each_component():
-    seq = WeightSequence.log_family(1.0).shifted(1)
-    ns, chain = proof_chain_terms(seq, 500)
-    assert np.all(chain >= 0.0)
-    # each chain term dominates the weighted second difference alone
-    c = np.array(
-        [n * abs(seq.value(n) - 2 * seq.value(n + 1) + seq.value(n + 2)) for n in ns]
-    )
-    assert np.all(chain + 1e-15 >= c)
-    assert proof_chain_bound(seq, 500) == pytest.approx(exact_sum(chain), rel=1e-12)
 
 
 def test_report_is_frozen():

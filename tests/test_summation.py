@@ -17,10 +17,11 @@ from foguel_lab import ValidationError, exact_sum, exact_sums
 from foguel_lab import summation
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# mantissa times 2^e over the whole exponent range, subnormals included
-scaled = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1024)).filter(
-    math.isfinite
-)
+# mantissa times 2^e over the whole exponent range, subnormals included;
+# the open mantissa interval keeps ldexp(+-1, 1024) from overflowing, and
+# loses no finite value since +-2^e = +-0.5 * 2^(e+1)
+mantissa = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+scaled = st.builds(math.ldexp, mantissa, st.integers(-1074, 1024))
 terms = st.lists(st.one_of(finite, scaled, st.sampled_from([0.0, -0.0, 5e-324])))
 
 
