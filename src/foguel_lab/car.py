@@ -30,13 +30,18 @@ of w(t) a_t over t < 2*size-1.  A section that cuts live
 antidiagonals can sit strictly above the lower end: the flat lacunary
 profile at size 3 has norm equal to the golden ratio, against sqrt(2).
 
-A (beta, phi) pattern, block beta(i, j) C_{phi(i+j)} at (i, j), is
-assembled once, by :func:`car_pattern_operator`, as the sparse operator
-sum_t B_t (x) C_{phi(t)} with B_t the scalar coefficients on antidiagonal
-t.  ``linalg.op_norm`` norms that operator as it stands: densified
-within the dense cap, matrix-free above it.  :func:`car_hankel_operator`
-is the Hankel pattern on 2*size-1 modes, and :func:`car_pattern_matrix`
-and :func:`car_hankel` are the dense forms, refused above the cap.
+A pattern is a pair (section, lag): ``section(size)`` is the scalar
+size x size coefficient matrix and antidiagonal t carries the generator
+C_{t-lag}, so block (i, j) is section(size)[i, j] C_{i+j-lag}.  The
+Hankel pattern is the weighted Hankel section of :mod:`foguel_lab.hankel`
+with lag 0; the commutator pattern is its derivation commutator with
+lag 1.  :func:`car_pattern_operator` assembles a pattern once, as the
+sparse operator sum_t B_t (x) C_{t-lag} with B_t the section restricted
+to antidiagonal t.  ``linalg.op_norm`` norms that operator as it stands:
+densified within the dense cap, matrix-free above it.
+:func:`car_hankel_operator` is the Hankel pattern on 2*size-1 modes, and
+:func:`car_pattern_matrix` and :func:`car_hankel` are the dense forms,
+refused above the cap.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .errors import (
     InvalidModesError,
     InvalidPatternError,
 )
+from .hankel import HankelSpec, derivation_product, make_weighted_hankel, unit_weight
 from .linalg import check_dense_cap, op_norm
 from .sequences import WeightSequence
 from .summation import exact_sums
@@ -115,66 +121,58 @@ def car_check(alg: CarAlgebra) -> tuple[float, float]:
     return dev_anti, dev_mixed
 
 
-# ---- coefficient plumbing ---------------------------------------------
-
-
-def _coeff_fn(alpha: WeightSequence) -> Callable[[int], complex]:
-    return lambda k: complex(alpha.value(k)) if k >= 0 else 0.0
+# ---- generator-valued sections ----------------------------------------
 
 
 def hankel_pattern(alpha: WeightSequence, weight: Callable[[int], float] | None = None):
-    """(beta, phi) for entries weight(i+j) a_{i+j} C_{i+j}."""
-    a = _coeff_fn(alpha)
-    w = (lambda k: 1.0) if weight is None else weight
-    return (lambda i, j: w(i + j) * a(i + j)), (lambda t: t)
+    """(section, lag 0) for entries weight(i+j) a_{i+j} C_{i+j}."""
+    w = unit_weight if weight is None else weight
+    return (lambda n: make_weighted_hankel(HankelSpec(alpha, n), w)), 0
 
 
 def commutator_pattern(alpha: WeightSequence):
-    """(beta, phi) for entries (j - i) a_{i+j-1} C_{i+j-1}.
+    """(section, lag 1) for entries (j - i) a_{i+j-1} C_{i+j-1}.
 
     This is the coefficient pattern of Gamma D - D Gamma when Gamma has
     generator-valued antidiagonals; the generator index lags the
     antidiagonal by one.
     """
-    a = _coeff_fn(alpha)
-    return (lambda i, j: (j - i) * a(i + j - 1)), (lambda t: t - 1)
+    return (lambda n: derivation_product(HankelSpec(alpha, n), "commutator")), 1
 
 
-# ---- generator-valued sections ----------------------------------------
-
-
-def _coefficients(beta: Callable[[int, int], complex], size: int) -> np.ndarray:
-    return np.array([[complex(beta(i, j)) for j in range(size)] for i in range(size)])
+def _scalar_section(section: Callable[[int], np.ndarray], size: int) -> np.ndarray:
+    if size < 1:
+        raise InvalidDimensionError("size must be >= 1")
+    coeffs = np.asarray(section(size))
+    if coeffs.shape != (size, size):
+        raise InvalidDimensionError(
+            f"section({size}) has shape {coeffs.shape}, expected {(size, size)}"
+        )
+    return coeffs
 
 
 def car_pattern_operator(
-    beta: Callable[[int, int], complex],
-    phi: Callable[[int], int],
+    section: Callable[[int], np.ndarray],
+    lag: int,
     size: int,
     alg: CarAlgebra | None = None,
 ) -> sp.csr_matrix:
-    """Sparse block matrix with (i, j) block beta(i, j) C_{phi(i+j)}.
+    """Sparse block matrix with (i, j) block section(size)[i, j] C_{i+j-lag}.
 
-    ``phi`` maps the antidiagonal index
-    to a generator index and is only consulted on antidiagonals where
-    some beta(i, j) is nonzero; it must be injective there (distinct
-    antidiagonals, distinct generators) — that independence is what makes
-    the row/column bounds of :func:`rc_bounds` meaningful.  Without
+    Antidiagonal t carries the generator C_{t-lag}, so distinct
+    antidiagonals carry distinct generators, the independence that makes
+    the row/column bounds of :func:`rc_bounds` meaningful.  A live
+    antidiagonal below ``lag`` has no generator and is refused.  Without
     ``alg`` the algebra has just the modes the live antidiagonals need.
     """
-    if size < 1:
-        raise InvalidDimensionError("size must be >= 1")
-    coeffs = _coefficients(beta, size)
+    coeffs = _scalar_section(section, size)
     anti = np.add.outer(np.arange(size), np.arange(size))
-    gen_of = {}
-    for t in np.unique(anti[coeffs != 0.0]).tolist():
-        g = int(phi(t))
-        if g < 0:
-            raise InvalidPatternError(f"phi({t}) = {g} is negative")
-        gen_of[t] = g
-    if len(set(gen_of.values())) != len(gen_of):
-        raise InvalidPatternError("phi repeats a generator across antidiagonals")
-    modes = max(gen_of.values()) + 1 if gen_of else 1
+    live = np.unique(anti[coeffs != 0.0]).tolist()
+    if live and live[0] < lag:
+        raise InvalidPatternError(
+            f"antidiagonal {live[0]} is live below the lag {lag}"
+        )
+    modes = live[-1] - lag + 1 if live else 1
     if alg is None:
         alg = build_car(modes)
     elif alg.modes < modes:
@@ -183,20 +181,20 @@ def car_pattern_operator(
         )
     dim = size * alg.dim
     out = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    for t, g in gen_of.items():
+    for t in live:
         b_t = np.where(anti == t, coeffs, 0.0)
-        out = out + sp.kron(b_t, alg.generators[g], format="csr")
+        out = out + sp.kron(b_t, alg.generators[t - lag], format="csr")
     return out
 
 
 def car_pattern_matrix(
-    beta: Callable[[int, int], complex],
-    phi: Callable[[int], int],
+    section: Callable[[int], np.ndarray],
+    lag: int,
     size: int,
     alg: CarAlgebra | None = None,
 ) -> np.ndarray:
     """Dense form of :func:`car_pattern_operator`, refused above the dense cap."""
-    return _dense(car_pattern_operator(beta, phi, size, alg=alg))
+    return _dense(car_pattern_operator(section, lag, size, alg=alg))
 
 
 def car_hankel_operator(
@@ -208,8 +206,7 @@ def car_hankel_operator(
     the antidiagonal is live, so the dimension is size * 2^(2*size-1).
     """
     alg = build_car(2 * size - 1) if size >= 1 else None
-    beta, phi = hankel_pattern(alpha, weight)
-    return car_pattern_operator(beta, phi, size, alg=alg)
+    return car_pattern_operator(*hankel_pattern(alpha, weight), size, alg=alg)
 
 
 def car_hankel(alpha, weight: Callable[[int], float] | None, size: int) -> np.ndarray:
@@ -233,22 +230,22 @@ class RowColBounds:
     upper: float
 
 
-def rc_bounds(beta: Callable[[int, int], complex], size: int) -> RowColBounds:
-    """Row/column l^2 bounds for a distinct-generator pattern matrix.
+def rc_bounds(section: Callable[[int], np.ndarray], size: int) -> RowColBounds:
+    """Row/column l^2 bounds for a pattern's generator-valued section.
 
-    lower = max(row_sup, col_sup) and upper = row_sup + col_sup, where
-    row_sup is the largest l^2 norm of a coefficient row (col_sup likewise
-    for columns).  Both bounds are always valid.  For a Hankel pattern the
-    lower one is attained whenever every live antidiagonal lies whole
-    inside the section (beta vanishes on antidiagonals size..2*size-2);
-    row 0 then carries the whole profile.  A section that cuts live
-    antidiagonals at different lengths can have its norm strictly between
-    the two (sandwich), approaching the row/column sup only as the section
-    grows.
+    The bounds read only the scalar section: the lag moves the generators
+    along, not the coefficients, and distinct antidiagonals carry distinct
+    generators whatever it is.  lower = max(row_sup, col_sup) and
+    upper = row_sup + col_sup, where row_sup is the largest l^2 norm of a
+    coefficient row of section(size) (col_sup likewise for columns).  Both
+    bounds are always valid.  For a Hankel pattern the lower one is
+    attained whenever every live antidiagonal lies whole inside the
+    section (it vanishes on antidiagonals size..2*size-2); row 0 then
+    carries the whole profile.  A section that cuts live antidiagonals at
+    different lengths can have its norm strictly between the two
+    (sandwich), approaching the row/column sup only as the section grows.
     """
-    if size < 1:
-        raise InvalidDimensionError("size must be >= 1")
-    sq = np.abs(_coefficients(beta, size)) ** 2
+    sq = np.abs(_scalar_section(section, size)) ** 2
     rows = range(0, size * size + 1, size)
     row_sup = max(np.sqrt(exact_sums(sq.ravel(), rows)[0]))
     col_sup = max(np.sqrt(exact_sums(sq.T.ravel(), rows)[0]))

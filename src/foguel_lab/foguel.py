@@ -60,9 +60,11 @@ def assemble_foguel(t2, t1, x) -> FoguelBlock:
 def power_offdiag(block: FoguelBlock, n: int, check_tol: float = 1e-10) -> np.ndarray:
     """Top-right corner of R^n, by the corner-sum formula.
 
-    Computed as sum_j (T2*)^(n-1-j) X T1^j and cross-checked against the
-    corner of the literal matrix power; the two routes are independent,
-    and a disagreement beyond ``check_tol`` raises instead of returning.
+    The corner S_n = sum_j (T2*)^(n-1-j) X T1^j is computed by the
+    recurrence S_1 = X, S_{k+1} = T2* S_k + X T1^k and cross-checked
+    against the corner of the literal matrix power; the two routes are
+    independent, and a disagreement beyond ``check_tol`` raises instead
+    of returning.
     """
     if n < 1:
         raise ValidationError("power must be >= 1")
@@ -70,13 +72,10 @@ def power_offdiag(block: FoguelBlock, n: int, check_tol: float = 1e-10) -> np.nd
     b = block.t1
     x = block.x
     dim = block.half_dim
-    b_pow = np.eye(dim, dtype=np.complex128)
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    left = [np.eye(dim, dtype=np.complex128)]
+    acc = x.copy()
+    b_pow = b
     for _ in range(n - 1):
-        left.append(a @ left[-1])
-    for j in range(n):
-        acc += left[n - 1 - j] @ x @ b_pow
+        acc = a @ acc + x @ b_pow
         b_pow = b_pow @ b
     direct = np.linalg.matrix_power(block.matrix, n)[:dim, dim:]
     gap = op_norm_dense(acc - direct).value

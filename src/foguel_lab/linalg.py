@@ -59,12 +59,6 @@ def zeros(rows: int, cols: int | None = None) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.complex128)
 
 
-def eye(n: int) -> np.ndarray:
-    if n < 1:
-        raise InvalidDimensionError("matrix dimensions must be >= 1")
-    return np.eye(n, dtype=np.complex128)
-
-
 def make_shift(n: int) -> np.ndarray:
     """Truncated shift on C^n: entry 1 at (i+1, i), i.e. S e_i = e_{i+1}.
 

@@ -35,7 +35,7 @@ from .errors import (
     InvalidOffsetError,
     ValidationError,
 )
-from .linalg import op_norm_dense
+from .linalg import check_dense_cap, op_norm_dense
 from .sequences import WeightSequence, decade_sums, diff2
 
 #: The named kinds, each the quotient array of the sequence built from epsilon.
@@ -131,6 +131,7 @@ def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
     """The size x size section with indices i, j in [offset, offset + size)."""
     if size < 1:
         raise InvalidDimensionError("section size must be >= 1")
+    check_dense_cap((size, size))
     idx = np.arange(spec.offset, spec.offset + size, dtype=np.int64)
     if spec.kind == "custom":
         out = np.empty((size, size), dtype=np.complex128)

@@ -105,20 +105,20 @@ def test_c02_hankel_pattern_norm_equals_profile_bound():
     cut_ok = True
     for aname, alpha in PROFILE_CASES:
         for wname, weight in WEIGHT_CASES:
-            beta, phi = hankel_pattern(alpha, weight)
+            section, lag = hankel_pattern(alpha, weight)
             for n in (2, 3, 4):
                 # profile supported in [0, n): every live antidiagonal lies
                 # whole inside the n x n section, so the norm is the bound
                 head = WeightSequence.custom([alpha.value(k) for k in range(n)])
-                hbeta, hphi = hankel_pattern(head, weight)
-                dense = op_norm_dense(car_pattern_matrix(hbeta, hphi, n)).value
-                bound = rc_bounds(hbeta, n).lower
+                hsection, hlag = hankel_pattern(head, weight)
+                dense = op_norm_dense(car_pattern_matrix(hsection, hlag, n)).value
+                bound = rc_bounds(hsection, n).lower
                 gap = abs(dense - bound)
                 worst = max(worst, gap)
                 # full profile: antidiagonals n..2n-2 are cut; the section is
                 # the corner of the whole-antidiagonal section of size 2n-1
-                cut = op_norm_dense(car_pattern_matrix(beta, phi, n)).value
-                lower = rc_bounds(beta, n).lower
+                cut = op_norm_dense(car_pattern_matrix(section, lag, n)).value
+                lower = rc_bounds(section, n).lower
                 upper = _profile_l2(alpha, weight, 2 * n - 1)
                 inside = lower - 1e-8 <= cut <= upper + 1e-8
                 cut_ok = cut_ok and inside
@@ -145,10 +145,10 @@ def test_c03_commutator_pattern_sandwich():
     ratios = []
     ok = True
     for aname, alpha in PROFILE_CASES:
-        beta, phi = commutator_pattern(alpha)
+        section, lag = commutator_pattern(alpha)
         for n in (2, 3, 4):
-            dense = op_norm_dense(car_pattern_matrix(beta, phi, n)).value
-            b = rc_bounds(beta, n)
+            dense = op_norm_dense(car_pattern_matrix(section, lag, n)).value
+            b = rc_bounds(section, n)
             ok = ok and (b.lower - 1e-8 <= dense <= b.upper + 1e-8)
             ratios.append(f"{aname}/N{n}:{dense / b.lower:.4f}" if b.lower else "-")
     line = verdict(3, "commutator-pattern sandwich", ok, "ratios " + " ".join(ratios))

@@ -1,0 +1,48 @@
+"""The library calls the benchmark makes directly still run and score.
+
+``perfbench/worker.py`` calls some library functions itself rather than
+through the command line: ``hankel_pattern``, ``car_pattern_matrix``,
+``rc_bounds`` and ``car_hankel`` in the car-sections workload, and the
+Hankel builders with ``sylvester_residual`` in the scalar-sections one.
+A change to their signatures or results would otherwise show only when
+the benchmark runs.  One round of each such call is run here and scored
+by the benchmark's own oracles, which never import the package.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import checks  # noqa: E402
+import oracles  # noqa: E402
+import worker  # noqa: E402
+
+SEED = 7
+
+
+WORKLOADS = {
+    # workload: (worker's calls, oracle, calls run here, prefix of their ops)
+    "car-sections": ("car_calls", "expect_car", ("whole sections", "cut sections"),
+                     ("whole ", "cut ")),
+    "scalar-sections": ("scalar_calls", "expect_scalar", ("displacement",),
+                        ("displacement ",)),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_direct_library_calls_score_correct(tmp_path, workload):
+    make_calls, expect, names, prefixes = WORKLOADS[workload]
+    fl, inp, _ = worker.setup(workload, SEED)
+    calls = [c for c in getattr(worker, make_calls)(fl, inp, tmp_path) if c[0] in names]
+    assert sorted(c[0] for c in calls) == sorted(names)
+    errors: list = []
+    _, outputs = worker.run_round(calls, {}, 0, errors)
+    assert not errors
+    full, arrays = getattr(oracles, expect)(inp)
+    scored = {op: c for op, c in full.items() if op.startswith(prefixes)}
+    verdict = checks.evaluate(scored, [outputs], ref_arrays=arrays)
+    assert (verdict["failed"], verdict["unexpected"]) == (0, []), verdict["notes"]
+    assert verdict["attempted"] == len(scored) > 0

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from foguel_lab import (
     CarAlgebra,
+    InvalidDimensionError,
     InvalidModesError,
     InvalidPatternError,
     SizeCapExceededError,
@@ -127,27 +128,28 @@ def test_section_blocks_are_hankel():
 
 
 def test_commutator_pattern_coefficients():
-    beta, phi = commutator_pattern(WeightSequence.geometric(0.5))
-    assert beta(2, 2) == 0.0  # diagonal vanishes
-    assert beta(1, 3) == (3 - 1) * 0.5**3
-    assert beta(3, 1) == -beta(1, 3)
-    assert phi(5) == 4  # generator index lags the antidiagonal
+    section, lag = commutator_pattern(WeightSequence.geometric(0.5))
+    c = section(4)
+    assert c[2, 2] == 0.0  # diagonal vanishes
+    assert c[1, 3] == (3 - 1) * 0.5**3
+    assert c[3, 1] == -c[1, 3]
+    assert lag == 1  # generator index lags the antidiagonal
 
 
-def test_phi_must_separate_antidiagonals():
-    beta = lambda i, j: 1.0
-    phi = lambda t: 0  # shoves every antidiagonal onto one generator
-    with pytest.raises(InvalidPatternError):
-        car_pattern_matrix(beta, phi, 3)
+def test_pattern_lag_and_section_shape_are_checked():
+    # a section supported on the t = 1 antidiagonal only: lag 1 puts it
+    # on C_0, lag 2 would need the generator C_{-1}
+    def section(n):
+        i = np.arange(n)
+        return np.where(np.add.outer(i, i) == 1, 1.0, 0.0)
 
-
-def test_phi_only_consulted_on_live_antidiagonals():
-    # beta supported on the t = 1 antidiagonal only; phi may be junk
-    # elsewhere (negative, colliding) without tripping validation
-    beta = lambda i, j: 1.0 if i + j == 1 else 0.0
-    phi = lambda t: 0 if t == 1 else -7
-    m = car_pattern_matrix(beta, phi, 2)
+    m = car_pattern_matrix(section, 1, 2)
     assert m.shape == (4, 4)
+    assert np.array_equal(m[:2, 2:], build_car(1).dense(0))
+    with pytest.raises(InvalidPatternError):
+        car_pattern_matrix(section, 2, 2)
+    with pytest.raises(InvalidDimensionError):
+        car_pattern_matrix(lambda n: np.ones((n, n + 1)), 0, 2)
 
 
 def test_dense_cap_enforced():
@@ -161,8 +163,8 @@ def test_extra_modes_leave_the_section_unchanged():
     alpha = WeightSequence.pisier_flat()
     small = op_norm_dense(car_hankel(alpha, None, 3)).value
     big_alg = build_car(8)  # three modes more than needed
-    beta, phi = hankel_pattern(alpha, None)
-    big = op_norm_dense(car_pattern_matrix(beta, phi, 3, alg=big_alg)).value
+    big_mat = car_pattern_matrix(*hankel_pattern(alpha, None), 3, alg=big_alg)
+    big = op_norm_dense(big_mat).value
     assert big == pytest.approx(small, abs=1e-10)
 
 
@@ -180,8 +182,8 @@ def test_matrix_free_oracles_agree_with_dense():
 
 
 def test_rc_bounds_by_hand():
-    beta, _ = hankel_pattern(WeightSequence.pisier_flat(), None)
-    b = rc_bounds(beta, 2)
+    section, _ = hankel_pattern(WeightSequence.pisier_flat(), None)
+    b = rc_bounds(section, 2)
     # profile rows (1,1) and (1,0): row sups sqrt(2) and 1
     assert b.row_sup == pytest.approx(np.sqrt(2.0))
     assert b.col_sup == pytest.approx(np.sqrt(2.0))
@@ -200,9 +202,9 @@ def test_rc_bounds_by_hand():
     ids=["flat", "pisier-geo", "dyadic"],
 )
 def test_sandwich_bounds_hold(alpha, size):
-    beta, phi = hankel_pattern(alpha, None)
-    b = rc_bounds(beta, size)
-    dense = op_norm_dense(car_pattern_matrix(beta, phi, size)).value
+    section, lag = hankel_pattern(alpha, None)
+    b = rc_bounds(section, size)
+    dense = op_norm_dense(car_pattern_matrix(section, lag, size)).value
     assert b.lower - 1e-10 <= dense <= b.upper + 1e-10
 
 
@@ -221,9 +223,9 @@ def test_three_mode_section_norm_exceeds_the_row_sup():
     couples to both neighbours.  Pinned here as a regression anchor for
     the bound-vs-norm gap."""
     alpha = WeightSequence.pisier_flat()
-    beta, _ = hankel_pattern(alpha, None)
+    section, _ = hankel_pattern(alpha, None)
     dense = op_norm_dense(car_hankel(alpha, None, 3)).value
-    b = rc_bounds(beta, 3)
+    b = rc_bounds(section, 3)
     assert dense == pytest.approx(GOLDEN, abs=1e-10)
     assert b.lower == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert dense > b.lower + 0.2
@@ -231,7 +233,7 @@ def test_three_mode_section_norm_exceeds_the_row_sup():
 
 def test_weighted_profile_feeds_the_bounds():
     alpha = WeightSequence.geometric(0.5)
-    beta, _ = hankel_pattern(alpha, lambda k: float(k + 1))
-    b = rc_bounds(beta, 2)
+    section, _ = hankel_pattern(alpha, lambda k: float(k + 1))
+    b = rc_bounds(section, 2)
     # row 0 profile: (1*1, 2*0.5) -> l2 = sqrt(2)
     assert b.row_sup == pytest.approx(np.sqrt(2.0))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from foguel_lab import HankelSpec, WeightSequence, bennett_sums
+from foguel_lab import HankelSpec, MultiplierSpec, WeightSequence, bennett_sums
 from foguel_lab.cli import (
     DEFAULT_SEED,
     FAMILY_OF,
@@ -132,6 +132,19 @@ def test_dense_section_above_the_cap_is_refused_before_it_is_built(
     if target != "shift":
         argv += ["--alpha", "geometric:0.5"]
     assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "exceeds dense cap 4096" in capsys.readouterr().err
+
+
+def test_multiplier_section_above_the_cap_is_refused_before_it_is_built(
+    tmp_path, monkeypatch, capsys
+):
+    def no_section(self, ns):
+        raise AssertionError("multiplier section built above the dense cap")
+
+    monkeypatch.setattr(MultiplierSpec, "g_values", no_section)
+    argv = ["multiplier", "--kind", "difference-quotient", "--sizes", "4097",
+            "--witnesses", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
     assert "exceeds dense cap 4096" in capsys.readouterr().err
 
 

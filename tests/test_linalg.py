@@ -12,7 +12,6 @@ from foguel_lab import (
     ValidationError,
     as_matrix,
     block2x2,
-    eye,
     make_shift,
     op_norm,
     op_norm_dense,
@@ -42,7 +41,7 @@ def test_make_shift_rejects_tiny():
 
 
 def test_block2x2_identity_doubling():
-    r = block2x2(eye(3), zeros(3), zeros(3), eye(3))
+    r = block2x2(np.eye(3), zeros(3), zeros(3), np.eye(3))
     assert np.array_equal(r, np.eye(6))
 
 
@@ -58,7 +57,7 @@ def test_block2x2_zero_coupling_squares_blockwise():
 
 def test_block2x2_top_right_roundtrip(rng):
     x = random_complex(rng, 5)
-    r = block2x2(eye(5), x, zeros(5), eye(5))
+    r = block2x2(np.eye(5), x, zeros(5), np.eye(5))
     assert np.array_equal(r[:5, 5:], x)
 
 
