@@ -39,7 +39,6 @@ lag 1.  :func:`car_pattern_operator` assembles a pattern once, as the
 sparse operator sum_t B_t (x) C_{t-lag} with B_t the section restricted
 to antidiagonal t.  ``linalg.op_norm`` norms that operator as it stands:
 densified within the dense cap, matrix-free above it.
-:func:`car_hankel_operator` is the Hankel pattern on 2*size-1 modes, and
 :func:`car_pattern_matrix` and :func:`car_hankel` are the dense forms,
 refused above the cap.
 """
@@ -163,7 +162,9 @@ def car_pattern_operator(
     antidiagonals carry distinct generators, the independence that makes
     the row/column bounds of :func:`rc_bounds` meaningful.  A live
     antidiagonal below ``lag`` has no generator and is refused.  Without
-    ``alg`` the algebra has just the modes the live antidiagonals need.
+    ``alg`` the algebra has the t_last - lag + 1 modes that the last live
+    antidiagonal t_last needs; a larger ``alg`` embeds the same operator
+    isometrically, since C_k on one mode more is C_k (x) I_2.
     """
     coeffs = _scalar_section(section, size)
     anti = np.add.outer(np.arange(size), np.arange(size))
@@ -194,29 +195,14 @@ def car_pattern_matrix(
     alg: CarAlgebra | None = None,
 ) -> np.ndarray:
     """Dense form of :func:`car_pattern_operator`, refused above the dense cap."""
-    return _dense(car_pattern_operator(section, lag, size, alg=alg))
-
-
-def car_hankel_operator(
-    alpha, weight: Callable[[int], float] | None, size: int
-) -> sp.csr_matrix:
-    """Sparse generator-valued Hankel section [w(i+j) a_{i+j} C_{i+j}].
-
-    The algebra has 2*size-1 modes, one per antidiagonal, whether or not
-    the antidiagonal is live, so the dimension is size * 2^(2*size-1).
-    """
-    alg = build_car(2 * size - 1) if size >= 1 else None
-    return car_pattern_operator(*hankel_pattern(alpha, weight), size, alg=alg)
+    op = car_pattern_operator(section, lag, size, alg=alg)
+    check_dense_cap(op.shape)
+    return op.toarray()
 
 
 def car_hankel(alpha, weight: Callable[[int], float] | None, size: int) -> np.ndarray:
-    """Dense form of :func:`car_hankel_operator`, refused above the dense cap."""
-    return _dense(car_hankel_operator(alpha, weight, size))
-
-
-def _dense(op: sp.csr_matrix) -> np.ndarray:
-    check_dense_cap(op.shape)
-    return op.toarray()
+    """Dense generator-valued Hankel section [w(i+j) a_{i+j} C_{i+j}]."""
+    return car_pattern_matrix(*hankel_pattern(alpha, weight), size)
 
 
 # ---- scalar-profile norm bounds ---------------------------------------

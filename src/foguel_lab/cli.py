@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .car import (
-    build_car, car_check, car_hankel_operator, car_pattern_operator, commutator_pattern,
+    build_car, car_check, car_pattern_operator, commutator_pattern, hankel_pattern,
 )
 from .errors import ValidationError
 from .foguel import assemble_foguel, intertwiner_partial, similarity_check
@@ -87,8 +87,9 @@ NORM_TARGETS = {
         lambda seq, n: derivation_product(HankelSpec(seq, n), "gamma_d"),
     "derivation-dstar-gamma":
         lambda seq, n: derivation_product(HankelSpec(seq, n), "dstar_gamma"),
-    "car-hankel": lambda seq, n: car_hankel_operator(seq, None, n),
-    "car-hankel-deriv": lambda seq, n: car_hankel_operator(seq, derivative_weight, n),
+    "car-hankel": lambda seq, n: car_pattern_operator(*hankel_pattern(seq), n),
+    "car-hankel-deriv":
+        lambda seq, n: car_pattern_operator(*hankel_pattern(seq, derivative_weight), n),
     "car-commutator": lambda seq, n: car_pattern_operator(*commutator_pattern(seq), n),
 }
 _ALPHA_TARGETS = tuple(t for t in NORM_TARGETS if t != "shift")

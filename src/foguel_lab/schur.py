@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import check_dense_cap, op_norm_dense
-from .sequences import WeightSequence, decade_sums, diff2
+from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2
 
 #: The named kinds, each the quotient array of the sequence built from epsilon.
 _NAMED = {
@@ -158,19 +158,43 @@ def antidiag_abs_coeff(ns, offset: int = 1) -> np.ndarray:
     return np.where(K < 0, 0.0, (K + 1) ** 2 // 2)
 
 
+def antidiagonal_sums(spec: MultiplierSpec, terms: int) -> np.ndarray:
+    """Absolute second-difference mass of each antidiagonal of a section.
+
+    Entry t totals |m(i,j) - m(i,j+1) - m(i+1,j) + m(i+1,j+1)| over the
+    antidiagonal i + j = 2*offset + t, for i + j <= terms.  For the
+    structured kinds the inner sum collapses exactly: the second difference
+    at (i, j) with i + j = n equals (j - i) * (g(n) - 2 g(n+1) + g(n+2)), so
+    each antidiagonal contributes |g(n) - 2g(n+1) + g(n+2)| times the
+    closed-form coefficient :func:`antidiag_abs_coeff` — the same grouping
+    as direct summation but O(terms) instead of O(terms^2).  Custom kinds
+    are summed directly.
+    """
+    check_terms_cap(terms)
+    n_lo = 2 * spec.offset
+    if terms < n_lo + 2:
+        raise ValidationError(f"terms must be >= {n_lo + 2}")
+    if spec.structured:
+        d2 = diff2(spec.g_values(np.arange(n_lo, terms + 3)))
+        ns = np.arange(n_lo, terms + 1, dtype=np.int64)
+        return antidiag_abs_coeff(ns, spec.offset) * np.abs(d2)
+    f = spec.entry_fn
+    return np.array([
+        sum(abs(f(i, n - i) - f(i, n - i + 1) - f(i + 1, n - i) + f(i + 1, n - i + 1))
+            for i in range(spec.offset, n - spec.offset + 1))
+        for n in range(n_lo, terms + 1)
+    ])
+
+
 @dataclass(frozen=True)
 class MatrixDiffReport:
     """Absolute second-difference mass of a multiplier section.
 
-    ``antidiagonal_sums[t]`` is the total of |m(i,j) - m(i,j+1) - m(i+1,j)
-    + m(i+1,j+1)| over the antidiagonal i+j = 2*offset + t; summability of
-    these (plus vanishing row/column limits) is the classical sufficient
-    condition for the array to multiply boundedly.
+    ``total`` sums :func:`antidiagonal_sums` over i + j <= terms;
+    summability of those sums (plus vanishing row/column limits) is the
+    classical sufficient condition for the array to multiply boundedly.
     """
 
-    terms: int
-    offset: int
-    antidiagonal_sums: np.ndarray
     total: float
     decades: tuple[tuple[int, int], ...]
     decade_increments: tuple[float, ...]
@@ -182,47 +206,17 @@ class MatrixDiffReport:
 def bennett_criterion(spec: MultiplierSpec, terms: int) -> MatrixDiffReport:
     """Second-difference partial sums over the triangle i + j <= terms.
 
-    For the structured kinds the inner antidiagonal sum collapses exactly:
-    the second difference at (i, j) with i + j = n equals
-    (j - i) * (g(n) - 2 g(n+1) + g(n+2)), so each antidiagonal contributes
-    |g(n) - 2g(n+1) + g(n+2)| times the closed-form coefficient
-    :func:`antidiag_abs_coeff` — the same grouping as direct summation but
-    O(terms) instead of O(terms^2).  Custom kinds are summed directly.
-
-    Row/column vanishing is sampled at index max(10 * terms, 10^6) in the
-    first few columns/rows.
+    The per-antidiagonal masses of :func:`antidiagonal_sums` are summed
+    exactly by decade and dropped.  Row/column vanishing is sampled at
+    index max(10 * terms, 10^6) in the first few columns/rows.
     """
-    n_lo = 2 * spec.offset
-    if terms < n_lo + 2:
-        raise ValidationError(f"terms must be >= {n_lo + 2}")
-    ns = np.arange(n_lo, terms + 1, dtype=np.int64)
-    if spec.structured:
-        d2 = diff2(spec.g_values(np.arange(n_lo, terms + 3)))
-        sums = antidiag_abs_coeff(ns, spec.offset) * np.abs(d2)
-    else:
-        parts = np.zeros(len(ns), dtype=float)
-        for t, n in enumerate(ns):
-            i = np.arange(spec.offset, n - spec.offset + 1, dtype=np.int64)
-            j = n - i
-            acc = 0.0
-            for ii, jj in zip(i, j):
-                acc += abs(
-                    spec.entry_fn(int(ii), int(jj))
-                    - spec.entry_fn(int(ii), int(jj) + 1)
-                    - spec.entry_fn(int(ii) + 1, int(jj))
-                    + spec.entry_fn(int(ii) + 1, int(jj) + 1)
-                )
-            parts[t] = acc
-        sums = parts
-    windows, increments, total, verdict = decade_sums(sums, n_lo, terms)
+    sums = antidiagonal_sums(spec, terms)
+    windows, increments, total, verdict = decade_sums(sums, 2 * spec.offset, terms)
     probe = max(10 * terms, 10 ** 6)
     near = range(spec.offset, spec.offset + 4)
     row_tail = max(abs(spec.entry(probe, j)) for j in near)
     col_tail = max(abs(spec.entry(i, probe)) for i in near)
     return MatrixDiffReport(
-        terms=terms,
-        offset=spec.offset,
-        antidiagonal_sums=sums,
         total=total,
         decades=windows,
         decade_increments=increments,

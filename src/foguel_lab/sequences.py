@@ -28,8 +28,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidLengthError, ValidationError
+from .errors import InvalidLengthError, SizeCapExceededError, ValidationError
 from .summation import exact_sum, exact_sums
+
+#: The largest series length the summability diagnostics accept: they
+#: hold a few float arrays of that length at once, about 47 bytes a term.
+BENNETT_TERMS_CAP = 10 ** 8
 
 _BASE_START = {
     "pisier_flat": 0,
@@ -245,6 +249,14 @@ def decade_sums(series, n_start: int, terms: int):
     return tuple(windows), increments, total, verdict
 
 
+def check_terms_cap(terms: int) -> None:
+    """Refuse a series length above :data:`BENNETT_TERMS_CAP`."""
+    if terms > BENNETT_TERMS_CAP:
+        raise SizeCapExceededError(
+            f"terms={terms} exceeds the series cap {BENNETT_TERMS_CAP}"
+        )
+
+
 def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
     """Summability diagnostics for the series view (a_n) of ``seq``.
 
@@ -253,6 +265,7 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
     chain, which look ahead to a_{terms+3}.  Each series array is dropped
     once its exactly rounded sums are taken.
     """
+    check_terms_cap(terms)
     if terms < 10:
         raise ValidationError("terms must be >= 10")
     n0 = max(1, seq.start_index)

@@ -2,11 +2,27 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
+from scipy.sparse.linalg import svds
 
-from foguel_lab import HankelSpec, MultiplierSpec, WeightSequence, bennett_sums
+from foguel_lab import (
+    BENNETT_TERMS_CAP,
+    HankelSpec,
+    MultiplierSpec,
+    SizeCapExceededError,
+    WeightSequence,
+    bennett_criterion,
+    bennett_sums,
+    build_car,
+    car_pattern_matrix,
+    car_pattern_operator,
+    derivative_weight,
+    hankel_pattern,
+    op_norm_dense,
+)
 from foguel_lab.cli import (
     DEFAULT_SEED,
     FAMILY_OF,
@@ -119,6 +135,53 @@ def test_car_commutator_above_the_dense_cap_runs_matrix_free(tmp_path, method):
     assert row[6] == "false"
 
 
+#: the generator-valued Hankel targets and the scalar weight of each
+CAR_HANKEL_WEIGHTS = {"car-hankel": None, "car-hankel-deriv": derivative_weight}
+LACUNARY = ["pisier-flat", "pisier-geometric"]
+
+
+def car_norm_rows(out, target, alpha, sizes):
+    argv = ["norm", "--target", target, "--alpha", alpha, "--N", sizes, "--out", str(out)]
+    assert main(argv) == 0
+    return {int(r[1]): r for r in read_csv(out / "norms.csv")[1:]}
+
+
+@pytest.mark.parametrize("alpha", LACUNARY)
+@pytest.mark.parametrize("target", sorted(CAR_HANKEL_WEIGHTS))
+def test_lacunary_car_hankel_sections_stay_dense(tmp_path, target, alpha):
+    # live antidiagonals 0, 1, 3, 7 below N = 8 need 8 modes, not 2N - 1,
+    # so the dimension N * 2^8 stays within the dense cap through N = 8
+    sizes = "6,7,8" if target == "car-hankel-deriv" else "6,7"
+    rows = car_norm_rows(tmp_path, target, alpha, sizes)
+    assert sorted(rows) == [int(n) for n in sizes.split(",")]
+    assert all(r[3] == "dense" and r[6] == "true" for r in rows.values())
+    # the unused top modes embed isometrically: 2N - 1 modes give the same norm
+    section, lag = hankel_pattern(parse_alpha(alpha), CAR_HANKEL_WEIGHTS[target])
+    wide = car_pattern_operator(section, lag, 6, alg=build_car(11))
+    (sigma,) = svds(wide, k=1, return_singular_vectors=False, random_state=0)
+    assert float(rows[6][4]) == pytest.approx(sigma, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", LACUNARY)
+@pytest.mark.parametrize("target", sorted(CAR_HANKEL_WEIGHTS))
+def test_car_hankel_sections_equal_their_one_mode_per_antidiagonal_embedding(
+    tmp_path, target, alpha
+):
+    rows = car_norm_rows(tmp_path, target, alpha, "2,3,4")
+    section, lag = hankel_pattern(parse_alpha(alpha), CAR_HANKEL_WEIGHTS[target])
+    for n in (2, 3, 4):
+        wide = car_pattern_matrix(section, lag, n, alg=build_car(2 * n - 1))
+        assert float(rows[n][4]) == pytest.approx(op_norm_dense(wide).value, rel=1e-14)
+
+
+def test_whole_lacunary_sections_attain_the_profile_norm(tmp_path):
+    # at N = 4 and 8 every live antidiagonal of the flat profile lies whole
+    # (C02), so the norm is the l2 norm of the profile: sqrt(3), then 2
+    rows = car_norm_rows(tmp_path, "car-hankel", "pisier-flat", "4,8")
+    assert float(rows[4][4]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
+    assert float(rows[8][4]) == pytest.approx(2.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("method", ["power", "auto"])
 @pytest.mark.parametrize("target", ["hankel", "derivation-commutator", "shift"])
 def test_dense_section_above_the_cap_is_refused_before_it_is_built(
@@ -146,6 +209,22 @@ def test_multiplier_section_above_the_cap_is_refused_before_it_is_built(
             "--witnesses", "1", "--out", str(tmp_path)]
     assert main(argv) == 1
     assert "exceeds dense cap 4096" in capsys.readouterr().err
+
+
+def test_bennett_terms_above_the_cap_are_refused_before_evaluation(
+    tmp_path, monkeypatch, capsys
+):
+    def no_values(self, indices):
+        raise AssertionError("sequence evaluated above the series cap")
+
+    monkeypatch.setattr(WeightSequence, "values_at", no_values)
+    terms = BENNETT_TERMS_CAP + 1
+    argv = ["bennett", "--sequence", "harmonic", "--terms", str(terms),
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert f"exceeds the series cap {BENNETT_TERMS_CAP}" in capsys.readouterr().err
+    with pytest.raises(SizeCapExceededError):
+        bennett_criterion(MultiplierSpec.from_sequence(WeightSequence.harmonic()), terms)
 
 
 def test_bennett_row_matches_library(tmp_path):

@@ -16,6 +16,7 @@ from foguel_lab import (
     MultiplierSpec,
     ValidationError,
     WeightSequence,
+    antidiagonal_sums,
     bennett_criterion,
     bennett_sums,
     iterated_limits,
@@ -130,7 +131,8 @@ def test_criterion_closed_form_matches_direct_summation():
     literal = MultiplierSpec.custom(lambda i, j: (j - i) / (i + j + 1.0))
     rs = bennett_criterion(structured, 80)
     rl = bennett_criterion(literal, 80)
-    assert np.abs(rs.antidiagonal_sums - rl.antidiagonal_sums).max() < 1e-12
+    sums_s = antidiagonal_sums(structured, 80)
+    assert np.abs(sums_s - antidiagonal_sums(literal, 80)).max() < 1e-12
     assert rs.total == pytest.approx(rl.total, rel=1e-12)
 
 
@@ -141,13 +143,13 @@ def test_constant_array_has_no_second_difference_mass():
 
 
 def test_alternating_array_diverges_linearly():
-    rep = bennett_criterion(
-        MultiplierSpec.custom(lambda i, j: (-1.0) ** (i + j)), 60
-    )
+    spec = MultiplierSpec.custom(lambda i, j: (-1.0) ** (i + j))
+    rep = bennett_criterion(spec, 60)
+    sums = antidiagonal_sums(spec, 60)
     # every second difference has modulus 4, so antidiagonal sums grow
     # with the antidiagonal length and the partial sums diverge
-    assert rep.antidiagonal_sums[0] == 4.0
-    assert all(np.diff(rep.antidiagonal_sums) > 0)
+    assert sums[0] == 4.0
+    assert all(np.diff(sums) > 0)
     assert rep.verdict is False
 
 
