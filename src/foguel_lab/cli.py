@@ -442,7 +442,7 @@ COMMANDS = {
                   unknown="method must be auto, dense or power, not {!r}",
                   help="norm route (auto: dense when within the size cap)"),
             Param("tol", float, 1e-10, positive=True,
-                  help="power-iteration tolerance"),
+                  help="power-iteration tolerance; bound on the dense relative residual"),
             Param("max_iter", int, 1000, lo=1),
         ),
         _run_norm,

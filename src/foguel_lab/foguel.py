@@ -203,8 +203,13 @@ def intertwiner_partial(
     for j in range(1, n_terms):
         term = t2 @ term @ t1
         z = z + term
-        term_norms[j] = op_norm_dense(term).value
-        partial_norms[j] = op_norm_dense(z).value
+        if term.any():
+            term_norms[j] = op_norm_dense(term).value
+            partial_norms[j] = op_norm_dense(z).value
+        else:
+            # an exactly zero increment leaves Z, hence its norm, unchanged
+            term_norms[j] = 0.0
+            partial_norms[j] = partial_norms[j - 1]
         if stab_tol is not None:
             run = run + 1 if term_norms[j] < stab_tol else 0
             if run >= stab_run and stabilized_at is None:

@@ -6,9 +6,10 @@ one norm layer everything else relies on.  :func:`op_norm` takes a dense
 array or a ``scipy.sparse`` matrix and is the only place that picks a
 route:
 
-* ``op_norm_dense`` — largest singular value through an eigendecomposition
-  of the Gram matrix A*A (the smaller of the two Gram matrices is used);
-  an operand whose entries are all real is normed in real arithmetic, and
+* ``op_norm_dense`` — largest singular value from ``eigvalsh`` alone: of
+  the operand itself when it is Hermitian, else of the smaller Gram
+  matrix; two inverse-iteration solves certify the value with a residual.
+  An operand whose entries are all real is normed in real arithmetic, and
   a sparse operand is densified only once its size is within the cap;
 * ``op_norm_power`` — seeded power iteration on A*A through the products
   of the matrix and its adjoint, usable on a sparse operator too large to
@@ -31,6 +32,17 @@ from .errors import (
 #: Largest Gram dimension accepted by the dense norm route; the dense section
 #: builders refuse larger sizes before they allocate.
 DENSE_SIZE_CAP = 4096
+
+#: Relative offset of the inverse-iteration shift past the extreme eigenvalue.
+_SHIFT = 1e-12
+
+#: The dense route norms an operand whose largest entry lies in
+#: [1/_SAFE_PEAK, _SAFE_PEAK] as given; any other is first scaled by a
+#: power of two, which is exact, to a largest entry in [1, 2).  In that
+#: range the Gram entries, the extreme eigenvalue mu, the inverse-iteration
+#: solutions (which grow like 1e12/|mu|) and the squares summed by the
+#: residual norm all stay far inside the normal floating-point range.
+_SAFE_PEAK = 2.0**200
 
 #: Consecutive iterations the power route needs below ``tol``.
 _POWER_WINDOW = 5
@@ -88,10 +100,13 @@ def block2x2(a, b, c, d) -> np.ndarray:
 class NormEstimate:
     """Result of an operator-norm computation.
 
-    ``converged`` implies ``relative_residual <= `` the tolerance that was
-    requested; for the dense route the residual is the relative Gram
-    eigenpair defect, for the power route the worst relative change of the
-    Rayleigh estimate over the trailing convergence window.
+    ``converged`` means ``relative_residual <=`` the tolerance that was
+    requested.  For the dense route the residual is the relative eigenpair
+    defect ||Bv - mu v|| / |mu| of the Hermitian matrix B it eigensolved
+    (the operand or its Gram matrix), which bounds the distance from mu to
+    the spectrum of B; ``iterations`` is 0.  For the power route it is the
+    worst relative change of the Rayleigh estimate over the trailing
+    convergence window: a stall test, not a bound.
     """
 
     value: float
@@ -114,52 +129,77 @@ def op_norm(a, method: str = "auto", tol: float = 1e-10, max_iter: int = 1000,
     """Operator norm of a dense array or ``scipy.sparse`` matrix ``a``.
 
     ``method`` is ``dense`` (:func:`op_norm_dense`), ``power``
-    (:func:`op_norm_power`, which alone uses ``tol``, ``max_iter`` and
+    (:func:`op_norm_power`, the only route that uses ``max_iter`` and
     ``seed``) or ``auto``: dense, except that a sparse operator whose Gram
     dimension min(shape) exceeds ``DENSE_SIZE_CAP`` takes power and is
-    never densified.
+    never densified.  Both routes take ``tol``.
     """
     if method == "auto":
         big = sp.issparse(a) and min(a.shape) > DENSE_SIZE_CAP
         method = "power" if big else "dense"
     if method == "dense":
-        return op_norm_dense(a)
+        return op_norm_dense(a, tol=tol)
     if method == "power":
         return op_norm_power(a, tol=tol, max_iter=max_iter, seed=seed)
     raise ValidationError(f"norm method must be auto, dense or power, not {method!r}")
 
 
-def op_norm_dense(a) -> NormEstimate:
-    """Largest singular value via eigendecomposition of the Gram matrix.
+def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
+    """Largest singular value from eigenvalues alone, with a residual.
 
-    Uses A*A or AA* — whichever is smaller — and reports the square root of
-    the top eigenvalue, clipped at zero.  When every imaginary part is
-    exactly zero the Gram matrix is formed from the real part, so the
-    eigensolve is real symmetric rather than complex Hermitian.  The cap
-    is checked on the shape, before ``a`` is copied or densified.
+    A zero operand has norm 0.  An operand with extreme entries is first
+    scaled by a power of two, so that nothing below overflows or
+    underflows.  A Hermitian operand (every real symmetric one included)
+    is normed as max |lambda| of ``eigvalsh`` of itself; any other operand
+    as the square root of the top ``eigvalsh`` eigenvalue of A*A or AA*,
+    whichever is smaller.  When every imaginary part is exactly zero the
+    operand is taken as real, so each eigensolve is real symmetric.  The
+    cap is checked on the shape, before ``a`` is copied or densified.
+
+    The certificate: two inverse-iteration solves, from a fixed seeded
+    start and shifted just outside the extreme eigenvalue mu of the matrix
+    B that was eigensolved, give a unit v; ``relative_residual`` is
+    ||Bv - mu v|| / |mu|.  Some eigenvalue of the Hermitian B lies within
+    ||Bv - mu v|| of mu (Kahan-Parlett), so ``converged`` means that bound
+    is within ``tol`` relative.
     """
     check_dense_cap(np.shape(a))
     a = as_matrix(a.toarray() if sp.issparse(a) else a)
     if not a.imag.any():
         a = np.ascontiguousarray(a.real)
-    if a.shape[0] < a.shape[1]:
-        gram = a @ a.conj().T
+    peak = float(np.abs(a).max())
+    if peak == 0.0:
+        return NormEstimate(0.0, "dense", 0, 0.0, True)
+    scale = 1.0
+    if not 1.0 / _SAFE_PEAK <= peak <= _SAFE_PEAK:
+        scale = float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
+        # part by part: numpy's complex division overflows on a subnormal divisor
+        a = a.real / scale + 1j * (a.imag / scale) if np.iscomplexobj(a) else a / scale
+    hermitian = (a.shape[0] == a.shape[1] and np.array_equal(a[0], a[:, 0].conj())
+                 and np.array_equal(a, a.conj().T))
+    if hermitian:
+        b = a
+    elif a.shape[0] < a.shape[1]:
+        b = a @ a.conj().T
     else:
-        gram = a.conj().T @ a
-    w, v = np.linalg.eigh(gram)
-    lam = float(max(w[-1], 0.0))
-    value = float(np.sqrt(lam))
-    if lam > 0.0:
-        top = v[:, -1]
-        defect = float(np.linalg.norm(gram @ top - w[-1] * top)) / lam
-    else:
-        defect = 0.0
+        b = a.conj().T @ a
+    w = np.linalg.eigvalsh(b)
+    # the eigenvalue of largest modulus; a Gram matrix has no negative one
+    mu = float(w[0] if hermitian and -w[0] > w[-1] else w[-1])
+    value = scale * (abs(mu) if hermitian else float(np.sqrt(mu)))
+    shifted = b.copy()
+    np.fill_diagonal(shifted, b.diagonal() - (mu + _SHIFT * mu))
+    v = np.random.default_rng(0).standard_normal(b.shape[0])
+    for _ in range(2):
+        v = np.linalg.solve(shifted, v)
+        v /= np.linalg.norm(v)
+    defect = float(np.linalg.norm(b @ v - mu * v)) / abs(mu)
     return NormEstimate(
         value=value,
         method="dense",
         iterations=0,
         relative_residual=defect,
-        converged=True,
+        converged=defect <= tol,
     )
 
 

@@ -156,6 +156,7 @@ def test_zero_t1_collapses_the_series(rng):
     res = intertwiner_partial(t2, np.zeros((n, n)), x, 5)
     assert np.array_equal(res.z, t2 @ x)
     assert res.term_norms[1] == 0.0
+    assert all(v == op_norm_dense(res.z).value for v in res.partial_norms)
 
 
 def test_nilpotent_t1_stabilizes_exactly(rng):
@@ -167,6 +168,8 @@ def test_nilpotent_t1_stabilizes_exactly(rng):
     assert res.stabilized_at is not None
     assert all(v == 0.0 for v in res.term_norms[n:])
     assert res.partial_norms[-1] == res.partial_norms[n - 1]
+    # the norms carried over zero increments are those of the final Z
+    assert all(v == op_norm_dense(res.z).value for v in res.partial_norms[n - 1:])
 
 
 def test_running_sup_respects_the_geometric_envelope(rng):

@@ -1,5 +1,6 @@
 """Dense kernel sanity: shapes, norms, and the norm layer's routes."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,17 +8,22 @@ from hypothesis import given, strategies as st
 
 from foguel_lab import (
     DENSE_SIZE_CAP,
+    HankelSpec,
     InvalidDimensionError,
+    NormEstimate,
     SizeCapExceededError,
     ValidationError,
+    WeightSequence,
     as_matrix,
     block2x2,
+    make_hankel,
     make_shift,
     op_norm,
     op_norm_dense,
     op_norm_power,
     zeros,
 )
+from foguel_lab.cli import NORM_TARGETS, parse_alpha
 from conftest import random_complex
 
 
@@ -70,14 +76,86 @@ def test_op_norm_dense_against_numpy(rng):
         assert est.value == pytest.approx(np.linalg.norm(a, 2), abs=1e-10)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(6, 6), (9, 4), (3, 8)]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(6, 6), (9, 4), (3, 8), "symmetric"]))
 def test_op_norm_dense_real_operands(seed, shape):
-    # real-valued complex128 operands take the real route; square, tall, wide
-    a = np.random.default_rng(seed).standard_normal(shape).astype(np.complex128)
+    # real-valued complex128 operands take the real route; square, tall,
+    # wide, and symmetric, which is eigensolved without a Gram matrix
+    a = np.random.default_rng(seed).standard_normal((7, 7) if shape == "symmetric" else shape)
+    if shape == "symmetric":
+        a = a + a.T
+    a = a.astype(np.complex128)
     est = op_norm_dense(a)
     assert est.value == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
     assert est.relative_residual <= 1e-12
     assert op_norm_dense(a.real) == est
+
+
+def test_op_norm_dense_hermitian_with_a_dominant_negative_eigenvalue(rng):
+    d = np.diag([-3.0, 1.0, 2.5, 0.5])
+    q, _ = np.linalg.qr(random_complex(rng, 4))
+    h = q @ d @ q.conj().T
+    h = (h + h.conj().T) / 2  # exactly Hermitian
+    for a in (d, h):
+        est = op_norm_dense(a)
+        assert est.value == pytest.approx(3.0, rel=1e-14)
+        assert est.relative_residual <= 1e-13
+        assert est.converged
+
+
+def test_op_norm_dense_zero_operand():
+    for a in (np.zeros((5, 3)), np.zeros((4, 4), dtype=complex), sp.csr_matrix((6, 6))):
+        assert op_norm_dense(a) == NormEstimate(0.0, "dense", 0, 0.0, True)
+
+
+@pytest.mark.parametrize("peak", [2.0**e for e in (-1060, -1000, -565, -465, -201, -199,
+                                                   199, 201, 530, 1000, 1020)])
+def test_op_norm_dense_extreme_magnitudes(peak):
+    # the Gram matrix or the shifted solves would under- or overflow; the
+    # entries are small integers times a power of two, so exactly scaled
+    for m in (np.array([[3.0, 1.0], [0.0, 2.0], [1.0, 1.0]]),
+              np.array([[2.0, 1.0], [1.0, -2.0]]),
+              np.diag([1.0, 0.0]),
+              np.array([[1 + 2j, 0.0], [1j, 3.0]])):
+        est = op_norm_dense(peak * m)
+        assert est.value == pytest.approx(peak * np.linalg.norm(m, 2), rel=1e-14)
+        assert est.converged
+
+
+def test_op_norm_dense_rank_one_geometric_hankel():
+    # [r^(i+j)] = u u^T with u_i = r^i, so its norm is sum_i r^(2i)
+    r, n = 0.9, 512
+    est = op_norm_dense(make_hankel(HankelSpec(WeightSequence.geometric(r), n)))
+    assert est.value == pytest.approx((1 - r ** (2 * n)) / (1 - r * r), rel=1e-14)
+    assert est.converged
+
+
+@pytest.mark.parametrize("target, alpha, n", [
+    ("car-hankel", "geometric:0.5", 4),
+    ("hankel-deriv", "power:2", 512),
+])
+def test_op_norm_dense_certificate_on_sections(target, alpha, n):
+    est = op_norm_dense(NORM_TARGETS[target](parse_alpha(alpha), n))
+    assert est.relative_residual <= 1e-13
+    assert est.converged
+
+
+def test_op_norm_dense_against_mpmath():
+    # 40-digit eigenvalues of the float64 entries of the ill-conditioned
+    # Hilbert section [1/(i+j+1)], so float64 is not checked against itself
+    h = NORM_TARGETS["hankel-deriv"](parse_alpha("power:2"), 32)
+    with mpmath.workdps(40):
+        ev = mpmath.eigsy(mpmath.matrix(h.real.tolist()), eigvals_only=True)
+        exact = float(max(abs(x) for x in ev))
+    assert op_norm_dense(h).value == pytest.approx(exact, rel=1e-14)
+
+
+def test_dense_converged_follows_tol(rng):
+    a = random_complex(rng, 6)
+    est = op_norm_dense(a)
+    assert 0.0 < est.relative_residual <= 1e-13 and est.converged
+    strict = op_norm_dense(a, tol=est.relative_residual / 2)
+    assert strict.value == est.value and not strict.converged
+    assert op_norm(a, "dense", tol=est.relative_residual / 2) == strict
 
 
 def test_op_norm_dense_keeps_a_small_imaginary_part():
