@@ -38,7 +38,17 @@ with lag 0; the commutator pattern is its derivation commutator with
 lag 1.  :func:`car_pattern_operator` assembles a pattern once, as the
 sparse operator sum_t B_t (x) C_{t-lag} with B_t the section restricted
 to antidiagonal t.  ``linalg.op_norm`` norms that operator as it stands:
-densified within the dense cap, matrix-free above it.
+block by block within the dense cap, matrix-free above it.
+
+The operator is graded, which is what keeps those blocks small.  Write a
+basis state of block row or column i as (i, S), with S the set of
+occupied modes (C_k empties mode k and needs it occupied).  Entry (i, j)
+sends (j, S) to (i, S - {t}) with t = i + j - lag, so it lowers the
+fermion number |S| by exactly one and keeps the weight: sum(S) - j for a
+column state equals sum(S') + i - lag for the row state it reaches.
+Rows of one (number, weight) pair meet only columns of one pair, so the
+operator is a permuted direct sum of small blocks, and the dense route
+finds them (or finer ones) as the connected components of its pattern.
 :func:`car_pattern_matrix` and :func:`car_hankel` are the dense forms,
 refused above the cap.
 """

@@ -9,8 +9,11 @@ route:
 * ``op_norm_dense`` — largest singular value from ``eigvalsh`` alone: of
   the operand itself when it is Hermitian, else of the smaller Gram
   matrix; two inverse-iteration solves certify the value with a residual.
-  An operand whose entries are all real is normed in real arithmetic, and
-  a sparse operand is densified only once its size is within the cap;
+  An operand whose entries are all real is normed in real arithmetic.  A
+  sparse operand within the cap is first split into the connected
+  components of its nonzero pattern, and each component is densified and
+  normed on its own: a permuted direct sum has the largest norm of its
+  blocks;
 * ``op_norm_power`` — seeded power iteration on A*A through the products
   of the matrix and its adjoint, usable on a sparse operator too large to
   hold densely.
@@ -156,6 +159,16 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     operand is taken as real, so each eigensolve is real symmetric.  The
     cap is checked on the shape, before ``a`` is copied or densified.
 
+    A ``scipy.sparse`` operand is split first.  Rows and columns are the
+    two sides of a bipartite graph with an edge for each nonzero entry;
+    each connected component with an edge is one block, the rows and
+    columns of the component in their original order.  Permuting rows and
+    columns makes the operand the direct sum of these blocks (and of zero
+    rows and columns), whose norm is the largest block norm, so each block
+    is densified and normed alone and the largest value is returned with
+    the residual of the block that attains it.  A dense operand is one
+    block.
+
     The certificate: two inverse-iteration solves, from a fixed seeded
     start and shifted just outside the extreme eigenvalue mu of the matrix
     B that was eigensolved, give a unit v; ``relative_residual`` is
@@ -164,7 +177,37 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     is within ``tol`` relative.
     """
     check_dense_cap(np.shape(a))
-    a = as_matrix(a.toarray() if sp.issparse(a) else a)
+    if not sp.issparse(a):
+        return _dense_block_norm(as_matrix(a), tol)
+    return max((_dense_block_norm(block, tol) for block in _pattern_blocks(a)),
+               key=lambda est: est.value, default=NormEstimate(0.0, "dense", 0, 0.0, True))
+
+
+def _pattern_blocks(a):
+    """Dense blocks of the sparse ``a``, one per component of its pattern.
+
+    ``a`` is not modified; its empty rows and columns belong to no block.
+    """
+    # imported on first use: csgraph loads scipy.linalg and
+    # scipy.sparse.linalg, which a bare ``import foguel_lab`` never needs
+    from scipy.sparse.csgraph import connected_components
+
+    if min(a.shape) < 1:
+        raise InvalidDimensionError(f"empty matrix shape {a.shape}")
+    p = sp.csr_matrix(a, dtype=np.complex128, copy=True)
+    if not np.isfinite(p.data).all():
+        raise ValidationError("matrix entries must be finite")
+    p.eliminate_zeros()
+    edges = p.astype(bool)
+    _, labels = connected_components(sp.bmat([[None, edges], [edges.T, None]]),
+                                     directed=False)
+    row_labels, col_labels = labels[:p.shape[0]], labels[p.shape[0]:]
+    for k in np.unique(row_labels[np.diff(p.indptr) > 0]):
+        yield p[row_labels == k][:, col_labels == k].toarray()
+
+
+def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
+    """:func:`op_norm_dense` of one validated complex128 array."""
     if not a.imag.any():
         a = np.ascontiguousarray(a.real)
     peak = float(np.abs(a).max())

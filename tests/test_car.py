@@ -5,6 +5,11 @@ hold to literally zero floating-point error; every detector threshold
 below reflects that.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,6 +34,7 @@ from foguel_lab import (
     rc_bounds,
     unit_weight,
 )
+from foguel_lab.cli import NORM_TARGETS, parse_alpha
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -177,6 +183,70 @@ def test_matrix_free_oracles_agree_with_dense():
         assert op.shape == (size * 2**modes,) * 2
         est = op_norm_power(op, tol=1e-12, max_iter=3000)
         assert est.value == pytest.approx(dense, abs=1e-8)
+
+
+@pytest.mark.parametrize("target", ["car-hankel", "car-hankel-deriv", "car-commutator"])
+@pytest.mark.parametrize("alpha", ["geometric:0.5", "power:2", "pisier-flat"])
+def test_block_norm_equals_the_densified_norm(target, alpha):
+    sizes = [2, 3, 4]
+    if (target, alpha) == ("car-hankel", "geometric:0.5"):
+        sizes.append(5)  # dimension 2560
+    for size in sizes:
+        op = NORM_TARGETS[target](parse_alpha(alpha), size)
+        est = op_norm_dense(op)
+        assert est.value == pytest.approx(op_norm_dense(op.toarray()).value, rel=1e-12)
+        assert est.relative_residual <= 1e-13
+
+
+@pytest.mark.parametrize("pattern", [
+    hankel_pattern(WeightSequence.geometric(0.5)),
+    commutator_pattern(WeightSequence.power(2.0)),
+], ids=["lag0", "lag1"])
+def test_pattern_conserves_number_and_weight(pattern):
+    """C_t empties mode t of an occupied state, so each entry joins a column
+    state (j, S) to a row state (i, S - {t}) with t = i + j - lag: the
+    fermion number drops by one and sum(S) - j = sum(S') + i - lag."""
+    size = 4
+    op = car_pattern_operator(*pattern, size).tocoo()
+    modes = (op.shape[0] // size).bit_length() - 1
+    assert op.nnz > 0
+
+    def state(index):
+        block, bits = divmod(int(index), 2**modes)
+        # the first tensor factor is the most significant bit
+        occupied = [k for k in range(modes) if bits >> (modes - 1 - k) & 1]
+        return block, len(occupied), sum(occupied)
+
+    lag = pattern[1]
+    for row, col in zip(op.row, op.col):
+        i, row_number, row_sum = state(row)
+        j, col_number, col_sum = state(col)
+        assert row_number == col_number - 1
+        assert row_sum + i - lag == col_sum - j
+
+
+def test_block_norm_eigensolves_only_small_blocks(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(b, *args, **kwargs):
+        sizes.append(b.shape[0])
+        return eigvalsh(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    op = NORM_TARGETS["car-hankel"](parse_alpha("geometric:0.5"), 5)
+    assert op.shape == (2560, 2560)
+    assert op_norm_dense(op).converged
+    assert sizes and max(sizes) <= 64
+
+
+def test_import_leaves_csgraph_unloaded():
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, foguel_lab; print('scipy.sparse.csgraph' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---- norm bounds -------------------------------------------------------

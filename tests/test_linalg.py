@@ -103,7 +103,9 @@ def test_op_norm_dense_hermitian_with_a_dominant_negative_eigenvalue(rng):
 
 
 def test_op_norm_dense_zero_operand():
-    for a in (np.zeros((5, 3)), np.zeros((4, 4), dtype=complex), sp.csr_matrix((6, 6))):
+    explicit = sp.csr_matrix((np.zeros(3), ([0, 1, 2], [0, 2, 1])), shape=(3, 4))
+    assert explicit.nnz == 3  # only explicit zeros
+    for a in (np.zeros((5, 3)), np.zeros((4, 4), dtype=complex), sp.csr_matrix((6, 6)), explicit):
         assert op_norm_dense(a) == NormEstimate(0.0, "dense", 0, 0.0, True)
 
 
@@ -194,6 +196,62 @@ def test_op_norm_matches_the_direct_route(rng, form, method):
 def test_dense_route_densifies_sparse_input_exactly(rng):
     inputs = _route_inputs(rng)
     assert op_norm_dense(inputs["sparse"]) == op_norm_dense(inputs["dense"])
+
+
+def _permuted_direct_sum(rng, blocks, empty_rows, empty_cols):
+    """The direct sum of ``blocks`` and some zero rows and columns, with
+    rows and columns shuffled; also the positions each block landed on."""
+    rows = sum(b.shape[0] for b in blocks) + empty_rows
+    cols = sum(b.shape[1] for b in blocks) + empty_cols
+    a = np.zeros((rows, cols), dtype=np.complex128)
+    spans, r, c = [], 0, 0
+    for b in blocks:
+        a[r:r + b.shape[0], c:c + b.shape[1]] = b
+        spans.append(((r, r + b.shape[0]), (c, c + b.shape[1])))
+        r, c = r + b.shape[0], c + b.shape[1]
+    pr, pc = rng.permutation(rows), rng.permutation(cols)
+    where = [(np.flatnonzero((pr >= r0) & (pr < r1)), np.flatnonzero((pc >= c0) & (pc < c1)))
+             for (r0, r1), (c0, c1) in spans]
+    return a[pr][:, pc], where
+
+
+def test_sparse_operand_is_normed_block_by_block(rng):
+    blocks = [random_complex(rng, 3, 5), 3.0 * random_complex(rng, 4, 2),
+              random_complex(rng, 1, 1), random_complex(rng, 2, 2)]
+    a, where = _permuted_direct_sum(rng, blocks, empty_rows=2, empty_cols=3)
+    est = op_norm_dense(sp.csr_matrix(a))
+    assert est.value == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-14)
+    # the attaining block, rows and columns in their order within a
+    top = max(range(len(blocks)), key=lambda k: np.linalg.norm(blocks[k], 2))
+    assert top == 1
+    assert est == op_norm_dense(a[np.ix_(*where[top])])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_sparse_non_finite_entry_is_refused(bad):
+    a = sp.csr_matrix(np.array([[1.0, 0.0], [bad, 2.0]], dtype=np.complex128))
+    with pytest.raises(ValidationError):
+        op_norm_dense(a)
+
+
+def test_sparse_operand_is_left_as_given():
+    a = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]], dtype=np.complex128))
+    a.data[1] = 0.0  # an explicit zero the route must not drop from the caller
+    data = a.data.copy()
+    op_norm_dense(a)
+    assert a.nnz == 3 and np.array_equal(a.data, data)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_sparse_blocks_match_the_densified_route(seed):
+    # the blocks are themselves sparse, so some split further
+    r = np.random.default_rng(seed)
+    blocks = [random_complex(r, *shape) * (r.random(shape) < 0.7)
+              for shape in r.integers(1, 6, size=(r.integers(1, 6), 2))]
+    a, _ = _permuted_direct_sum(r, blocks, *r.integers(0, 3, size=2))
+    est = op_norm_dense(sp.csr_matrix(a))
+    assert est.value == pytest.approx(op_norm_dense(a).value, rel=1e-13)
+    assert est.converged
 
 
 def test_auto_takes_power_only_for_sparse_above_the_cap():
