@@ -19,7 +19,8 @@ the sweep parameter of the same name (``-`` read as ``_``) have one
 default and one validator.  ``NORM_TARGETS`` likewise gives each ``norm``
 target the operator it norms: a dense section, or for the
 generator-valued targets one sparse operator; ``linalg.op_norm`` picks
-the route.
+the route.  ``--alpha`` and ``bennett --sequence`` name a family of
+``sequences.FAMILIES``; ``multiplier --kind`` names a ``schur.MULTIPLIER_KINDS``.
 
 Every command writes a CSV for its row family (norms.csv, bennett.csv,
 similarity.csv, car.csv or multiplier.csv) into --out, plus a JSON mirror
@@ -67,8 +68,8 @@ from .hankel import (
     unit_weight,
 )
 from .linalg import make_shift, op_norm, op_norm_dense
-from .schur import MultiplierSpec, bennett_criterion, multiplier_lower_bound
-from .sequences import WeightSequence, bennett_sums
+from .schur import MULTIPLIER_KINDS, MultiplierSpec, bennett_criterion, multiplier_lower_bound
+from .sequences import FAMILY_HELP, WeightSequence, bennett_sums, family
 
 DEFAULT_SEED = 2002
 SEED_ENV_VAR = "FOGUEL_LAB_SEED"
@@ -94,26 +95,6 @@ NORM_TARGETS = {
 }
 _ALPHA_TARGETS = tuple(t for t in NORM_TARGETS if t != "shift")
 
-#: parse_alpha's coefficient families: the fixed ones, then those that
-#: take one number after a colon.
-ALPHA_FIXED = {
-    "pisier-flat": WeightSequence.pisier_flat,
-    "pisier-geometric": WeightSequence.pisier_geometric,
-    "harmonic": WeightSequence.harmonic,
-    "constant": WeightSequence.constant,
-}
-ALPHA_SCALED = {
-    "power": WeightSequence.power,
-    "geometric": WeightSequence.geometric,
-    "log": lambda eps: WeightSequence.log_family(eps).shifted(1),
-    "loglog": lambda eps: WeightSequence.loglog_family(eps).shifted(1),
-}
-
-ALPHA_HELP = (
-    "pisier-flat | pisier-geometric | harmonic | constant | "
-    "power:S | geometric:R | log:EPS | loglog:EPS"
-)
-
 
 # ---- parameter parsing -------------------------------------------------
 
@@ -137,20 +118,9 @@ def resolve_seed(explicit: int | None) -> int:
 
 
 def parse_alpha(text: str) -> WeightSequence:
-    t = str(text).strip()
-    if t in ALPHA_FIXED:
-        return ALPHA_FIXED[t]()
-    head, sep, val = t.partition(":")
-    if sep:
-        try:
-            x = float(val)
-        except ValueError:
-            x = math.nan
-        if not math.isfinite(x):
-            raise ValidationError(f"bad numeric parameter in alpha spec {text!r}")
-        if head in ALPHA_SCALED:
-            return ALPHA_SCALED[head](x)
-    raise ValidationError(f"unrecognized alpha spec {text!r}; expected {ALPHA_HELP}")
+    """The coefficient family ``NAME`` or ``NAME:X`` (``sequences.FAMILY_HELP``)."""
+    name, sep, value = str(text).strip().partition(":")
+    return family(name, _as_float(value, f"alpha {text!r} parameter", False) if sep else None)
 
 
 def _alpha_text(text) -> str:
@@ -193,6 +163,8 @@ def _as_int(value, key: str, lo: int | None = None) -> int:
 
 
 def _as_float(value, key: str, positive: bool) -> float:
+    if isinstance(value, bool):
+        raise ValidationError(f"{key} must be a number")
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -316,8 +288,7 @@ def _run_norm(p: dict, seed: int):
 
 
 def _run_bennett(p: dict, seed: int):
-    name, eps = p["sequence"], p["epsilon"]
-    seq = ALPHA_FIXED[name]() if eps is None else ALPHA_SCALED[name](eps)
+    seq = family(p["sequence"], p["epsilon"])
     rep = bennett_sums(seq, p["terms"])
     mrep = bennett_criterion(MultiplierSpec.from_sequence(seq), p["terms"])
     all_ok = all(rep.verdicts) and mrep.verdict
@@ -346,7 +317,7 @@ def _run_bennett(p: dict, seed: int):
 
 
 def _run_multiplier(p: dict, seed: int):
-    spec = MultiplierSpec(p["kind"].replace("-", "_"), epsilon=p["epsilon"])
+    spec = MultiplierSpec(family(MULTIPLIER_KINDS[p["kind"]], p["epsilon"]))
     rows = []
     probes = {}
     for n in p["sizes"]:
@@ -437,7 +408,7 @@ COMMANDS = {
             Param("alpha", parse=_alpha_text,
                   applies=("target", _ALPHA_TARGETS,
                            "alpha does not apply to the shift target"),
-                  help=f"coefficients: {ALPHA_HELP}"),
+                  help=f"coefficients: {FAMILY_HELP}"),
             Param("method", default="auto", choices=("auto", "dense", "power"),
                   unknown="method must be auto, dense or power, not {!r}",
                   help="norm route (auto: dense when within the size cap)"),
@@ -468,8 +439,7 @@ COMMANDS = {
     "multiplier": Command(
         "witness lower bounds for multiplier sections",
         (
-            Param("kind", required=True,
-                  choices=("difference-quotient", "log-damped", "loglog-damped"),
+            Param("kind", required=True, choices=tuple(MULTIPLIER_KINDS),
                   unknown="unknown multiplier kind {!r}"),
             Param("epsilon", float, applies=(
                 "kind", ("log-damped", "loglog-damped"),

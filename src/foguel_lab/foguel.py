@@ -29,6 +29,11 @@ import numpy as np
 from .errors import InvalidDimensionError, InvalidWindowError, ValidationError
 from .linalg import as_matrix, block2x2, make_shift, op_norm_dense, zeros
 
+#: How far power_offdiag's two corner routes may disagree (at unit scale),
+#: and ||p(C)|| exceed the circle sup before von_neumann_probe counts it.
+POWER_CHECK_TOL = 1e-10
+VON_NEUMANN_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class FoguelBlock:
@@ -57,14 +62,14 @@ def assemble_foguel(t2, t1, x) -> FoguelBlock:
     return FoguelBlock(t2=t2, t1=t1, x=x, matrix=r)
 
 
-def power_offdiag(block: FoguelBlock, n: int, check_tol: float = 1e-10) -> np.ndarray:
+def power_offdiag(block: FoguelBlock, n: int) -> np.ndarray:
     """Top-right corner of R^n, by the corner-sum formula.
 
     The corner S_n = sum_j (T2*)^(n-1-j) X T1^j is computed by the
     recurrence S_1 = X, S_{k+1} = T2* S_k + X T1^k and cross-checked
     against the corner of the literal matrix power; the two routes are
-    independent, and a disagreement beyond ``check_tol`` raises instead
-    of returning.
+    independent, and a disagreement beyond :data:`POWER_CHECK_TOL` raises
+    instead of returning.
     """
     if n < 1:
         raise ValidationError("power must be >= 1")
@@ -83,7 +88,7 @@ def power_offdiag(block: FoguelBlock, n: int, check_tol: float = 1e-10) -> np.nd
     # error in matrix_power itself grows with the data, so compare
     # relative to the magnitude actually reached.
     scale = max(1.0, float(np.abs(direct).max(initial=0.0)))
-    if gap > check_tol * scale:
+    if gap > POWER_CHECK_TOL * scale:
         raise RuntimeError(
             f"corner-sum formula and literal power disagree by {gap:.3e}"
         )
@@ -304,14 +309,15 @@ class VonNeumannReport:
     k_estimate: float
 
 
-def von_neumann_probe(c, polys, grid_points: int, tol: float = 1e-9) -> VonNeumannReport:
+def von_neumann_probe(c, polys, grid_points: int) -> VonNeumannReport:
     """Compare ||p(C)|| against the circle sup of |p| for each polynomial.
 
     ``results`` holds (degree, matrix_norm, circle_sup, excess) per
-    polynomial; an excess beyond ``tol`` counts as a violation.  The grid
-    must be at least 8 points per degree so the discrete sup is a faithful
-    stand-in for the true one.  Non-contractions are reported, not
-    rejected: ``k_estimate`` is the largest observed norm ratio.
+    polynomial; an excess beyond :data:`VON_NEUMANN_TOL` counts as a
+    violation.  The grid must be at least 8 points per degree so the
+    discrete sup is a faithful stand-in for the true one.  Non-contractions
+    are reported, not rejected: ``k_estimate`` is the largest observed norm
+    ratio.
     """
     c = as_matrix(c)
     poly_list = [np.asarray(p, dtype=np.complex128).ravel() for p in polys]
@@ -331,7 +337,7 @@ def von_neumann_probe(c, polys, grid_points: int, tol: float = 1e-9) -> VonNeuma
         mat_norm = op_norm_dense(poly_eval_matrix(p, c)).value
         sup = circle_sup(p, grid_points)
         excess = mat_norm - sup
-        if excess > tol:
+        if excess > VON_NEUMANN_TOL:
             violations += 1
         max_excess = max(max_excess, excess)
         if sup > 0.0:

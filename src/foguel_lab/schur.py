@@ -1,26 +1,27 @@
 """Structured Schur multiplier sections and their diagnostics.
 
 The matrices studied here are sections of infinite arrays m(i, j) defined
-for i, j >= offset.  Every structured kind is the quotient array of a
-coefficient sequence a (a :class:`~foguel_lab.sequences.WeightSequence`),
+for i, j >= offset.  A :class:`MultiplierSpec` is a coefficient sequence
+a (a :class:`~foguel_lab.sequences.WeightSequence`) and an offset, and its
+array is the quotient array
 
-    m(i, j) = (j - i) g(i + j),    g(n) = a(n) / (n + 1),
+    m(i, j) = (j - i) g(i + j),    g(n) = a(n) / (n + 1).
 
-and the three named kinds are the quotient arrays of named sequences:
+:data:`MULTIPLIER_KINDS` names the command line's kinds by their
+coefficient family in :data:`foguel_lab.sequences.FAMILIES`:
 
-* ``difference_quotient``  — ``constant()``, so m(i, j) = (j-i)/(i+j+1), the
+* ``difference-quotient`` — ``constant``, so m(i, j) = (j-i)/(i+j+1), the
   bounded-entry array whose distinct iterated limits (-1 along rows, +1
   along columns) obstruct it from being a bounded Schur multiplier;
-* ``log_damped(eps)``      — ``log_family(eps).shifted(1)``, so
+* ``log-damped``          — ``log:EPS``, so
   m(i, j) = (j-i) / ((i+j+1) log^(1+eps)(i+j+1));
-* ``loglog_damped(eps)``   — ``loglog_family(eps).shifted(1)``, so
-  m(i, j) = (j-i) / ((i+j+1) log(i+j+1) loglog^(1+eps)(i+j+1));
-* ``from_sequence(a)``     — any other coefficient sequence a.
+* ``loglog-damped``       — ``loglog:EPS``, so
+  m(i, j) = (j-i) / ((i+j+1) log(i+j+1) loglog^(1+eps)(i+j+1)).
 
 Each formula is therefore written once, in :mod:`foguel_lab.sequences`,
 which ties the matrix diagnostics to the scalar series diagnostics there.
-A ``custom`` kind takes an arbitrary entry callable (used for reference
-cases such as constant arrays and literal closed forms).
+In place of a sequence a spec may take an arbitrary entry callable (used
+for reference cases such as constant arrays and literal closed forms).
 """
 
 from __future__ import annotations
@@ -36,79 +37,67 @@ from .errors import (
     ValidationError,
 )
 from .linalg import check_dense_cap, op_norm_dense
-from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2
+from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family
 
-#: The named kinds, each the quotient array of the sequence built from epsilon.
-_NAMED = {
-    "difference_quotient": lambda eps: WeightSequence.constant(),
-    "log_damped": lambda eps: WeightSequence.log_family(eps).shifted(1),
-    "loglog_damped": lambda eps: WeightSequence.loglog_family(eps).shifted(1),
+#: The named multiplier kinds, each the quotient array of a coefficient family.
+MULTIPLIER_KINDS = {
+    "difference-quotient": "constant",
+    "log-damped": "log",
+    "loglog-damped": "loglog",
 }
-_STRUCTURED = tuple(_NAMED) + ("from_sequence",)
 
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """One multiplier kind; a named kind builds ``sequence`` from ``epsilon``."""
+    """The quotient array of ``sequence``, or ``entry_fn(i, j)``, for i, j >= offset.
 
-    kind: str
-    epsilon: float | None = None
+    Exactly one of the two is given.  A section reads a(n) from n = 2 * offset
+    on, so an offset that reaches below the sequence's start index is refused.
+    """
+
     sequence: WeightSequence | None = None
     entry_fn: Callable | None = field(default=None, compare=False)
     offset: int = 1
 
     def __post_init__(self):
-        if self.kind not in _STRUCTURED + ("custom",):
-            raise ValidationError(f"unknown multiplier kind {self.kind!r}")
+        if (self.sequence is None) == (self.entry_fn is None):
+            raise ValidationError("give exactly one of a sequence or an entry callable")
         if self.offset < 0:
             raise InvalidOffsetError("offset must be >= 0")
-        if self.kind in ("log_damped", "loglog_damped"):
-            if not (self.epsilon is not None and self.epsilon > 0):
-                raise ValidationError("damped kinds need epsilon > 0")
-            if self.offset < 1:
-                raise InvalidOffsetError(
-                    "damped kinds need offset >= 1 so the (iterated) logarithm "
-                    "of i+j+1 is positive"
-                )
-        if self.kind in _NAMED:
-            object.__setattr__(self, "sequence", _NAMED[self.kind](self.epsilon))
-        if self.kind == "from_sequence" and self.sequence is None:
-            raise ValidationError("from_sequence needs a sequence")
-        if self.kind == "custom" and self.entry_fn is None:
-            raise ValidationError("custom kind needs an entry callable")
+        if self.sequence is not None and 2 * self.offset < self.sequence.start_index:
+            raise InvalidOffsetError(
+                f"offset {self.offset} reads the sequence at {2 * self.offset}, "
+                f"below its start index {self.sequence.start_index}"
+            )
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def difference_quotient(cls, offset: int = 1) -> "MultiplierSpec":
-        return cls("difference_quotient", offset=offset)
+        return cls(family(MULTIPLIER_KINDS["difference-quotient"]), offset=offset)
 
     @classmethod
     def log_damped(cls, eps: float, offset: int = 1) -> "MultiplierSpec":
-        return cls("log_damped", epsilon=float(eps), offset=offset)
+        return cls(family(MULTIPLIER_KINDS["log-damped"], eps), offset=offset)
 
     @classmethod
     def loglog_damped(cls, eps: float, offset: int = 1) -> "MultiplierSpec":
-        return cls("loglog_damped", epsilon=float(eps), offset=offset)
+        return cls(family(MULTIPLIER_KINDS["loglog-damped"], eps), offset=offset)
 
     @classmethod
     def from_sequence(cls, seq: WeightSequence, offset: int = 1) -> "MultiplierSpec":
-        return cls("from_sequence", sequence=seq, offset=offset)
+        return cls(seq, offset=offset)
 
     @classmethod
     def custom(cls, fn: Callable, offset: int = 1) -> "MultiplierSpec":
-        return cls("custom", entry_fn=fn, offset=offset)
+        return cls(entry_fn=fn, offset=offset)
 
     # ---- evaluation ---------------------------------------------------
 
-    @property
-    def structured(self) -> bool:
-        return self.kind in _STRUCTURED
-
     def g_values(self, ns) -> np.ndarray:
         """The radial factor g(n) = a(n)/(n+1) with m(i,j) = (j-i) g(i+j)."""
-        if not self.structured:
-            raise ValidationError("custom kind has no radial factor")
+        if self.sequence is None:
+            raise ValidationError("an entry-callable multiplier has no radial factor")
         ns = np.asarray(ns, dtype=np.int64)
         return self.sequence.values_at(ns) / (ns + 1.0)
 
@@ -117,14 +106,9 @@ class MultiplierSpec:
             raise ValidationError(
                 f"entry ({i},{j}) below the section offset {self.offset}"
             )
-        if self.kind == "custom":
+        if self.entry_fn is not None:
             return float(self.entry_fn(i, j))
         return float((j - i) * self.g_values(i + j))
-
-    def describe(self) -> str:
-        if self.kind == "from_sequence":
-            return f"quotient[{self.sequence.describe()}]"
-        return self.kind.replace("_", "-")
 
 
 def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
@@ -132,13 +116,10 @@ def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
     if size < 1:
         raise InvalidDimensionError("section size must be >= 1")
     check_dense_cap((size, size))
+    if spec.entry_fn is not None:
+        ks = range(spec.offset, spec.offset + size)
+        return np.array([[spec.entry_fn(i, j) for j in ks] for i in ks], dtype=np.complex128)
     idx = np.arange(spec.offset, spec.offset + size, dtype=np.int64)
-    if spec.kind == "custom":
-        out = np.empty((size, size), dtype=np.complex128)
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                out[a, b] = spec.entry_fn(int(i), int(j))
-        return out
     jj, ii = np.meshgrid(idx, idx)
     g = spec.g_values(ii + jj)
     return ((jj - ii) * g).astype(np.complex128)
@@ -162,19 +143,19 @@ def antidiagonal_sums(spec: MultiplierSpec, terms: int) -> np.ndarray:
     """Absolute second-difference mass of each antidiagonal of a section.
 
     Entry t totals |m(i,j) - m(i,j+1) - m(i+1,j) + m(i+1,j+1)| over the
-    antidiagonal i + j = 2*offset + t, for i + j <= terms.  For the
-    structured kinds the inner sum collapses exactly: the second difference
+    antidiagonal i + j = 2*offset + t, for i + j <= terms.  For a
+    quotient array the inner sum collapses exactly: the second difference
     at (i, j) with i + j = n equals (j - i) * (g(n) - 2 g(n+1) + g(n+2)), so
     each antidiagonal contributes |g(n) - 2g(n+1) + g(n+2)| times the
     closed-form coefficient :func:`antidiag_abs_coeff` — the same grouping
-    as direct summation but O(terms) instead of O(terms^2).  Custom kinds
-    are summed directly.
+    as direct summation but O(terms) instead of O(terms^2).  Entry-callable
+    arrays are summed directly.
     """
     check_terms_cap(terms)
     n_lo = 2 * spec.offset
     if terms < n_lo + 2:
         raise ValidationError(f"terms must be >= {n_lo + 2}")
-    if spec.structured:
+    if spec.sequence is not None:
         d2 = diff2(spec.g_values(np.arange(n_lo, terms + 3)))
         ns = np.arange(n_lo, terms + 1, dtype=np.int64)
         return antidiag_abs_coeff(ns, spec.offset) * np.abs(d2)
@@ -250,12 +231,8 @@ def iterated_limits(spec: MultiplierSpec, row_index: int, col_index: int) -> tup
 
 @dataclass(frozen=True)
 class MultiplierProbe:
-    kind: str
-    size: int
-    witness_count: int
     lower_bound: float
     best_witness: str
-    seed: int
     ratios: tuple[tuple[str, float], ...]
 
 
@@ -294,12 +271,4 @@ def multiplier_lower_bound(
         ratio = op_norm_dense(m * a).value / op_norm_dense(a).value
         ratios.append((name, float(ratio)))
     best = max(ratios, key=lambda t: t[1])
-    return MultiplierProbe(
-        kind=spec.describe(),
-        size=size,
-        witness_count=witnesses,
-        lower_bound=best[1],
-        best_witness=best[0],
-        seed=seed,
-        ratios=tuple(ratios),
-    )
+    return MultiplierProbe(lower_bound=best[1], best_witness=best[0], ratios=tuple(ratios))

@@ -17,8 +17,9 @@ coefficient family used by the operator constructions:
 ``shifted(d)`` re-indexes a family (value at k becomes the formula at
 k + d).  That is how the series view (a_n)_{n>=1} of a multiplier matrix
 is aligned with its entries: e.g. ``power(1).shifted(-1)`` is the harmonic
-sequence a_n = 1/n, and ``log_family(eps).shifted(1)`` is the series whose
-quotient matrix [(j-i) a_{i+j} / (i+j+1)] has the log-damped entries
+sequence a_n = 1/n.  :func:`family` looks a family up by name in
+:data:`FAMILIES`, whose ``log:EPS`` is shifted by one so that the quotient
+matrix [(j-i) a_{i+j} / (i+j+1)] has the log-damped entries
 (j-i) / ((i+j+1) log^(1+eps)(i+j+1)).
 """
 
@@ -170,6 +171,34 @@ class WeightSequence:
         if self.shift:
             label += f"{self.shift:+d}"
         return label
+
+
+#: The named coefficient families: name -> (constructor, label of its one
+#: parameter, or None when it takes none).
+FAMILIES = {
+    "pisier-flat": (WeightSequence.pisier_flat, None),
+    "pisier-geometric": (WeightSequence.pisier_geometric, None),
+    "harmonic": (WeightSequence.harmonic, None),
+    "constant": (WeightSequence.constant, None),
+    "power": (WeightSequence.power, "S"),
+    "geometric": (WeightSequence.geometric, "R"),
+    "log": (lambda eps: WeightSequence.log_family(eps).shifted(1), "EPS"),
+    "loglog": (lambda eps: WeightSequence.loglog_family(eps).shifted(1), "EPS"),
+}
+
+FAMILY_HELP = " | ".join(f"{name}:{label}" if label else name
+                        for name, (_, label) in FAMILIES.items())
+
+
+def family(name: str, param: float | None = None) -> WeightSequence:
+    """The sequence of the family ``name``, given its parameter if it takes one."""
+    if name not in FAMILIES:
+        raise ValidationError(f"unknown coefficient family {name!r}; expected {FAMILY_HELP}")
+    make, label = FAMILIES[name]
+    if (param is None) != (label is None):
+        needs = "no parameter" if label is None else f"one parameter {label}"
+        raise ValidationError(f"family {name!r} takes {needs}")
+    return make() if label is None else make(param)
 
 
 def diff1(a) -> np.ndarray:

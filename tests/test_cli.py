@@ -21,9 +21,12 @@ from foguel_lab import (
     car_pattern_operator,
     derivative_weight,
     hankel_pattern,
+    make_multiplier,
     op_norm_dense,
+    schur,
 )
 from foguel_lab.cli import (
+    COMMANDS,
     DEFAULT_SEED,
     FAMILY_OF,
     SEED_ENV_VAR,
@@ -31,6 +34,7 @@ from foguel_lab.cli import (
     parse_alpha,
     resolve_seed,
 )
+from foguel_lab.sequences import family
 
 
 def read_csv(path: Path):
@@ -52,10 +56,42 @@ def test_parse_alpha_families():
 def test_parse_alpha_rejects_junk():
     from foguel_lab import ValidationError
 
-    with pytest.raises(ValidationError):
-        parse_alpha("fibonacci")
-    with pytest.raises(ValidationError):
-        parse_alpha("geometric:abc")
+    for text in ("fibonacci", "geometric:abc", "power", "harmonic:1", "power:nan"):
+        with pytest.raises(ValidationError):
+            parse_alpha(text)
+
+
+def test_every_family_in_the_alpha_help_parses():
+    alpha = next(prm for prm in COMMANDS["norm"].params if prm.name == "alpha")
+    names = alpha.help.removeprefix("coefficients: ").split(" | ")
+    assert len(names) == 8
+    for name in names:
+        head, sep, _ = name.partition(":")
+        assert parse_alpha(f"{head}:0.5" if sep else head) == family(head, 0.5 if sep else None)
+
+
+@pytest.mark.parametrize("kind,build", [
+    ("difference-quotient", lambda eps: MultiplierSpec.difference_quotient()),
+    ("log-damped", MultiplierSpec.log_damped),
+    ("loglog-damped", MultiplierSpec.loglog_damped),
+])
+def test_each_multiplier_kind_builds_its_classmethod_section(tmp_path, monkeypatch, kind, build):
+    sections = []
+
+    def record(spec, size):
+        sections.append(make_multiplier(spec, size))
+        return sections[-1]
+
+    monkeypatch.setattr(schur, "make_multiplier", record)
+    argv = ["multiplier", "--kind", kind, "--sizes", "5,9", "--witnesses", "1"]
+    eps = None if kind == "difference-quotient" else 0.75
+    if eps is not None:
+        argv += ["--epsilon", str(eps)]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(sections) == 2
+    for got in sections:
+        want = make_multiplier(build(eps), len(got))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_seed_precedence(monkeypatch):
@@ -528,6 +564,26 @@ def test_non_finite_floats_and_non_positive_tol_are_refused(tmp_path, capsys, ca
     assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 1
     summary = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert capsys.readouterr().err == f"error: {summary['jobs'][0]['error']}\n"
+
+
+BOOLEAN_FLOATS = {
+    "rho": ("similarity", {"size": 8, "rho": True, "window": 4, "corner": 2}),
+    "tol": ("norm", {**HANKEL4, "tol": True}),
+    "epsilon": ("bennett", {"sequence": "log", "epsilon": True, "terms": 100}),
+    "multiplier-epsilon": ("multiplier", {"kind": "log-damped", "epsilon": False}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_FLOATS))
+def test_boolean_floats_are_refused_in_sweeps(tmp_path, case):
+    """A JSON true/false is not a number, for float parameters as for ints."""
+    command, params = BOOLEAN_FLOATS[case]
+    spec = make_sweep_spec(tmp_path / "spec.json", [{"id": 0, "command": command,
+                                                     "params": params}])
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "out")]) == 1
+    job = json.loads((tmp_path / "out" / "sweep.json").read_text())["jobs"][0]
+    assert (job["exit_code"], job["rows"]) == (1, 0)
+    assert job["error"].endswith("must be a number")
 
 
 REQUIRED_ONLY = {

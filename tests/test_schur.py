@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foguel_lab import (
+    InvalidOffsetError,
     MultiplierSpec,
     ValidationError,
     WeightSequence,
@@ -107,6 +108,22 @@ def test_damped_kinds_validate_epsilon_and_offset():
         MultiplierSpec.log_damped(1.0, offset=0)
     with pytest.raises(ValidationError):
         MultiplierSpec.loglog_damped(-2.0)
+
+
+def test_an_offset_below_the_sequence_start_is_refused():
+    # harmonic starts at 1, and an offset-0 section reads a(0) at (0, 0)
+    with pytest.raises(InvalidOffsetError):
+        MultiplierSpec.from_sequence(WeightSequence.harmonic(), offset=0)
+    with pytest.raises(InvalidOffsetError):
+        MultiplierSpec.loglog_damped(1.0, offset=0)
+    assert MultiplierSpec.from_sequence(WeightSequence.constant(), offset=0).entry(0, 1) == 0.5
+
+
+def test_a_spec_takes_exactly_one_of_sequence_and_entry_fn():
+    with pytest.raises(ValidationError):
+        MultiplierSpec()
+    with pytest.raises(ValidationError):
+        MultiplierSpec(WeightSequence.harmonic(), entry_fn=lambda i, j: 1.0)
 
 
 # ---- second-difference summability criterion ---------------------------

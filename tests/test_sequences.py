@@ -1,6 +1,7 @@
 """Coefficient families, their calculus, and the telescoping diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from foguel_lab import (
     diff2,
     exact_sum,
 )
+from foguel_lab.sequences import FAMILY_HELP, family
 
 
 # ---- point values ------------------------------------------------------
@@ -219,3 +221,18 @@ def test_report_is_frozen():
 def test_non_finite_parameters_are_refused(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def test_family_refuses_unknown_names_and_a_wrong_parameter_count():
+    with pytest.raises(ValidationError, match="expected " + re.escape(FAMILY_HELP)):
+        family("fibonacci")
+    with pytest.raises(ValidationError, match="takes one parameter EPS"):
+        family("log")
+    with pytest.raises(ValidationError, match="takes no parameter"):
+        family("harmonic", 1.0)
+    assert FAMILY_HELP.split(" | ") == [
+        "pisier-flat", "pisier-geometric", "harmonic", "constant",
+        "power:S", "geometric:R", "log:EPS", "loglog:EPS",
+    ]
+    assert family("log", 0.5) == WeightSequence.log_family(0.5).shifted(1)
+    assert family("loglog", 0.5) == WeightSequence.loglog_family(0.5).shifted(1)
