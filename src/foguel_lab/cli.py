@@ -69,7 +69,7 @@ from .hankel import (
 )
 from .linalg import make_shift, op_norm, op_norm_dense
 from .schur import MULTIPLIER_KINDS, MultiplierSpec, bennett_criterion, multiplier_lower_bound
-from .sequences import FAMILY_HELP, WeightSequence, bennett_sums, family
+from .sequences import FAMILIES, FAMILY_HELP, WeightSequence, bennett_sums, family
 
 DEFAULT_SEED = 2002
 SEED_ENV_VAR = "FOGUEL_LAB_SEED"
@@ -94,6 +94,15 @@ NORM_TARGETS = {
     "car-commutator": lambda seq, n: car_pattern_operator(*commutator_pattern(seq), n),
 }
 _ALPHA_TARGETS = tuple(t for t in NORM_TARGETS if t != "shift")
+
+#: ``bennett --sequence``: the harmonic series and the families of the
+#: multiplier kinds.
+_BENNETT_SEQUENCES = ("harmonic", *MULTIPLIER_KINDS.values())
+
+
+def _takes_param(name: str) -> bool:
+    """Whether the family ``name`` of ``sequences.FAMILIES`` takes a parameter."""
+    return FAMILIES[name][1] is not None
 
 
 # ---- parameter parsing -------------------------------------------------
@@ -423,11 +432,10 @@ COMMANDS = {
     "bennett": Command(
         "summability report for a coefficient series",
         (
-            Param("sequence", required=True,
-                  choices=("harmonic", "constant", "log", "loglog"),
+            Param("sequence", required=True, choices=_BENNETT_SEQUENCES,
                   unknown="unknown bennett sequence {!r}"),
             Param("epsilon", float, applies=(
-                "sequence", ("log", "loglog"),
+                "sequence", tuple(filter(_takes_param, _BENNETT_SEQUENCES)),
                 "epsilon only applies to the log/loglog sequences")),
             Param("terms", int, 10000, lo=10),
         ),
@@ -442,7 +450,7 @@ COMMANDS = {
             Param("kind", required=True, choices=tuple(MULTIPLIER_KINDS),
                   unknown="unknown multiplier kind {!r}"),
             Param("epsilon", float, applies=(
-                "kind", ("log-damped", "loglog-damped"),
+                "kind", tuple(k for k, fam in MULTIPLIER_KINDS.items() if _takes_param(fam)),
                 "epsilon only applies to the damped kinds")),
             Param("sizes", default="16,32,64", parse=parse_sizes, help=_SIZES_HELP),
             Param("witnesses", int, 3, lo=1),

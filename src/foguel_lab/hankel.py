@@ -69,9 +69,7 @@ def make_weighted_hankel(spec: HankelSpec, weight: Callable) -> np.ndarray:
     table = spec.coeff_table(2 * n - 1)
     wtab = np.array([weight(k) for k in range(2 * n - 1)], dtype=np.complex128)
     i = np.arange(n)
-    # The extra copy is deliberate: without it glibc's dynamic mmap
-    # threshold leaves the norm ladder N = 256..2048 at a 20 MB higher peak RSS.
-    return (table * wtab)[i[:, None] + i[None, :]].astype(np.complex128)
+    return (table * wtab)[i[:, None] + i[None, :]]
 
 
 def hankel_defect(a, block_dim: int = 1) -> float:

@@ -165,12 +165,18 @@ class WeightSequence:
         if self.kind == "custom":
             label = f"custom[{len(self.data)}]"
         elif self.param is not None and self.kind not in ("pisier_flat", "pisier_geometric"):
-            label = f"{base}:{self.param:g}"
+            label = f"{base}:{_param_text(self.param)}"
         else:
             label = base
         if self.shift:
             label += f"{self.shift:+d}"
         return label
+
+
+def _param_text(x: float) -> str:
+    """``x`` in ``%g`` form when that reads back as ``x``, else its repr."""
+    text = format(x, "g")
+    return text if float(text) == x else repr(x)
 
 
 #: The named coefficient families: name -> (constructor, label of its one
@@ -191,14 +197,22 @@ FAMILY_HELP = " | ".join(f"{name}:{label}" if label else name
 
 
 def family(name: str, param: float | None = None) -> WeightSequence:
-    """The sequence of the family ``name``, given its parameter if it takes one."""
+    """The sequence of the family ``name``, given its parameter if it takes one.
+
+    A family that takes a parameter names its sequence ``NAME:X``, so the
+    ``describe()`` of every family's sequence reads back through
+    :func:`family` as the same sequence.
+    """
     if name not in FAMILIES:
         raise ValidationError(f"unknown coefficient family {name!r}; expected {FAMILY_HELP}")
     make, label = FAMILIES[name]
     if (param is None) != (label is None):
         needs = "no parameter" if label is None else f"one parameter {label}"
         raise ValidationError(f"family {name!r} takes {needs}")
-    return make() if label is None else make(param)
+    if label is None:
+        return make()
+    seq = make(param)
+    return replace(seq, name=f"{name}:{_param_text(seq.param)}")
 
 
 def diff1(a) -> np.ndarray:

@@ -53,6 +53,23 @@ def test_parse_alpha_families():
     assert parse_alpha("log:1.0").start_index == 1
 
 
+@pytest.mark.parametrize("alpha, cell", [
+    ("log:1", "log:1"),  # was log:1+1, which --alpha refused
+    ("loglog:0.25", "loglog:0.25"),
+    ("power:1.23456789", "power:1.23456789"),  # was power:1.23457
+    ("power:2.0", "power:2"),
+    ("geometric:0.5", "geometric:0.5"),
+    ("harmonic", "harmonic"),
+    ("pisier-geometric", "pisier-geometric"),
+])
+def test_norm_param_cell_reads_back_as_its_alpha(tmp_path, alpha, cell):
+    for text in (alpha, cell):
+        assert main(["norm", "--target", "hankel", "--sizes", "3", "--alpha", text,
+                     "--out", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / "norms.csv")[1][2] == cell
+    assert parse_alpha(cell) == parse_alpha(alpha)
+
+
 def test_parse_alpha_rejects_junk():
     from foguel_lab import ValidationError
 

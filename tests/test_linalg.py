@@ -90,16 +90,47 @@ def test_op_norm_dense_real_operands(seed, shape):
     assert op_norm_dense(a.real) == est
 
 
-def test_op_norm_dense_hermitian_with_a_dominant_negative_eigenvalue(rng):
+class _Spy:
+    """Wraps ``np.linalg.eigvalsh`` and ``np.linalg.solve``, keeping what
+    they were given and what they returned."""
+
+    def __init__(self, monkeypatch):
+        self.eigvalsh_args, self.eigvalsh_out, self.solve_out = [], [], []
+        eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
+
+        def spy_eigvalsh(b, *args, **kwargs):
+            self.eigvalsh_args.append(b)
+            self.eigvalsh_out.append(eigvalsh(b, *args, **kwargs))
+            return self.eigvalsh_out[-1]
+
+        def spy_solve(*args, **kwargs):
+            self.solve_out.append(solve(*args, **kwargs))
+            return self.solve_out[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    return _Spy(monkeypatch)
+
+
+def test_op_norm_dense_hermitian_with_a_dominant_negative_eigenvalue(rng, spy):
     d = np.diag([-3.0, 1.0, 2.5, 0.5])
     q, _ = np.linalg.qr(random_complex(rng, 4))
     h = q @ d @ q.conj().T
     h = (h + h.conj().T) / 2  # exactly Hermitian
-    for a in (d, h):
+    # h again, spread over 10 indices with zero rows and columns between its own
+    padded = np.zeros((10, 10), dtype=np.complex128)
+    padded[np.ix_([1, 4, 5, 8], [1, 4, 5, 8])] = h
+    for a in (d, h, padded):
         est = op_norm_dense(a)
         assert est.value == pytest.approx(3.0, rel=1e-14)
         assert est.relative_residual <= 1e-13
         assert est.converged
+    # the padded operand is eigensolved on its four live indices alone
+    assert [b.shape for b in spy.eigvalsh_args] == [(4, 4)] * 3
 
 
 def test_op_norm_dense_zero_operand():
@@ -124,10 +155,58 @@ def test_op_norm_dense_extreme_magnitudes(peak):
 
 
 def test_op_norm_dense_rank_one_geometric_hankel():
-    # [r^(i+j)] = u u^T with u_i = r^i, so its norm is sum_i r^(2i)
-    r, n = 0.9, 512
-    est = op_norm_dense(make_hankel(HankelSpec(WeightSequence.geometric(r), n)))
-    assert est.value == pytest.approx((1 - r ** (2 * n)) / (1 - r * r), rel=1e-14)
+    # [r^(i+j)] = u u^T with u_i = r^i, so its norm is sum_i r^(2i); most
+    # rows fall below the trim threshold, which must not cost accuracy
+    for r in (0.5, 0.9):
+        for n in (512, 1024, 2048):
+            est = op_norm_dense(make_hankel(HankelSpec(WeightSequence.geometric(r), n)))
+            with mpmath.workdps(40):
+                exact = float((1 - mpmath.mpf(r) ** (2 * n)) / (1 - mpmath.mpf(r) ** 2))
+            assert abs(est.value - exact) <= 2 * np.spacing(exact), (r, n)
+            assert est.converged
+
+
+def test_geometric_section_is_eigensolved_on_its_leading_rows(spy):
+    # row i of [2^-(i+j)] peaks at 2^-i, and eps * peak / n = 2^-52 / 2^11:
+    # exactly rows 0..62 stay above it
+    a = make_hankel(HankelSpec(WeightSequence.geometric(0.5), 2048))
+    est = op_norm_dense(a)
+    assert [b.shape for b in spy.eigvalsh_args] == [(63, 63)]
+    assert np.array_equal(spy.eigvalsh_args[0], a.real[:63, :63])
+    assert est.converged
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_trimmed_hermitian_operand_matches_the_full_eigensolve(seed, real):
+    # a random Hermitian block on interleaved live indices; every other
+    # entry has modulus below the threshold eps * peak / n
+    eps = np.finfo(float).eps
+    r = np.random.default_rng(seed)
+    n = int(r.integers(2, 13))
+    live = np.sort(r.choice(n, int(r.integers(1, n)), replace=False))
+    h = random_complex(r, len(live))
+    h = (h + h.conj().T).real if real else h + h.conj().T
+    peak = float(np.abs(h).max())
+    dead = r.uniform(-1, 1, (n, n)) + (0 if real else 1j * r.uniform(-1, 1, (n, n)))
+    dead *= eps * peak / (2 * n)
+    a = (dead + dead.conj().T) / 2
+    a[np.ix_(live, live)] = h
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _Spy(mp)
+        est = op_norm_dense(a)
+    # the eigensolve sees exactly the live block, wherever its indices sit
+    assert [b.shape for b in spy.eigvalsh_args] == [h.shape]
+    assert np.array_equal(spy.eigvalsh_args[0], h)
+    # Weyl: the trim moves the value by at most eps * peak; each of the two
+    # eigensolves adds a rounding error of a few eps * ||A|| of its own
+    ref = float(np.abs(np.linalg.eigvalsh(a)).max())
+    assert abs(est.value - ref) <= eps * peak + 4 * n * eps * ref
+    # the residual is the defect of the zero-padded vector on the full operand
+    w = spy.eigvalsh_out[0]
+    mu = w[0] if -w[0] > w[-1] else w[-1]
+    v = np.zeros(n, dtype=spy.solve_out[-1].dtype)
+    v[live] = spy.solve_out[-1]
+    assert est.relative_residual == np.linalg.norm(a @ v - mu * v) / abs(mu)
     assert est.converged
 
 
