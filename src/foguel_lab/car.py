@@ -68,7 +68,7 @@ from .errors import (
     InvalidPatternError,
 )
 from .hankel import HankelSpec, derivation_product, make_weighted_hankel, unit_weight
-from .linalg import check_dense_cap, op_norm
+from .linalg import as_matrix, check_dense_cap, op_norm
 from .sequences import WeightSequence
 from .summation import exact_sums
 
@@ -86,7 +86,7 @@ class CarAlgebra:
     generators: tuple
 
     def dense(self, k: int) -> np.ndarray:
-        return np.asarray(self.generators[k].toarray(), dtype=np.complex128)
+        return self.generators[k].toarray()
 
 
 def build_car(modes: int) -> CarAlgebra:
@@ -152,7 +152,7 @@ def commutator_pattern(alpha: WeightSequence):
 def _scalar_section(section: Callable[[int], np.ndarray], size: int) -> np.ndarray:
     if size < 1:
         raise InvalidDimensionError("size must be >= 1")
-    coeffs = np.asarray(section(size))
+    coeffs = as_matrix(section(size))
     if coeffs.shape != (size, size):
         raise InvalidDimensionError(
             f"section({size}) has shape {coeffs.shape}, expected {(size, size)}"
@@ -191,7 +191,7 @@ def car_pattern_operator(
             f"need {modes} generator modes, algebra has {alg.modes}"
         )
     dim = size * alg.dim
-    out = sp.csr_matrix((dim, dim), dtype=np.complex128)
+    out = sp.csr_matrix((dim, dim), dtype=coeffs.dtype)
     for t in live:
         b_t = np.where(anti == t, coeffs, 0.0)
         out = out + sp.kron(b_t, alg.generators[t - lag], format="csr")

@@ -154,7 +154,7 @@ def antidiag_shift_form(x, n: int, block_dim: int = 1) -> np.ndarray:
         raise ValidationError("need at least one term")
     x = as_matrix(x)
     _, nb = _block_grid(x, block_dim)
-    s = np.kron(make_shift(nb), np.eye(block_dim, dtype=np.complex128))
+    s = np.kron(make_shift(nb), np.eye(block_dim))
     term = s @ x
     acc = term.copy()
     for _ in range(1, n):
@@ -257,7 +257,7 @@ def similarity_check(block: FoguelBlock, z, window: int) -> SimilarityReport:
     r1 = a @ z - z @ block.t1 - block.x
     residual_full = op_norm_dense(r1).value
     residual_interior = op_norm_dense(r1[:window, :window]).value
-    ident = np.eye(n, dtype=np.complex128)
+    ident = np.eye(n)
     l_mat = block2x2(ident, z, zeros(n), ident)
     l_inv = block2x2(ident, -z, zeros(n), ident)
     diag = block2x2(a, zeros(n), zeros(n), block.t1)
@@ -284,9 +284,9 @@ def poly_eval_matrix(coeffs, c) -> np.ndarray:
     if coeffs.size == 0:
         raise ValidationError("empty coefficient list")
     n = c.shape[0]
-    acc = coeffs[-1] * np.eye(n, dtype=np.complex128)
+    acc = coeffs[-1] * np.eye(n)
     for k in range(coeffs.size - 2, -1, -1):
-        acc = acc @ c + coeffs[k] * np.eye(n, dtype=np.complex128)
+        acc = acc @ c + coeffs[k] * np.eye(n)
     return acc
 
 

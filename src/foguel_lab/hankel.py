@@ -46,7 +46,7 @@ class HankelSpec:
 
     def coeff_table(self, count: int) -> np.ndarray:
         """a_0 .. a_{count-1} as one aligned table (0 below the start index)."""
-        return self.coefficients.values_at(np.arange(count)).astype(np.complex128)
+        return self.coefficients.values_at(np.arange(count))
 
 
 def unit_weight(k: int) -> float:
@@ -67,7 +67,7 @@ def make_weighted_hankel(spec: HankelSpec, weight: Callable) -> np.ndarray:
     n = spec.size
     check_dense_cap((n, n))
     table = spec.coeff_table(2 * n - 1)
-    wtab = np.array([weight(k) for k in range(2 * n - 1)], dtype=np.complex128)
+    wtab = np.array([weight(k) for k in range(2 * n - 1)])
     i = np.arange(n)
     return (table * wtab)[i[:, None] + i[None, :]]
 
@@ -96,7 +96,7 @@ def derivation_matrix(n: int) -> np.ndarray:
     """Truncation of the differentiation-style weighted shift: (i, i+1) -> i+1."""
     if n < 1:
         raise InvalidDimensionError("size must be >= 1")
-    d = np.zeros((n, n), dtype=np.complex128)
+    d = np.zeros((n, n))
     for i in range(n - 1):
         d[i, i + 1] = i + 1
     return d
@@ -127,7 +127,7 @@ def derivation_product(spec: HankelSpec, kind: str) -> np.ndarray:
         fac = jj
     else:
         fac = ii
-    return (fac * a_prev).astype(np.complex128)
+    return fac * a_prev
 
 
 def sylvester_residual(y, gamma, window: int | None = None) -> float:

@@ -1,6 +1,9 @@
-"""Dense complex matrix arithmetic and operator-norm estimation.
+"""Dense matrix arithmetic and operator-norm estimation.
 
-Operators live as plain ``numpy.ndarray`` values of dtype complex128; the
+Operators live as plain ``numpy.ndarray`` values whose dtype follows the
+data: complex128 when the data is complex, float64 otherwise (integer and
+boolean data included), so every real family is built, stored and normed
+in real arithmetic.  :func:`operand_dtype` states that rule once.  The
 helpers here add shape/finiteness validation, the truncated shift and the
 one norm layer everything else relies on.  :func:`op_norm` takes a dense
 array or a ``scipy.sparse`` matrix and is the only place that picks a
@@ -12,11 +15,11 @@ route:
   A Hermitian operand is eigensolved only on the indices whose row holds
   an entry above eps * peak / n, which moves no eigenvalue by more than
   eps * ||A||; its residual is still measured on the whole operand.
-  An operand whose entries are all real is normed in real arithmetic.  A
-  sparse operand within the cap is first split into the connected
-  components of its nonzero pattern, and each component is densified and
-  normed on its own: a permuted direct sum has the largest norm of its
-  blocks;
+  A complex operand whose entries are all real is normed in real
+  arithmetic, like a float64 one.  A sparse operand within the cap is
+  first split into the connected components of its nonzero pattern, and
+  each component is densified and normed on its own: a permuted direct
+  sum has the largest norm of its blocks;
 * ``op_norm_power`` — seeded power iteration on A*A through the products
   of the matrix and its adjoint, usable on a sparse operator too large to
   hold densely.
@@ -54,12 +57,20 @@ _SAFE_PEAK = 2.0**200
 _POWER_WINDOW = 5
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate ``a`` and return it as a 2-D complex128 array.
+def operand_dtype(a) -> type:
+    """The dtype rule: complex128 for complex data, float64 for any other."""
+    return np.complex128 if np.iscomplexobj(a) else np.float64
 
-    Rejects empty shapes, higher/lower ranks, and non-finite entries.
+
+def as_matrix(a) -> np.ndarray:
+    """Validate ``a`` and return it as a C-contiguous 2-D array.
+
+    The dtype is :func:`operand_dtype` of the data; an array that already
+    has it and is C-contiguous is returned as it is, not copied.  Rejects
+    empty shapes, higher/lower ranks, and non-finite entries.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a)
+    m = np.asarray(m, dtype=operand_dtype(m), order="C")
     if m.ndim != 2:
         raise InvalidDimensionError(f"expected a 2-D array, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -74,7 +85,7 @@ def zeros(rows: int, cols: int | None = None) -> np.ndarray:
         cols = rows
     if rows < 1 or cols < 1:
         raise InvalidDimensionError("matrix dimensions must be >= 1")
-    return np.zeros((rows, cols), dtype=np.complex128)
+    return np.zeros((rows, cols))
 
 
 def make_shift(n: int) -> np.ndarray:
@@ -86,7 +97,7 @@ def make_shift(n: int) -> np.ndarray:
     if n < 1:
         raise InvalidDimensionError("shift size must be >= 1")
     check_dense_cap((n, n))
-    s = np.zeros((n, n), dtype=np.complex128)
+    s = np.zeros((n, n))
     idx = np.arange(n - 1)
     s[idx + 1, idx] = 1.0
     return s
@@ -160,9 +171,11 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     underflows.  A Hermitian operand (every real symmetric one included)
     is normed as max |lambda| of ``eigvalsh`` of itself; any other operand
     as the square root of the top ``eigvalsh`` eigenvalue of A*A or AA*,
-    whichever is smaller.  When every imaginary part is exactly zero the
-    operand is taken as real, so each eigensolve is real symmetric.  The
-    cap is checked on the shape, before ``a`` is copied or densified.
+    whichever is smaller.  A real operand is normed in real arithmetic as
+    it stands; a complex one whose imaginary parts are all exactly zero is
+    first copied to its real part, so a real operand of either dtype gets
+    a real symmetric eigensolve.  The cap is checked on the shape, before
+    ``a`` is copied or densified.
 
     A Hermitian n x n operand with largest entry ``peak`` is eigensolved
     only on the indices whose row (and so column) holds an entry above
@@ -210,7 +223,7 @@ def _pattern_blocks(a):
 
     if min(a.shape) < 1:
         raise InvalidDimensionError(f"empty matrix shape {a.shape}")
-    p = sp.csr_matrix(a, dtype=np.complex128, copy=True)
+    p = sp.csr_matrix(a, dtype=operand_dtype(a), copy=True)
     if not np.isfinite(p.data).all():
         raise ValidationError("matrix entries must be finite")
     p.eliminate_zeros()
@@ -223,8 +236,8 @@ def _pattern_blocks(a):
 
 
 def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
-    """:func:`op_norm_dense` of one validated complex128 array."""
-    if not a.imag.any():
+    """:func:`op_norm_dense` of one validated dense array of either dtype."""
+    if np.iscomplexobj(a) and not a.imag.any():
         a = np.ascontiguousarray(a.real)
     rows = np.abs(a).max(axis=1)  # the largest modulus in each row
     peak = float(rows.max())
@@ -286,11 +299,13 @@ def op_norm_power(
     returned with ``converged=False`` (no exception).  Deterministic for a
     fixed seed.
     """
+    # the iterate is complex: a real operand is made complex once here, not
+    # upcast again by every product
     if sp.issparse(a):
-        a = a.tocsr()
+        a = a.tocsr().astype(np.complex128, copy=False)
         ah = a.conj().T.tocsr()
     else:
-        a = as_matrix(a)
+        a = as_matrix(a).astype(np.complex128, copy=False)
         ah = a.conj().T
     if min(a.shape) < 1:
         raise InvalidDimensionError(f"empty matrix shape {a.shape}")

@@ -36,7 +36,7 @@ from .errors import (
     InvalidOffsetError,
     ValidationError,
 )
-from .linalg import check_dense_cap, op_norm_dense
+from .linalg import as_matrix, check_dense_cap, op_norm_dense
 from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family
 
 #: The named multiplier kinds, each the quotient array of a coefficient family.
@@ -118,11 +118,11 @@ def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
     check_dense_cap((size, size))
     if spec.entry_fn is not None:
         ks = range(spec.offset, spec.offset + size)
-        return np.array([[spec.entry_fn(i, j) for j in ks] for i in ks], dtype=np.complex128)
+        return as_matrix([[spec.entry_fn(i, j) for j in ks] for i in ks])
     idx = np.arange(spec.offset, spec.offset + size, dtype=np.int64)
     jj, ii = np.meshgrid(idx, idx)
     g = spec.g_values(ii + jj)
-    return ((jj - ii) * g).astype(np.complex128)
+    return (jj - ii) * g
 
 
 # ---- second-difference summability ------------------------------------
@@ -237,16 +237,14 @@ class MultiplierProbe:
 
 
 def _witness_iter(size: int, rng: np.random.Generator):
-    yield "identity", np.eye(size, dtype=np.complex128)
-    yield "ones", np.ones((size, size), dtype=np.complex128)
-    col = np.zeros((size, size), dtype=np.complex128)
+    yield "identity", np.eye(size)
+    yield "ones", np.ones((size, size))
+    col = np.zeros((size, size))
     col[:, 0] = 1.0
     yield "ones-column", col
     k = 0
     while True:
-        yield f"sign-{k}", rng.choice([-1.0, 1.0], size=(size, size)).astype(
-            np.complex128
-        )
+        yield f"sign-{k}", rng.choice([-1.0, 1.0], size=(size, size))
         k += 1
 
 

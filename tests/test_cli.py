@@ -176,6 +176,18 @@ def test_norm_power_route_agrees_with_dense(tmp_path):
         assert read_csv(b / "norms.csv")[1][3] == "power"
 
 
+def test_car_hankel_power_rows_keep_their_known_faults(tmp_path):
+    # above the dense cap car-hankel takes the power route: N = 6 stops at
+    # max_iter unconverged, N = 7 reports convergence 4e-6 low; the
+    # benchmark counts both rows as known faults, so neither may move
+    argv = ["norm", "--target", "car-hankel", "--alpha", "geometric:0.5", "--N", "6,7"]
+    assert main(argv + ["--seed", "2002", "--out", str(tmp_path)]) == 2
+    assert (tmp_path / "norms.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "car-hankel,6,geometric:0.5,power,1.1545746087371436,1000,false",
+        "car-hankel,7,geometric:0.5,power,1.1546688545290975,15,true",
+    ]
+
+
 @pytest.mark.parametrize("method", ["power", "auto"])
 def test_car_commutator_above_the_dense_cap_runs_matrix_free(tmp_path, method):
     # dimension 7 * 2^11 = 14336 > DENSE_SIZE_CAP: the power route must not

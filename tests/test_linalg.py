@@ -1,5 +1,7 @@
 """Dense kernel sanity: shapes, norms, and the norm layer's routes."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,14 +12,24 @@ from foguel_lab import (
     DENSE_SIZE_CAP,
     HankelSpec,
     InvalidDimensionError,
+    MultiplierSpec,
     NormEstimate,
     SizeCapExceededError,
     ValidationError,
     WeightSequence,
     as_matrix,
     block2x2,
+    build_car,
+    car_pattern_matrix,
+    car_pattern_operator,
+    derivation_matrix,
+    derivation_product,
+    derivative_weight,
+    hankel_pattern,
     make_hankel,
+    make_multiplier,
     make_shift,
+    make_weighted_hankel,
     op_norm,
     op_norm_dense,
     op_norm_power,
@@ -33,6 +45,80 @@ def test_make_shift_structure():
     for i in range(3):
         expected[i + 1, i] = 1.0
     assert np.array_equal(s, expected)
+
+
+@pytest.mark.parametrize("data, dtype", [
+    ([[1, 2], [3, 4]], np.float64),
+    (np.eye(3, dtype=bool), np.float64),
+    (np.eye(3, dtype=np.float32), np.float64),
+    (np.ones((3, 4))[:, ::2], np.float64),
+    ([[1.0, 2j]], np.complex128),
+    (np.eye(3, dtype=np.complex64), np.complex128),
+    ((np.eye(3) + 0j).real, np.float64),
+])
+def test_as_matrix_dtype_follows_the_data(data, dtype):
+    # integer and boolean data promote to float64, complex data to
+    # complex128, and the array comes back C-contiguous
+    m = as_matrix(data)
+    assert m.dtype == dtype and m.flags.c_contiguous
+    assert np.array_equal(m, np.asarray(data))
+
+
+def test_as_matrix_keeps_a_conforming_array():
+    a = np.ones((3, 3))
+    assert as_matrix(a) is a
+
+
+GEOMETRIC = HankelSpec(WeightSequence.geometric(0.5), 6)
+
+#: every real builder, by name: each must come back float64
+REAL_BUILDERS = {
+    "make_shift": lambda: make_shift(5),
+    "zeros": lambda: zeros(2, 3),
+    "make_hankel": lambda: make_hankel(GEOMETRIC),
+    "make_weighted_hankel": lambda: make_weighted_hankel(GEOMETRIC, derivative_weight),
+    "derivation_matrix": lambda: derivation_matrix(5),
+    "commutator": lambda: derivation_product(GEOMETRIC, "commutator"),
+    "gamma_d": lambda: derivation_product(GEOMETRIC, "gamma_d"),
+    "dstar_gamma": lambda: derivation_product(GEOMETRIC, "dstar_gamma"),
+    "multiplier": lambda: make_multiplier(MultiplierSpec.difference_quotient(), 5),
+    "integer-multiplier": lambda: make_multiplier(MultiplierSpec.custom(lambda i, j: i - j), 5),
+    "car_dense": lambda: build_car(3).dense(1),
+    "car_pattern_operator": lambda: car_pattern_operator(*hankel_pattern(GEOMETRIC.coefficients), 3),
+    "car_pattern_matrix": lambda: car_pattern_matrix(*hankel_pattern(GEOMETRIC.coefficients), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_BUILDERS))
+def test_real_builders_build_float64(name):
+    assert REAL_BUILDERS[name]().dtype == np.float64
+
+
+def test_a_complex_car_section_stays_complex():
+    def section(n):
+        return 1j * make_hankel(HankelSpec(WeightSequence.geometric(0.5), n))
+
+    real = op_norm_dense(car_pattern_operator(*hankel_pattern(WeightSequence.geometric(0.5)), 4))
+    op = car_pattern_operator(section, 0, 4)
+    assert op.dtype == np.complex128
+    blocks = op_norm_dense(op)
+    assert blocks.value == pytest.approx(op_norm_dense(op.toarray()).value, rel=1e-12)
+    assert blocks.value == pytest.approx(real.value, rel=1e-12)
+
+
+def test_dense_norm_of_a_real_section_holds_no_complex_copy():
+    # the float64 N = 2048 geometric section is 32 MiB; building it and
+    # norming it may trace 2.5 times that, not the 128 MiB of a complex
+    # section with a real copy of it
+    n = 2048
+    tracemalloc.start()
+    try:
+        est = op_norm_dense(make_hankel(HankelSpec(WeightSequence.geometric(0.5), n)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.converged
+    assert peak <= 2.5 * n * n * 8
 
 
 def test_shift_is_a_contraction_of_norm_one():
