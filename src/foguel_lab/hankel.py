@@ -96,10 +96,7 @@ def derivation_matrix(n: int) -> np.ndarray:
     """Truncation of the differentiation-style weighted shift: (i, i+1) -> i+1."""
     if n < 1:
         raise InvalidDimensionError("size must be >= 1")
-    d = np.zeros((n, n))
-    for i in range(n - 1):
-        d[i, i + 1] = i + 1
-    return d
+    return np.diag(np.arange(1.0, n), 1)
 
 
 _PRODUCT_KINDS = ("commutator", "gamma_d", "dstar_gamma")

@@ -1,13 +1,10 @@
 """Dense matrix arithmetic and operator-norm estimation.
 
-Operators live as plain ``numpy.ndarray`` values whose dtype follows the
-data: complex128 when the data is complex, float64 otherwise (integer and
-boolean data included), so every real family is built, stored and normed
-in real arithmetic.  :func:`operand_dtype` states that rule once.  The
-helpers here add shape/finiteness validation, the truncated shift and the
-one norm layer everything else relies on.  :func:`op_norm` takes a dense
-array or a ``scipy.sparse`` matrix and is the only place that picks a
-route:
+Operators live as plain ``numpy.ndarray`` values, complex128 if their data
+is complex and float64 otherwise (:func:`as_matrix`); the helpers here add
+shape/finiteness validation, the truncated shift and the one norm layer
+everything else relies on.  :func:`op_norm` takes a dense array or a
+``scipy.sparse`` matrix and is the only place that picks a route:
 
 * ``op_norm_dense`` — largest singular value from ``eigvalsh`` alone: of
   the operand itself when it is Hermitian, else of the smaller Gram
@@ -15,11 +12,11 @@ route:
   A Hermitian operand is eigensolved only on the indices whose row holds
   an entry above eps * peak / n, which moves no eigenvalue by more than
   eps * ||A||; its residual is still measured on the whole operand.
-  A complex operand whose entries are all real is normed in real
-  arithmetic, like a float64 one.  A sparse operand within the cap is
-  first split into the connected components of its nonzero pattern, and
-  each component is densified and normed on its own: a permuted direct
-  sum has the largest norm of its blocks;
+  An operand whose entries are all real is normed in real arithmetic.  A
+  sparse operand within the cap is first split into the connected
+  components of its nonzero pattern, and each component is densified and
+  normed on its own: a permuted direct sum has the largest norm of its
+  blocks;
 * ``op_norm_power`` — seeded power iteration on A*A through the products
   of the matrix and its adjoint, usable on a sparse operator too large to
   hold densely.
@@ -57,20 +54,16 @@ _SAFE_PEAK = 2.0**200
 _POWER_WINDOW = 5
 
 
-def operand_dtype(a) -> type:
-    """The dtype rule: complex128 for complex data, float64 for any other."""
-    return np.complex128 if np.iscomplexobj(a) else np.float64
-
-
 def as_matrix(a) -> np.ndarray:
     """Validate ``a`` and return it as a C-contiguous 2-D array.
 
-    The dtype is :func:`operand_dtype` of the data; an array that already
-    has it and is C-contiguous is returned as it is, not copied.  Rejects
-    empty shapes, higher/lower ranks, and non-finite entries.
+    The one dtype rule: complex128 if the data is complex, else float64
+    (integer and boolean data included).  An array that already conforms
+    is returned uncopied.  Rejects empty shapes, higher/lower ranks, and
+    non-finite entries.
     """
-    m = np.asarray(a)
-    m = np.asarray(m, dtype=operand_dtype(m), order="C")
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    m = np.asarray(a, dtype=dtype, order="C")
     if m.ndim != 2:
         raise InvalidDimensionError(f"expected a 2-D array, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -97,10 +90,7 @@ def make_shift(n: int) -> np.ndarray:
     if n < 1:
         raise InvalidDimensionError("shift size must be >= 1")
     check_dense_cap((n, n))
-    s = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    s[idx + 1, idx] = 1.0
-    return s
+    return np.eye(n, k=-1)
 
 
 def block2x2(a, b, c, d) -> np.ndarray:
@@ -171,11 +161,9 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     underflows.  A Hermitian operand (every real symmetric one included)
     is normed as max |lambda| of ``eigvalsh`` of itself; any other operand
     as the square root of the top ``eigvalsh`` eigenvalue of A*A or AA*,
-    whichever is smaller.  A real operand is normed in real arithmetic as
-    it stands; a complex one whose imaginary parts are all exactly zero is
-    first copied to its real part, so a real operand of either dtype gets
-    a real symmetric eigensolve.  The cap is checked on the shape, before
-    ``a`` is copied or densified.
+    whichever is smaller.  A real operand of either dtype is normed in
+    real arithmetic, so each eigensolve is real symmetric.  The cap is
+    checked on the shape, before ``a`` is copied or densified.
 
     A Hermitian n x n operand with largest entry ``peak`` is eigensolved
     only on the indices whose row (and so column) holds an entry above
@@ -215,7 +203,8 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
 def _pattern_blocks(a):
     """Dense blocks of the sparse ``a``, one per component of its pattern.
 
-    ``a`` is not modified; its empty rows and columns belong to no block.
+    ``a`` is not modified; its empty rows and columns belong to no block,
+    and a non-finite entry, being nonzero, belongs to one.
     """
     # imported on first use: csgraph loads scipy.linalg and
     # scipy.sparse.linalg, which a bare ``import foguel_lab`` never needs
@@ -223,16 +212,14 @@ def _pattern_blocks(a):
 
     if min(a.shape) < 1:
         raise InvalidDimensionError(f"empty matrix shape {a.shape}")
-    p = sp.csr_matrix(a, dtype=operand_dtype(a), copy=True)
-    if not np.isfinite(p.data).all():
-        raise ValidationError("matrix entries must be finite")
+    p = sp.csr_matrix(a, copy=True)
     p.eliminate_zeros()
     edges = p.astype(bool)
     _, labels = connected_components(sp.bmat([[None, edges], [edges.T, None]]),
                                      directed=False)
     row_labels, col_labels = labels[:p.shape[0]], labels[p.shape[0]:]
     for k in np.unique(row_labels[np.diff(p.indptr) > 0]):
-        yield p[row_labels == k][:, col_labels == k].toarray()
+        yield as_matrix(p[row_labels == k][:, col_labels == k].toarray())
 
 
 def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
@@ -299,8 +286,7 @@ def op_norm_power(
     returned with ``converged=False`` (no exception).  Deterministic for a
     fixed seed.
     """
-    # the iterate is complex: a real operand is made complex once here, not
-    # upcast again by every product
+    # the iterate is complex: convert a real operand once, not in every product
     if sp.issparse(a):
         a = a.tocsr().astype(np.complex128, copy=False)
         ah = a.conj().T.tocsr()
