@@ -190,9 +190,10 @@ def intertwiner_partial(
     the latest ``stab_run`` increments all fell below the tolerance
     (None if that never happens within ``n_terms``).
     """
-    t2 = as_matrix(t2)
-    t1 = as_matrix(t1)
-    x = as_matrix(x)
+    t2, t1, x = (as_matrix(m) for m in (t2, t1, x))
+    # one dtype for all three: a mixed product would cast its real factor every step
+    dtype = np.result_type(t2, t1, x)
+    t2, t1, x = (m.astype(dtype, copy=False) for m in (t2, t1, x))
     if n_terms < 1:
         raise ValidationError("need at least one term")
     term = t2 @ x
