@@ -70,6 +70,7 @@ def test_as_matrix_keeps_a_conforming_array():
 
 
 GEOMETRIC = HankelSpec(WeightSequence.geometric(0.5), 6)
+GEOMETRIC_PATTERN = hankel_pattern(GEOMETRIC.coefficients)
 
 #: every real builder, by name: each must come back float64
 REAL_BUILDERS = {
@@ -84,8 +85,8 @@ REAL_BUILDERS = {
     "multiplier": lambda: make_multiplier(MultiplierSpec.difference_quotient(), 5),
     "integer-multiplier": lambda: make_multiplier(MultiplierSpec.custom(lambda i, j: i - j), 5),
     "car_dense": lambda: build_car(3).dense(1),
-    "car_pattern_operator": lambda: car_pattern_operator(*hankel_pattern(GEOMETRIC.coefficients), 3),
-    "car_pattern_matrix": lambda: car_pattern_matrix(*hankel_pattern(GEOMETRIC.coefficients), 3),
+    "car_pattern_operator": lambda: car_pattern_operator(*GEOMETRIC_PATTERN, 3),
+    "car_pattern_matrix": lambda: car_pattern_matrix(*GEOMETRIC_PATTERN, 3),
 }
 
 
@@ -96,9 +97,9 @@ def test_real_builders_build_float64(name):
 
 def test_a_complex_car_section_stays_complex():
     def section(n):
-        return 1j * make_hankel(HankelSpec(WeightSequence.geometric(0.5), n))
+        return 1j * make_hankel(HankelSpec(GEOMETRIC.coefficients, n))
 
-    real = op_norm_dense(car_pattern_operator(*hankel_pattern(WeightSequence.geometric(0.5)), 4))
+    real = op_norm_dense(car_pattern_operator(*GEOMETRIC_PATTERN, 4))
     op = car_pattern_operator(section, 0, 4)
     assert op.dtype == np.complex128
     blocks = op_norm_dense(op)
