@@ -36,9 +36,9 @@ C_{t-lag}, so block (i, j) is section(size)[i, j] C_{i+j-lag}.  The
 Hankel pattern is the weighted Hankel section of :mod:`foguel_lab.hankel`
 with lag 0; the commutator pattern is its derivation commutator with
 lag 1.  :func:`car_pattern_operator` assembles a pattern once, as the
-sparse operator sum_t B_t (x) C_{t-lag} with B_t the section restricted
-to antidiagonal t.  ``linalg.op_norm`` norms that operator as it stands:
-block by block within the dense cap, matrix-free above it.
+sparse operator sum_t B_t (x) C_{t-lag}, B_t the section on antidiagonal
+t of the Hankel window over 0 .. 2*size-2.  ``linalg.op_norm`` norms it
+as it stands: block by block within the dense cap, matrix-free above it.
 
 The operator is graded, which is what keeps those blocks small.  Write a
 basis state of block row or column i as (i, S), with S the set of
@@ -67,7 +67,8 @@ from .errors import (
     InvalidModesError,
     InvalidPatternError,
 )
-from .hankel import HankelSpec, derivation_product, make_weighted_hankel, unit_weight
+from .hankel import HankelSpec, derivation_product, hankel_windows
+from .hankel import make_weighted_hankel, unit_weight
 from .linalg import as_matrix, check_dense_cap, op_norm
 from .sequences import WeightSequence
 from .summation import exact_sums
@@ -177,7 +178,7 @@ def car_pattern_operator(
     isometrically, since C_k on one mode more is C_k (x) I_2.
     """
     coeffs = _scalar_section(section, size)
-    anti = np.add.outer(np.arange(size), np.arange(size))
+    anti = hankel_windows(np.arange(2 * size - 1), size)
     live = np.unique(anti[coeffs != 0.0]).tolist()
     if live and live[0] < lag:
         raise InvalidPatternError(

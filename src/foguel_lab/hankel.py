@@ -2,11 +2,11 @@
 
 A Hankel section is the N x N matrix [a_{i+j}] built from a coefficient
 sequence (a :class:`~foguel_lab.sequences.WeightSequence`); the
-derivation-weighted variant carries entries (i+j+1) a_{i+j}.  The
-differentiation matrix D (the weighted shift D e_j = j e_{j-1}, see
-:func:`derivation_matrix`) interacts with a Hankel section through three
-closely related products, all of which are again Hankel-like with
-entries proportional to a_{i+j-1}:
+derivation-weighted variant carries entries (i+j+1) a_{i+j}.  Each copies
+a window over one table, :func:`hankel_windows`, the only place i + j is
+formed.  The differentiation matrix D (the weighted shift D e_j = j e_{j-1},
+see :func:`derivation_matrix`) gives three products, each a factor from
+:data:`DERIVATION_FACTORS` times the window over 0, a_0, .., a_{2N-3}:
 
     commutator   (Gamma D - D* Gamma)[i,j] = (j - i) a_{i+j-1}
     gamma_d      (Gamma D)[i,j]            = j a_{i+j-1}
@@ -62,14 +62,17 @@ def make_hankel(spec: HankelSpec) -> np.ndarray:
     return make_weighted_hankel(spec, unit_weight)
 
 
+def hankel_windows(table, n: int) -> np.ndarray:
+    """The read-only n x n view [table[i+j]] of table[0 .. 2n-2]."""
+    return np.lib.stride_tricks.sliding_window_view(table[: 2 * n - 1], n)
+
+
 def make_weighted_hankel(spec: HankelSpec, weight: Callable) -> np.ndarray:
-    """Section with (i, j) entry weight(i+j) a_{i+j}."""
+    """Section with (i, j) entry weight(i+j) a_{i+j}, copied from its window."""
     n = spec.size
     check_dense_cap((n, n))
-    table = spec.coeff_table(2 * n - 1)
-    wtab = np.array([weight(k) for k in range(2 * n - 1)])
-    i = np.arange(n)
-    return (table * wtab)[i[:, None] + i[None, :]]
+    table = spec.coeff_table(2 * n - 1) * [weight(k) for k in range(2 * n - 1)]
+    return hankel_windows(table, n).copy()
 
 
 def hankel_defect(a, block_dim: int = 1) -> float:
@@ -99,32 +102,27 @@ def derivation_matrix(n: int) -> np.ndarray:
     return np.diag(np.arange(1.0, n), 1)
 
 
-_PRODUCT_KINDS = ("commutator", "gamma_d", "dstar_gamma")
+DERIVATION_FACTORS = {
+    "commutator": lambda i, j: j - i,
+    "gamma_d": lambda i, j: j,
+    "dstar_gamma": lambda i, j: i,
+}
 
 
 def derivation_product(spec: HankelSpec, kind: str) -> np.ndarray:
     """Entry-formula build of Gamma D - D* Gamma / Gamma D / D* Gamma.
 
     Uses the closed forms (j - i) a_{i+j-1}, j a_{i+j-1}, i a_{i+j-1}
-    (with a_{-1} = 0) directly rather than multiplying matrices; at finite
-    size these agree exactly with the truncated products because the
-    weighted shift D stays within the section.
+    (a_{-1} = 0), the factor of ``kind`` times a window, rather than
+    multiplying matrices; at finite size these agree exactly with the
+    truncated products because the weighted shift D stays in the section.
     """
-    if kind not in _PRODUCT_KINDS:
-        raise ValidationError(f"kind must be one of {_PRODUCT_KINDS}")
+    if kind not in DERIVATION_FACTORS:
+        raise ValidationError(f"kind must be one of {tuple(DERIVATION_FACTORS)}")
     n = spec.size
     check_dense_cap((n, n))
-    table = np.concatenate([[0.0], spec.coeff_table(2 * n - 1)[: 2 * n - 2]])
-    i = np.arange(n)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    a_prev = table[ii + jj]
-    if kind == "commutator":
-        fac = jj - ii
-    elif kind == "gamma_d":
-        fac = jj
-    else:
-        fac = ii
-    return fac * a_prev
+    table = np.concatenate([[0.0], spec.coeff_table(2 * n - 2)])
+    return DERIVATION_FACTORS[kind](*np.ogrid[:n, :n]) * hankel_windows(table, n)
 
 
 def sylvester_residual(y, gamma, window: int | None = None) -> float:

@@ -19,7 +19,8 @@ coefficient family in :data:`foguel_lab.sequences.FAMILIES`:
   m(i, j) = (j-i) / ((i+j+1) log(i+j+1) loglog^(1+eps)(i+j+1)).
 
 Each formula is therefore written once, in :mod:`foguel_lab.sequences`,
-which ties the matrix diagnostics to the scalar series diagnostics there.
+which ties the matrix diagnostics to the scalar series diagnostics there;
+a section is the commutator factor j - i times a Hankel window over g.
 In place of a sequence a spec may take an arbitrary entry callable (used
 for reference cases such as constant arrays and literal closed forms).
 """
@@ -36,6 +37,7 @@ from .errors import (
     InvalidOffsetError,
     ValidationError,
 )
+from .hankel import DERIVATION_FACTORS, hankel_windows
 from .linalg import as_matrix, check_dense_cap, op_norm_dense
 from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family
 
@@ -119,10 +121,8 @@ def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
     if spec.entry_fn is not None:
         ks = range(spec.offset, spec.offset + size)
         return as_matrix([[spec.entry_fn(i, j) for j in ks] for i in ks])
-    idx = np.arange(spec.offset, spec.offset + size, dtype=np.int64)
-    jj, ii = np.meshgrid(idx, idx)
-    g = spec.g_values(ii + jj)
-    return (jj - ii) * g
+    g = spec.g_values(np.arange(2 * spec.offset, 2 * (spec.offset + size) - 1))
+    return DERIVATION_FACTORS["commutator"](*np.ogrid[:size, :size]) * hankel_windows(g, size)
 
 
 # ---- second-difference summability ------------------------------------

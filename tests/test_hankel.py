@@ -23,12 +23,35 @@ from foguel_lab import (
 )
 
 
+# the builders must reproduce these literal entry loops byte for byte,
+# signed zeros included; the custom family carries -0.0 entries
+LOOP_FAMILIES = (
+    WeightSequence.geometric(0.5),
+    WeightSequence.power(2.0),
+    WeightSequence.harmonic(),
+    WeightSequence.pisier_flat(),
+    WeightSequence.log_family(1.0).shifted(1),
+    WeightSequence.custom([-0.0, 1.0, -2.5, 0.0, 3.0, -0.0, 7.0]),
+)
+LOOP_SIZES = (1, 2, 5, 16)
+
+
+def assert_entry_loop(section, n, entry):
+    loop = np.array([[entry(i, j) for j in range(n)] for i in range(n)], dtype=float)
+    assert section.shape == loop.shape
+    assert section.tobytes() == loop.tobytes()
+
+
 def test_hankel_entries_follow_the_sequence():
     spec = HankelSpec(WeightSequence.geometric(0.5), 4)
     h = make_hankel(spec)
     for i in range(4):
         for j in range(4):
             assert h[i, j] == 0.5 ** (i + j)
+    for seq in LOOP_FAMILIES:
+        for n in LOOP_SIZES:
+            h = make_hankel(HankelSpec(seq, n))
+            assert_entry_loop(h, n, lambda i, j: seq.value(i + j))
 
 
 def test_weighted_hankel_carries_the_derivative_weight():
@@ -37,6 +60,10 @@ def test_weighted_hankel_carries_the_derivative_weight():
     for i in range(4):
         for j in range(4):
             assert h[i, j] == (i + j + 1) * 0.5 ** (i + j)
+    for seq in LOOP_FAMILIES:
+        for n in LOOP_SIZES:
+            h = make_weighted_hankel(HankelSpec(seq, n), derivative_weight)
+            assert_entry_loop(h, n, lambda i, j: (i + j + 1) * seq.value(i + j))
 
 
 def test_non_sequence_coefficients_are_refused():
@@ -93,6 +120,20 @@ def test_derivation_products_match_literal_matmul(kind):
         "commutator": gamma @ d - d.conj().T @ gamma,
     }[kind]
     assert np.abs(derivation_product(spec, kind) - literal).max() < 1e-13
+
+
+@pytest.mark.parametrize("kind, factor", [
+    ("commutator", lambda i, j: j - i),
+    ("gamma_d", lambda i, j: j),
+    ("dstar_gamma", lambda i, j: i),
+])
+def test_derivation_products_match_the_entry_loop(kind, factor):
+    for seq in LOOP_FAMILIES:
+        for n in LOOP_SIZES:
+            got = derivation_product(HankelSpec(seq, n), kind)
+            assert_entry_loop(
+                got, n, lambda i, j: factor(i, j) * (seq.value(i + j - 1) if i + j else 0.0)
+            )
 
 
 def test_commutator_is_difference_of_the_one_sided_products():

@@ -108,17 +108,22 @@ def test_a_complex_car_section_stays_complex():
 
 
 def test_dense_norm_of_a_real_section_holds_no_complex_copy():
-    # the float64 N = 2048 geometric section is 32 MiB; building it and
-    # norming it may trace 2.5 times that, not the 128 MiB of a complex
+    # the float64 N = 2048 geometric section is 32 MiB; building it may
+    # trace 1.25 times that (the section and no n x n index array), and
+    # building and norming it 2.5 times, not the 128 MiB of a complex
     # section with a real copy of it
     n = 2048
+    spec = HankelSpec(WeightSequence.geometric(0.5), n)
     tracemalloc.start()
     try:
-        est = op_norm_dense(make_hankel(HankelSpec(WeightSequence.geometric(0.5), n)))
+        section = make_hankel(spec)
+        _, build_peak = tracemalloc.get_traced_memory()
+        est = op_norm_dense(section)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert est.converged
+    assert build_peak <= 1.25 * n * n * 8
     assert peak <= 2.5 * n * n * 8
 
 

@@ -79,11 +79,20 @@ def test_named_kinds_match_their_closed_forms(kind, offset, di, dj, eps):
 
 
 def test_make_multiplier_matches_entry_loop():
-    spec = MultiplierSpec.log_damped(0.5)
-    m = make_multiplier(spec, 5)
-    for r in range(5):
-        for c in range(5):
-            assert m[r, c] == pytest.approx(spec.entry(r + 1, c + 1), abs=1e-15)
+    # byte for byte, over sequence specs at several offsets and sizes
+    specs = (
+        MultiplierSpec.log_damped(0.5),
+        MultiplierSpec.difference_quotient(),
+        MultiplierSpec.loglog_damped(0.25, offset=2),
+        MultiplierSpec.from_sequence(WeightSequence.harmonic(), offset=3),
+    )
+    for spec in specs:
+        for n in (1, 2, 5, 16):
+            m = make_multiplier(spec, n)
+            ks = range(spec.offset, spec.offset + n)
+            loop = np.array([[spec.entry(i, j) for j in ks] for i in ks])
+            assert m.shape == loop.shape
+            assert m.tobytes() == loop.tobytes()
 
 
 def test_offset_moves_the_section():
