@@ -47,18 +47,19 @@ class FoguelBlock:
         return self.t1.shape[0]
 
 
-def assemble_foguel(t2, t1, x) -> FoguelBlock:
-    """Build R = [[T2*, X], [0, T1]] from the three ingredients."""
-    t2 = as_matrix(t2)
-    t1 = as_matrix(t1)
-    x = as_matrix(x)
+def _foguel_operands(t2, t1, x):
+    t2, t1, x = (as_matrix(m) for m in (t2, t1, x))
     n = t1.shape[0]
     for name, a in (("t2", t2), ("t1", t1), ("x", x)):
         if a.shape != (n, n):
-            raise InvalidDimensionError(
-                f"{name} has shape {a.shape}, expected {(n, n)}"
-            )
-    r = block2x2(t2.conj().T, x, zeros(n), t1)
+            raise InvalidDimensionError(f"{name} has shape {a.shape}, expected {(n, n)}")
+    return t2, t1, x
+
+
+def assemble_foguel(t2, t1, x) -> FoguelBlock:
+    """Build R = [[T2*, X], [0, T1]] from the three ingredients."""
+    t2, t1, x = _foguel_operands(t2, t1, x)
+    r = block2x2(t2.conj().T, x, zeros(t1.shape[0]), t1)
     return FoguelBlock(t2=t2, t1=t1, x=x, matrix=r)
 
 
@@ -190,7 +191,7 @@ def intertwiner_partial(
     the latest ``stab_run`` increments all fell below the tolerance
     (None if that never happens within ``n_terms``).
     """
-    t2, t1, x = (as_matrix(m) for m in (t2, t1, x))
+    t2, t1, x = _foguel_operands(t2, t1, x)
     # one dtype for all three: a mixed product would cast its real factor every step
     dtype = np.result_type(t2, t1, x)
     t2, t1, x = (m.astype(dtype, copy=False) for m in (t2, t1, x))

@@ -149,6 +149,14 @@ def test_shift_form_is_the_formula_shifted_down(seed, d, n):
 # ---- partial-sum intertwiner and similarity ---------------------------
 
 
+def test_intertwiner_rejects_mismatched_shapes(rng):
+    # a 4 x 4 X between shifts of sizes 4 and 5; one term multiplies no T1,
+    # so only the shape check catches it there
+    for n_terms in (1, 2):
+        with pytest.raises(InvalidDimensionError):
+            intertwiner_partial(make_shift(4), make_shift(5), random_complex(rng, 4), n_terms)
+
+
 def test_zero_t1_collapses_the_series(rng):
     n = 8
     t2 = make_shift(n)
