@@ -61,12 +61,10 @@ from .linalg import (
     DENSE_SIZE_CAP,
     NormEstimate,
     as_matrix,
-    block2x2,
     make_shift,
     op_norm,
     op_norm_dense,
     op_norm_power,
-    zeros,
 )
 from .schur import (
     MatrixDiffReport,
@@ -90,71 +88,3 @@ from .summation import exact_sum, exact_sums
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BENNETT_TERMS_CAP",
-    "BennettReport",
-    "CarAlgebra",
-    "DENSE_SIZE_CAP",
-    "FoguelBlock",
-    "HankelSpec",
-    "IntertwinerResult",
-    "InvalidDimensionError",
-    "InvalidLengthError",
-    "InvalidModesError",
-    "InvalidOffsetError",
-    "InvalidPatternError",
-    "InvalidWindowError",
-    "MatrixDiffReport",
-    "MultiplierProbe",
-    "MultiplierSpec",
-    "NormEstimate",
-    "RowColBounds",
-    "SimilarityReport",
-    "SizeCapExceededError",
-    "ValidationError",
-    "VonNeumannReport",
-    "WeightSequence",
-    "antidiag_partial_sum",
-    "antidiag_shift_form",
-    "antidiagonal_sums",
-    "as_matrix",
-    "assemble_foguel",
-    "bennett_criterion",
-    "bennett_sums",
-    "block2x2",
-    "build_car",
-    "car_check",
-    "car_hankel",
-    "car_pattern_matrix",
-    "car_pattern_operator",
-    "circle_sup",
-    "commutator_pattern",
-    "derivation_matrix",
-    "derivation_product",
-    "derivative_weight",
-    "diff1",
-    "diff2",
-    "exact_sum",
-    "exact_sums",
-    "hankel_defect",
-    "hankel_pattern",
-    "intertwiner_partial",
-    "iterated_limits",
-    "make_hankel",
-    "make_multiplier",
-    "make_shift",
-    "make_weighted_hankel",
-    "multiplier_lower_bound",
-    "op_norm",
-    "op_norm_dense",
-    "op_norm_power",
-    "poly_eval_matrix",
-    "power_norm_sequence",
-    "power_offdiag",
-    "rc_bounds",
-    "similarity_check",
-    "sylvester_residual",
-    "unit_weight",
-    "von_neumann_probe",
-    "zeros",
-]

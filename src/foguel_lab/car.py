@@ -86,9 +86,6 @@ class CarAlgebra:
     dim: int
     generators: tuple
 
-    def dense(self, k: int) -> np.ndarray:
-        return self.generators[k].toarray()
-
 
 def build_car(modes: int) -> CarAlgebra:
     """Generators C_0..C_{modes-1} as CSR matrices of size 2^modes."""

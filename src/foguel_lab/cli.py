@@ -100,11 +100,6 @@ _ALPHA_TARGETS = tuple(t for t in NORM_TARGETS if t != "shift")
 _BENNETT_SEQUENCES = ("harmonic", *MULTIPLIER_KINDS.values())
 
 
-def _takes_param(name: str) -> bool:
-    """Whether the family ``name`` of ``sequences.FAMILIES`` takes a parameter."""
-    return FAMILIES[name][1] is not None
-
-
 # ---- parameter parsing -------------------------------------------------
 
 
@@ -299,7 +294,7 @@ def _run_norm(p: dict, seed: int):
 def _run_bennett(p: dict, seed: int):
     seq = family(p["sequence"], p["epsilon"])
     rep = bennett_sums(seq, p["terms"])
-    mrep = bennett_criterion(MultiplierSpec.from_sequence(seq), p["terms"])
+    mrep = bennett_criterion(MultiplierSpec(seq), p["terms"])
     all_ok = all(rep.verdicts) and mrep.verdict
     row = {
         "sequence": p["sequence"],
@@ -435,7 +430,7 @@ COMMANDS = {
             Param("sequence", required=True, choices=_BENNETT_SEQUENCES,
                   unknown="unknown bennett sequence {!r}"),
             Param("epsilon", float, applies=(
-                "sequence", tuple(filter(_takes_param, _BENNETT_SEQUENCES)),
+                "sequence", tuple(s for s in _BENNETT_SEQUENCES if FAMILIES[s][1]),
                 "epsilon only applies to the log/loglog sequences")),
             Param("terms", int, 10000, lo=10),
         ),
@@ -450,7 +445,7 @@ COMMANDS = {
             Param("kind", required=True, choices=tuple(MULTIPLIER_KINDS),
                   unknown="unknown multiplier kind {!r}"),
             Param("epsilon", float, applies=(
-                "kind", tuple(k for k, fam in MULTIPLIER_KINDS.items() if _takes_param(fam)),
+                "kind", tuple(k for k, fam in MULTIPLIER_KINDS.items() if FAMILIES[fam][1]),
                 "epsilon only applies to the damped kinds")),
             Param("sizes", default="16,32,64", parse=parse_sizes, help=_SIZES_HELP),
             Param("witnesses", int, 3, lo=1),

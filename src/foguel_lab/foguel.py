@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidWindowError, ValidationError
-from .linalg import as_matrix, block2x2, make_shift, op_norm_dense, zeros
+from .linalg import as_matrix, make_shift, op_norm_dense
 
 #: How far power_offdiag's two corner routes may disagree (at unit scale),
 #: and ||p(C)|| exceed the circle sup before von_neumann_probe counts it.
@@ -42,10 +42,6 @@ class FoguelBlock:
     x: np.ndarray
     matrix: np.ndarray
 
-    @property
-    def half_dim(self) -> int:
-        return self.t1.shape[0]
-
 
 def _foguel_operands(t2, t1, x):
     t2, t1, x = (as_matrix(m) for m in (t2, t1, x))
@@ -59,7 +55,7 @@ def _foguel_operands(t2, t1, x):
 def assemble_foguel(t2, t1, x) -> FoguelBlock:
     """Build R = [[T2*, X], [0, T1]] from the three ingredients."""
     t2, t1, x = _foguel_operands(t2, t1, x)
-    r = block2x2(t2.conj().T, x, zeros(t1.shape[0]), t1)
+    r = np.block([[t2.conj().T, x], [np.zeros(t1.shape), t1]])
     return FoguelBlock(t2=t2, t1=t1, x=x, matrix=r)
 
 
@@ -77,7 +73,7 @@ def power_offdiag(block: FoguelBlock, n: int) -> np.ndarray:
     a = block.t2.conj().T
     b = block.t1
     x = block.x
-    dim = block.half_dim
+    dim = block.t1.shape[0]
     acc = x.copy()
     b_pow = b
     for _ in range(n - 1):
@@ -250,7 +246,7 @@ def similarity_check(block: FoguelBlock, z, window: int) -> SimilarityReport:
     gauges how much the similarity can distort norms.
     """
     z = as_matrix(z)
-    n = block.half_dim
+    n = block.t1.shape[0]
     if z.shape != (n, n):
         raise InvalidDimensionError(f"Z has shape {z.shape}, expected {(n, n)}")
     if not (1 <= window <= n):
@@ -259,10 +255,10 @@ def similarity_check(block: FoguelBlock, z, window: int) -> SimilarityReport:
     r1 = a @ z - z @ block.t1 - block.x
     residual_full = op_norm_dense(r1).value
     residual_interior = op_norm_dense(r1[:window, :window]).value
-    ident = np.eye(n)
-    l_mat = block2x2(ident, z, zeros(n), ident)
-    l_inv = block2x2(ident, -z, zeros(n), ident)
-    diag = block2x2(a, zeros(n), zeros(n), block.t1)
+    ident, zero = np.eye(n), np.zeros((n, n))
+    l_mat = np.block([[ident, z], [zero, ident]])
+    l_inv = np.block([[ident, -z], [zero, ident]])
+    diag = np.block([[a, zero], [zero, block.t1]])
     conj = op_norm_dense(l_inv @ diag @ l_mat - block.matrix).value
     cond = op_norm_dense(l_mat).value * op_norm_dense(l_inv).value
     return SimilarityReport(

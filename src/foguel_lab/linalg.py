@@ -73,14 +73,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def zeros(rows: int, cols: int | None = None) -> np.ndarray:
-    if cols is None:
-        cols = rows
-    if rows < 1 or cols < 1:
-        raise InvalidDimensionError("matrix dimensions must be >= 1")
-    return np.zeros((rows, cols))
-
-
 def make_shift(n: int) -> np.ndarray:
     """Truncated shift on C^n: entry 1 at (i+1, i), i.e. S e_i = e_{i+1}.
 
@@ -91,16 +83,6 @@ def make_shift(n: int) -> np.ndarray:
         raise InvalidDimensionError("shift size must be >= 1")
     check_dense_cap((n, n))
     return np.eye(n, k=-1)
-
-
-def block2x2(a, b, c, d) -> np.ndarray:
-    """Assemble [[A, B], [C, D]], validating that the four shapes conform."""
-    a, b, c, d = (as_matrix(x) for x in (a, b, c, d))
-    if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0]:
-        raise InvalidDimensionError("block rows do not align")
-    if a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
-        raise InvalidDimensionError("block columns do not align")
-    return np.block([[a, b], [c, d]])
 
 
 @dataclass(frozen=True)

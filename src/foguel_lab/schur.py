@@ -86,14 +86,6 @@ class MultiplierSpec:
     def loglog_damped(cls, eps: float, offset: int = 1) -> "MultiplierSpec":
         return cls(family(MULTIPLIER_KINDS["loglog-damped"], eps), offset=offset)
 
-    @classmethod
-    def from_sequence(cls, seq: WeightSequence, offset: int = 1) -> "MultiplierSpec":
-        return cls(seq, offset=offset)
-
-    @classmethod
-    def custom(cls, fn: Callable, offset: int = 1) -> "MultiplierSpec":
-        return cls(entry_fn=fn, offset=offset)
-
     # ---- evaluation ---------------------------------------------------
 
     def g_values(self, ns) -> np.ndarray:

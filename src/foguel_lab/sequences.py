@@ -46,6 +46,9 @@ _BASE_START = {
     "custom": 0,
 }
 
+#: The kinds whose formula reads ``param``; only ``custom`` reads ``data``.
+_PARAM_KINDS = ("power", "geometric", "log_family", "loglog_family")
+
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -58,6 +61,12 @@ class WeightSequence:
     def __post_init__(self):
         if self.kind not in _BASE_START:
             raise ValidationError(f"unknown sequence kind {self.kind!r}")
+        takes_param = self.kind in _PARAM_KINDS
+        if (self.param is not None) != takes_param:
+            needs = "one parameter" if takes_param else "no parameter"
+            raise ValidationError(f"sequence kind {self.kind!r} takes {needs}")
+        if self.data is not None and self.kind != "custom":
+            raise ValidationError(f"sequence kind {self.kind!r} takes no value list")
         if self.param is not None and not np.isfinite(self.param):
             raise ValidationError(f"sequence parameter {self.param!r} is not finite")
         if self.data is not None and not np.isfinite(self.data).all():
@@ -164,7 +173,7 @@ class WeightSequence:
         base = self.kind.replace("_family", "").replace("_", "-")
         if self.kind == "custom":
             label = f"custom[{len(self.data)}]"
-        elif self.param is not None and self.kind not in ("pisier_flat", "pisier_geometric"):
+        elif self.param is not None:
             label = f"{base}:{_param_text(self.param)}"
         else:
             label = base

@@ -2,8 +2,9 @@
 
 ``perfbench/worker.py`` calls some library functions itself rather than
 through the command line: ``hankel_pattern``, ``car_pattern_matrix``,
-``rc_bounds`` and ``car_hankel`` in the car-sections workload, and the
-Hankel builders with ``sylvester_residual`` in the scalar-sections one.
+``rc_bounds`` and ``car_hankel`` in the car-sections workload, the
+Hankel builders with ``sylvester_residual`` in the scalar-sections one,
+and ``assemble_foguel`` with ``power_offdiag`` in the similarity one.
 A change to their signatures or results would otherwise show only when
 the benchmark runs.  One round of each such call is run here and scored
 by the benchmark's own oracles, which never import the package.
@@ -29,6 +30,8 @@ WORKLOADS = {
                      ("whole ", "cut ")),
     "scalar-sections": ("scalar_calls", "expect_scalar", ("displacement",),
                         ("displacement ",)),
+    "similarity": ("similarity_calls", "expect_similarity", ("block power corner",),
+                   ("block power corner",)),
 }
 
 
@@ -39,8 +42,13 @@ def test_direct_library_calls_score_correct(tmp_path, workload):
     calls = [c for c in getattr(worker, make_calls)(fl, inp, tmp_path) if c[0] in names]
     assert sorted(c[0] for c in calls) == sorted(names)
     errors: list = []
-    _, outputs = worker.run_round(calls, {}, 0, errors)
+    got: dict = {}
+    _, outputs = worker.run_round(calls, got, 0, errors)
     assert not errors
+    for values in outputs.values():
+        for key, v in values.items():
+            if isinstance(v, dict) and "$array" in v:
+                values[key] = got[v["$array"]]
     full, arrays = getattr(oracles, expect)(inp)
     scored = {op: c for op, c in full.items() if op.startswith(prefixes)}
     verdict = checks.evaluate(scored, [outputs], ref_arrays=arrays)

@@ -58,7 +58,7 @@ def test_generators_are_nilpotent():
 
 def test_mixed_relation_by_hand():
     alg = build_car(2)
-    c0 = alg.dense(0)
+    c0 = alg.generators[0].toarray()
     assert np.array_equal(c0 @ c0.conj().T + c0.conj().T @ c0, np.eye(4))
 
 
@@ -81,7 +81,7 @@ def test_sign_corruption_is_loud():
     # negating a single entry of one generator breaks the relations by a
     # full unit, not by round-off
     alg = build_car(3)
-    bad = alg.dense(1)
+    bad = alg.generators[1].toarray()
     idx = np.argwhere(bad != 0)[0]
     bad[idx[0], idx[1]] *= -1.0
     tampered = CarAlgebra(
@@ -120,10 +120,10 @@ def test_tiny_section_assembled_by_hand():
     got = car_hankel(alpha, None, 2)
     d = alg.dim
     expected = np.zeros((2 * d, 2 * d), dtype=complex)
-    expected[:d, :d] = 1.0 * alg.dense(0)
-    expected[:d, d:] = 0.5 * alg.dense(1)
-    expected[d:, :d] = 0.5 * alg.dense(1)
-    expected[d:, d:] = 0.25 * alg.dense(2)
+    expected[:d, :d] = 1.0 * alg.generators[0].toarray()
+    expected[:d, d:] = 0.5 * alg.generators[1].toarray()
+    expected[d:, :d] = 0.5 * alg.generators[1].toarray()
+    expected[d:, d:] = 0.25 * alg.generators[2].toarray()
     assert np.array_equal(got, expected)
 
 
@@ -151,7 +151,7 @@ def test_pattern_lag_and_section_shape_are_checked():
 
     m = car_pattern_matrix(section, 1, 2)
     assert m.shape == (4, 4)
-    assert np.array_equal(m[:2, 2:], build_car(1).dense(0))
+    assert np.array_equal(m[:2, 2:], build_car(1).generators[0].toarray())
     with pytest.raises(InvalidPatternError):
         car_pattern_matrix(section, 2, 2)
     with pytest.raises(InvalidDimensionError):

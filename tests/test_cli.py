@@ -289,7 +289,7 @@ def test_bennett_terms_above_the_cap_are_refused_before_evaluation(
     assert main(argv) == 1
     assert f"exceeds the series cap {BENNETT_TERMS_CAP}" in capsys.readouterr().err
     with pytest.raises(SizeCapExceededError):
-        bennett_criterion(MultiplierSpec.from_sequence(WeightSequence.harmonic()), terms)
+        bennett_criterion(MultiplierSpec(WeightSequence.harmonic()), terms)
 
 
 def test_bennett_row_matches_library(tmp_path):

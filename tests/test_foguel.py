@@ -34,7 +34,7 @@ def unit_block(rng, n):
 def test_assembly_layout(rng):
     t2, t1, x = (random_complex(rng, 3) for _ in range(3))
     blk = assemble_foguel(t2, t1, x)
-    assert blk.half_dim == 3
+    assert blk.matrix.shape == (6, 6)
     assert np.array_equal(blk.matrix[:3, :3], t2.conj().T)
     assert np.array_equal(blk.matrix[:3, 3:], x)
     assert np.abs(blk.matrix[3:, :3]).max() == 0.0

@@ -18,7 +18,6 @@ from foguel_lab import (
     ValidationError,
     WeightSequence,
     as_matrix,
-    block2x2,
     build_car,
     car_pattern_matrix,
     car_pattern_operator,
@@ -33,7 +32,6 @@ from foguel_lab import (
     op_norm,
     op_norm_dense,
     op_norm_power,
-    zeros,
 )
 from foguel_lab.cli import NORM_TARGETS, parse_alpha
 from conftest import random_complex
@@ -75,7 +73,6 @@ GEOMETRIC_PATTERN = hankel_pattern(GEOMETRIC.coefficients)
 #: every real builder, by name: each must come back float64
 REAL_BUILDERS = {
     "make_shift": lambda: make_shift(5),
-    "zeros": lambda: zeros(2, 3),
     "make_hankel": lambda: make_hankel(GEOMETRIC),
     "make_weighted_hankel": lambda: make_weighted_hankel(GEOMETRIC, derivative_weight),
     "derivation_matrix": lambda: derivation_matrix(5),
@@ -83,8 +80,8 @@ REAL_BUILDERS = {
     "gamma_d": lambda: derivation_product(GEOMETRIC, "gamma_d"),
     "dstar_gamma": lambda: derivation_product(GEOMETRIC, "dstar_gamma"),
     "multiplier": lambda: make_multiplier(MultiplierSpec.difference_quotient(), 5),
-    "integer-multiplier": lambda: make_multiplier(MultiplierSpec.custom(lambda i, j: i - j), 5),
-    "car_dense": lambda: build_car(3).dense(1),
+    "integer-multiplier": lambda: make_multiplier(MultiplierSpec(entry_fn=lambda i, j: i - j), 5),
+    "car_dense": lambda: build_car(3).generators[1].toarray(),
     "car_pattern_operator": lambda: car_pattern_operator(*GEOMETRIC_PATTERN, 3),
     "car_pattern_matrix": lambda: car_pattern_matrix(*GEOMETRIC_PATTERN, 3),
 }
@@ -136,27 +133,6 @@ def test_shift_is_a_contraction_of_norm_one():
 def test_make_shift_rejects_tiny():
     with pytest.raises(InvalidDimensionError):
         make_shift(0)
-
-
-def test_block2x2_identity_doubling():
-    r = block2x2(np.eye(3), zeros(3), zeros(3), np.eye(3))
-    assert np.array_equal(r, np.eye(6))
-
-
-def test_block2x2_zero_coupling_squares_blockwise():
-    s = make_shift(4)
-    r = block2x2(s.conj().T, zeros(4), zeros(4), s)
-    r2 = r @ r
-    assert np.array_equal(r2[:4, :4], s.conj().T @ s.conj().T)
-    assert np.array_equal(r2[4:, 4:], s @ s)
-    assert np.abs(r2[:4, 4:]).max() == 0.0
-    assert np.abs(r2[4:, :4]).max() == 0.0
-
-
-def test_block2x2_top_right_roundtrip(rng):
-    x = random_complex(rng, 5)
-    r = block2x2(np.eye(5), x, zeros(5), np.eye(5))
-    assert np.array_equal(r[:5, 5:], x)
 
 
 def test_op_norm_dense_against_numpy(rng):

@@ -37,7 +37,7 @@ def haar_unitary(n, rng):
 
 
 def test_all_ones_is_schur_identity():
-    probe = multiplier_lower_bound(MultiplierSpec.custom(lambda i, j: 1.0), 4, witnesses=6)
+    probe = multiplier_lower_bound(MultiplierSpec(entry_fn=lambda i, j: 1.0), 4, witnesses=6)
     assert [r for _, r in probe.ratios] == [1.0] * 6
 
 
@@ -51,7 +51,7 @@ def test_structured_entries_are_antisymmetric(kind, i, j):
         "dq": MultiplierSpec.difference_quotient(),
         "log": MultiplierSpec.log_damped(0.5),
         "loglog": MultiplierSpec.loglog_damped(1.0),
-        "seq": MultiplierSpec.from_sequence(WeightSequence.harmonic()),
+        "seq": MultiplierSpec(WeightSequence.harmonic()),
     }[kind]
     assert spec.entry(i, j) == pytest.approx(-spec.entry(j, i), abs=1e-15)
     assert spec.entry(i, i) == 0.0
@@ -84,7 +84,7 @@ def test_make_multiplier_matches_entry_loop():
         MultiplierSpec.log_damped(0.5),
         MultiplierSpec.difference_quotient(),
         MultiplierSpec.loglog_damped(0.25, offset=2),
-        MultiplierSpec.from_sequence(WeightSequence.harmonic(), offset=3),
+        MultiplierSpec(WeightSequence.harmonic(), offset=3),
     )
     for spec in specs:
         for n in (1, 2, 5, 16):
@@ -105,7 +105,7 @@ def test_offset_moves_the_section():
 
 
 def test_from_sequence_uses_the_quotient_profile():
-    spec = MultiplierSpec.from_sequence(WeightSequence.harmonic())
+    spec = MultiplierSpec(WeightSequence.harmonic())
     # m(i, j) = (j - i) a_{i+j} / (i + j + 1) with a_n = 1/n
     assert spec.entry(2, 5) == pytest.approx(3.0 / (7.0 * 8.0))
 
@@ -122,10 +122,10 @@ def test_damped_kinds_validate_epsilon_and_offset():
 def test_an_offset_below_the_sequence_start_is_refused():
     # harmonic starts at 1, and an offset-0 section reads a(0) at (0, 0)
     with pytest.raises(InvalidOffsetError):
-        MultiplierSpec.from_sequence(WeightSequence.harmonic(), offset=0)
+        MultiplierSpec(WeightSequence.harmonic(), offset=0)
     with pytest.raises(InvalidOffsetError):
         MultiplierSpec.loglog_damped(1.0, offset=0)
-    assert MultiplierSpec.from_sequence(WeightSequence.constant(), offset=0).entry(0, 1) == 0.5
+    assert MultiplierSpec(WeightSequence.constant(), offset=0).entry(0, 1) == 0.5
 
 
 def test_a_spec_takes_exactly_one_of_sequence_and_entry_fn():
@@ -154,7 +154,7 @@ def test_criterion_closed_form_matches_direct_summation():
     # same array fed through the structured O(T) route and the generic
     # entry-by-entry route; the two summations are independent code paths
     structured = MultiplierSpec.difference_quotient()
-    literal = MultiplierSpec.custom(lambda i, j: (j - i) / (i + j + 1.0))
+    literal = MultiplierSpec(entry_fn=lambda i, j: (j - i) / (i + j + 1.0))
     rs = bennett_criterion(structured, 80)
     rl = bennett_criterion(literal, 80)
     sums_s = antidiagonal_sums(structured, 80)
@@ -163,13 +163,13 @@ def test_criterion_closed_form_matches_direct_summation():
 
 
 def test_constant_array_has_no_second_difference_mass():
-    rep = bennett_criterion(MultiplierSpec.custom(lambda i, j: 3.0), 60)
+    rep = bennett_criterion(MultiplierSpec(entry_fn=lambda i, j: 3.0), 60)
     assert rep.total == 0.0
     assert rep.row_tail == 3.0  # rows do not vanish: criterion inapplicable
 
 
 def test_alternating_array_diverges_linearly():
-    spec = MultiplierSpec.custom(lambda i, j: (-1.0) ** (i + j))
+    spec = MultiplierSpec(entry_fn=lambda i, j: (-1.0) ** (i + j))
     rep = bennett_criterion(spec, 60)
     sums = antidiagonal_sums(spec, 60)
     # every second difference has modulus 4, so antidiagonal sums grow
@@ -228,7 +228,7 @@ def test_iterated_limits_rejects_small_indices():
 
 def test_all_ones_spec_probe_is_exactly_one():
     probe = multiplier_lower_bound(
-        MultiplierSpec.custom(lambda i, j: 1.0), 8, witnesses=5, seed=0
+        MultiplierSpec(entry_fn=lambda i, j: 1.0), 8, witnesses=5, seed=0
     )
     assert probe.lower_bound == 1.0
 

@@ -223,6 +223,30 @@ def test_non_finite_parameters_are_refused(build):
         build()
 
 
+#: The arguments each sequence kind takes.
+KIND_ARGS = {
+    "pisier_flat": {},
+    "pisier_geometric": {},
+    "power": {"param": 0.5},
+    "geometric": {"param": 0.5},
+    "log_family": {"param": 0.5},
+    "loglog_family": {"param": 0.5},
+    "custom": {"data": (1.0,)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_ARGS))
+def test_each_kind_refuses_a_missing_or_extra_argument(kind):
+    args = KIND_ARGS[kind]
+    WeightSequence(kind, **args)
+    wrong = [{k: v for k, v in args.items() if k != missing} for missing in args]
+    wrong += [{**args, extra: value} for extra, value in (("param", 3.0), ("data", (1.0,)))
+              if extra not in args]
+    for kwargs in wrong:
+        with pytest.raises(ValidationError):
+            WeightSequence(kind, **kwargs)
+
+
 def test_family_refuses_unknown_names_and_a_wrong_parameter_count():
     with pytest.raises(ValidationError, match="expected " + re.escape(FAMILY_HELP)):
         family("fibonacci")
