@@ -41,7 +41,6 @@ from .foguel import (
     circle_sup,
     intertwiner_partial,
     poly_eval_matrix,
-    power_norm_sequence,
     power_offdiag,
     similarity_check,
     von_neumann_probe,

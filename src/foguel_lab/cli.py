@@ -347,6 +347,8 @@ def _run_similarity(p: dict, seed: int):
     n, corner = p["size"], p["corner"]
     if corner > n:
         raise ValidationError("corner must not exceed size")
+    if p["window"] > n:
+        raise ValidationError("window must not exceed size")
     t2 = make_shift(n)
     t1 = p["rho"] * make_shift(n)
     rng = np.random.default_rng(seed)

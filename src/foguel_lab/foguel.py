@@ -92,22 +92,6 @@ def power_offdiag(block: FoguelBlock, n: int) -> np.ndarray:
     return acc
 
 
-def power_norm_sequence(t, max_power: int) -> np.ndarray:
-    """[||T||, ||T^2||, ..., ||T^max_power||] by iterated multiplication."""
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise InvalidDimensionError("expected a square matrix")
-    if max_power < 1:
-        raise ValidationError("max_power must be >= 1")
-    out = np.empty(max_power, dtype=float)
-    p = t.copy()
-    out[0] = op_norm_dense(p).value
-    for k in range(1, max_power):
-        p = p @ t
-        out[k] = op_norm_dense(p).value
-    return out
-
-
 # ---- antidiagonal coupling sums ---------------------------------------
 
 

@@ -102,11 +102,21 @@ def derivation_matrix(n: int) -> np.ndarray:
     return np.diag(np.arange(1.0, n), 1)
 
 
-DERIVATION_FACTORS = {
-    "commutator": lambda i, j: j - i,
-    "gamma_d": lambda i, j: j,
-    "dstar_gamma": lambda i, j: i,
+DERIVATION_FACTORS = {  # (c_i, c_j): the factor c_i i + c_j j
+    "commutator": (-1, 1),
+    "gamma_d": (0, 1),
+    "dstar_gamma": (1, 0),
 }
+
+
+def _factor_section(kind: str, table, n: int) -> np.ndarray:
+    """(c_i i + c_j j) table[i+j]: the exact float64 factor takes the window
+    in place, so the build holds one n x n array and no integer factor."""
+    c_i, c_j = DERIVATION_FACTORS[kind]
+    k = np.arange(n, dtype=np.float64)
+    section = np.add.outer(c_i * k, c_j * k)
+    section *= hankel_windows(table, n)
+    return section
 
 
 def derivation_product(spec: HankelSpec, kind: str) -> np.ndarray:
@@ -122,7 +132,7 @@ def derivation_product(spec: HankelSpec, kind: str) -> np.ndarray:
     n = spec.size
     check_dense_cap((n, n))
     table = np.concatenate([[0.0], spec.coeff_table(2 * n - 2)])
-    return DERIVATION_FACTORS[kind](*np.ogrid[:n, :n]) * hankel_windows(table, n)
+    return _factor_section(kind, table, n)
 
 
 def sylvester_residual(y, gamma, window: int | None = None) -> float:

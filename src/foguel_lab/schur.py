@@ -37,7 +37,7 @@ from .errors import (
     InvalidOffsetError,
     ValidationError,
 )
-from .hankel import DERIVATION_FACTORS, hankel_windows
+from .hankel import _factor_section
 from .linalg import as_matrix, check_dense_cap, op_norm_dense
 from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family
 
@@ -114,7 +114,7 @@ def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
         ks = range(spec.offset, spec.offset + size)
         return as_matrix([[spec.entry_fn(i, j) for j in ks] for i in ks])
     g = spec.g_values(np.arange(2 * spec.offset, 2 * (spec.offset + size) - 1))
-    return DERIVATION_FACTORS["commutator"](*np.ogrid[:size, :size]) * hankel_windows(g, size)
+    return _factor_section("commutator", g, size)
 
 
 # ---- second-difference summability ------------------------------------

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,8 @@ from foguel_lab.cli import (
     resolve_seed,
 )
 from foguel_lab.sequences import family
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_csv(path: Path):
@@ -290,6 +295,27 @@ def test_bennett_terms_above_the_cap_are_refused_before_evaluation(
     assert f"exceeds the series cap {BENNETT_TERMS_CAP}" in capsys.readouterr().err
     with pytest.raises(SizeCapExceededError):
         bennett_criterion(MultiplierSpec(WeightSequence.harmonic()), terms)
+
+
+@pytest.mark.parametrize("oversize", ["window", "corner"])
+def test_similarity_window_or_corner_above_the_size_is_refused_before_the_series(
+    tmp_path, monkeypatch, capsys, oversize
+):
+    def no_series(*args, **kwargs):
+        raise AssertionError("intertwiner series summed for a refused similarity run")
+
+    monkeypatch.setattr("foguel_lab.cli.intertwiner_partial", no_series)
+    params = {"size": 1024, "n_terms": 100, "window": 64, "corner": 16, oversize: 2000}
+    argv = ["similarity"]
+    for key, value in params.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert main(argv + ["--out", str(tmp_path / "flags")]) == 1
+    assert capsys.readouterr().err == f"error: {oversize} must not exceed size\n"
+    spec = make_sweep_spec(tmp_path / "spec.json",
+                           [{"id": 0, "command": "similarity", "params": params}])
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 1
+    job = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["jobs"][0]
+    assert (job["exit_code"], job["error"]) == (1, f"{oversize} must not exceed size")
 
 
 def test_bennett_row_matches_library(tmp_path):
@@ -639,3 +665,23 @@ def test_flags_and_sweep_params_share_their_defaults(tmp_path, command):
     assert main(["sweep", str(spec), "--out", str(swept)]) == 0
     family = FAMILY_OF[command]
     assert (flags / f"{family}.csv").read_bytes() == (swept / f"{family}.csv").read_bytes()
+
+
+def test_the_console_entry_point_runs_in_its_own_process(tmp_path):
+    """`foguel-lab` is cli.entry_point; run through `python -m`, its exit
+    status is main()'s return code."""
+    assert 'foguel-lab = "foguel_lab.cli:entry_point"' in (
+        ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "foguel_lab.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    ok = run("car-check", "--modes", "2", "--out", str(tmp_path))
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "car.csv").is_file()
+    bad = run("car-check", "--no-such-flag", "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 1
+    assert "--no-such-flag" in bad.stderr

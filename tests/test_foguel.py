@@ -15,7 +15,6 @@ from foguel_lab import (
     make_shift,
     op_norm_dense,
     poly_eval_matrix,
-    power_norm_sequence,
     power_offdiag,
     similarity_check,
     von_neumann_probe,
@@ -82,12 +81,6 @@ def test_power_offdiag_rejects_zero_power(rng):
     blk = assemble_foguel(*(random_complex(rng, 3) for _ in range(3)))
     with pytest.raises(ValidationError):
         power_offdiag(blk, 0)
-
-
-def test_power_norm_sequence_on_the_shift():
-    norms = power_norm_sequence(make_shift(6), 8)
-    assert np.array_equal(norms[:5], np.ones(5))  # isometric until nilpotency
-    assert np.array_equal(norms[5:], np.zeros(3))
 
 
 # ---- sliding antidiagonal sums ----------------------------------------

@@ -124,6 +124,28 @@ def test_dense_norm_of_a_real_section_holds_no_complex_copy():
     assert peak <= 2.5 * n * n * 8
 
 
+J_MINUS_I_BUILDERS = {
+    "commutator": lambda n: derivation_product(
+        HankelSpec(WeightSequence.geometric(0.5), n), "commutator"),
+    "multiplier": lambda n: make_multiplier(MultiplierSpec.difference_quotient(), n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(J_MINUS_I_BUILDERS))
+def test_a_j_minus_i_section_builds_without_an_integer_factor(name):
+    # the same 1.25-section build pin as make_hankel above: the n x n
+    # factor j - i is the float64 section itself, not an int64 array
+    # beside it
+    n = 2048
+    tracemalloc.start()
+    try:
+        J_MINUS_I_BUILDERS[name](n)
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 1.25 * n * n * 8
+
+
 def test_shift_is_a_contraction_of_norm_one():
     # the truncated shift is isometric on all but the last basis vector
     for n in (2, 5, 17):
