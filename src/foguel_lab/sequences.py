@@ -1,31 +1,30 @@
 """Coefficient sequences and scalar series diagnostics.
 
 A :class:`WeightSequence` is a lazily evaluated real sequence: ``value(k)``
-for ``k >= start_index`` and 0 below.  The built-in kinds cover every
-coefficient family used by the operator constructions:
+for ``k >= start_index`` and 0 below.  :data:`FAMILIES` holds every
+coefficient family used by the operator constructions, one row each:
 
-* ``pisier_flat``      — 1 at the lacunary indices 2^j - 1, else 0;
-* ``pisier_geometric`` — 2^-j at index 2^j - 1 (equivalently 1/(k+1) on
+* ``pisier-flat``      — 1 at the lacunary indices 2^j - 1, else 0;
+* ``pisier-geometric`` — 2^-j at index 2^j - 1 (equivalently 1/(k+1) on
   the lacunary set), else 0;
-* ``power(s)``         — (k+1)^-s;
-* ``geometric(r)``     — r^k for 0 < r < 1;
-* ``log_family(eps)``  — 1/(log k)^(1+eps), defined for k >= 2;
-* ``loglog_family(eps)`` — 1/((log k)(log log k)^(1+eps)), defined for
-  k >= 3 so that the iterated logarithm is positive;
-* ``custom(values)``   — an explicit finite list, 0 beyond its end.
+* ``harmonic``         — 1/k for k >= 1;
+* ``constant``         — 1 (the divergence test sequence);
+* ``power:S``          — (k+1)^-s;
+* ``geometric:R``      — r^k for 0 < r < 1;
+* ``log:EPS``          — 1/(log(k+1))^(1+eps) for k >= 1;
+* ``loglog:EPS``       — 1/(log(k+1) (log log(k+1))^(1+eps)) for k >= 2, so
+  that the iterated logarithm is positive.
 
-``shifted(d)`` re-indexes a family (value at k becomes the formula at
-k + d).  That is how the series view (a_n)_{n>=1} of a multiplier matrix
-is aligned with its entries: e.g. ``power(1).shifted(-1)`` is the harmonic
-sequence a_n = 1/n.  :func:`family` looks a family up by name in
-:data:`FAMILIES`, whose ``log:EPS`` is shifted by one so that the quotient
-matrix [(j-i) a_{i+j} / (i+j+1)] has the log-damped entries
-(j-i) / ((i+j+1) log^(1+eps)(i+j+1)).
+``log`` and ``loglog`` read log(k+1) so that the quotient matrix
+[(j-i) a_{i+j} / (i+j+1)] has the log-damped entries
+(j-i) / ((i+j+1) log^(1+eps)(i+j+1)).  ``custom(values)`` is an explicit
+finite list, 0 beyond its end, and belongs to no family.  ``shifted(d)``
+re-indexes a sequence (value at k becomes the formula at k + d).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,32 +35,43 @@ from .summation import exact_sum, exact_sums
 #: hold a few float arrays of that length at once, about 47 bytes a term.
 BENNETT_TERMS_CAP = 10 ** 8
 
-_BASE_START = {
-    "pisier_flat": 0,
-    "pisier_geometric": 0,
-    "power": 0,
-    "geometric": 0,
-    "log_family": 2,
-    "loglog_family": 3,
-    "custom": 0,
+
+def _loglog(k, eps):
+    lg = np.log(k + 1)
+    return 1.0 / (lg * np.log(lg) ** (1.0 + eps))
+
+
+#: The named coefficient families: name -> (first index, label of its one
+#: parameter or None, formula(k, param) for index arrays k >= first index).
+FAMILIES = {
+    "pisier-flat": (0, None, lambda k, _: np.where(((k + 1) & k) == 0, 1.0, 0.0)),
+    "pisier-geometric": (0, None, lambda k, _: np.where(((k + 1) & k) == 0, 1.0 / (k + 1), 0.0)),
+    "harmonic": (1, None, lambda k, _: (k + 0.0) ** -1.0),
+    "constant": (0, None, lambda k, _: np.ones(k.shape)),
+    "power": (0, "S", lambda k, s: (k + 1.0) ** (-s)),
+    "geometric": (0, "R", lambda k, r: r ** k.astype(float)),
+    "log": (1, "EPS", lambda k, eps: 1.0 / np.log(k + 1) ** (1.0 + eps)),
+    "loglog": (2, "EPS", _loglog),
 }
 
-#: The kinds whose formula reads ``param``; only ``custom`` reads ``data``.
-_PARAM_KINDS = ("power", "geometric", "log_family", "loglog_family")
+FAMILY_HELP = " | ".join(f"{name}:{label}" if label else name
+                        for name, (_, label, _) in FAMILIES.items())
 
 
 @dataclass(frozen=True)
 class WeightSequence:
+    """The family ``kind`` (a :data:`FAMILIES` name) at ``param``, or the
+    ``custom`` list ``data``, read ``shift`` indices ahead."""
+
     kind: str
     param: float | None = None
     data: tuple[float, ...] | None = None
     shift: int = 0
-    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _BASE_START:
+        if self.kind != "custom" and self.kind not in FAMILIES:
             raise ValidationError(f"unknown sequence kind {self.kind!r}")
-        takes_param = self.kind in _PARAM_KINDS
+        takes_param = self.kind != "custom" and FAMILIES[self.kind][1] is not None
         if (self.param is not None) != takes_param:
             needs = "one parameter" if takes_param else "no parameter"
             raise ValidationError(f"sequence kind {self.kind!r} takes {needs}")
@@ -73,7 +83,7 @@ class WeightSequence:
             raise ValidationError("custom sequence values must be finite")
         if self.kind == "geometric" and not (0.0 < float(self.param) < 1.0):
             raise ValidationError("geometric ratio must lie in (0, 1)")
-        if self.kind in ("log_family", "loglog_family") and not float(self.param) > 0.0:
+        if self.kind in ("log", "loglog") and not float(self.param) > 0.0:
             raise ValidationError("damping exponent must be > 0")
         if self.kind == "custom" and (self.data is None or len(self.data) == 0):
             raise ValidationError("custom sequence needs a non-empty value list")
@@ -82,11 +92,19 @@ class WeightSequence:
 
     @classmethod
     def pisier_flat(cls) -> "WeightSequence":
-        return cls("pisier_flat")
+        return cls("pisier-flat")
 
     @classmethod
     def pisier_geometric(cls) -> "WeightSequence":
-        return cls("pisier_geometric")
+        return cls("pisier-geometric")
+
+    @classmethod
+    def harmonic(cls) -> "WeightSequence":
+        return cls("harmonic")
+
+    @classmethod
+    def constant(cls) -> "WeightSequence":
+        return cls("constant")
 
     @classmethod
     def power(cls, s: float) -> "WeightSequence":
@@ -97,36 +115,19 @@ class WeightSequence:
         return cls("geometric", param=float(r))
 
     @classmethod
-    def log_family(cls, eps: float) -> "WeightSequence":
-        return cls("log_family", param=float(eps))
-
-    @classmethod
-    def loglog_family(cls, eps: float) -> "WeightSequence":
-        return cls("loglog_family", param=float(eps))
-
-    @classmethod
     def custom(cls, values) -> "WeightSequence":
         return cls("custom", data=tuple(float(v) for v in values))
-
-    @classmethod
-    def harmonic(cls) -> "WeightSequence":
-        """a_n = 1/n for n >= 1."""
-        return replace(cls.power(1.0).shifted(-1), name="harmonic")
-
-    @classmethod
-    def constant(cls) -> "WeightSequence":
-        """a_k = 1 for every k (the divergence test sequence)."""
-        return replace(cls.power(0.0), name="constant")
 
     # ---- evaluation ---------------------------------------------------
 
     @property
     def start_index(self) -> int:
-        return max(0, _BASE_START[self.kind] - self.shift)
+        first = 0 if self.kind == "custom" else FAMILIES[self.kind][0]
+        return max(0, first - self.shift)
 
     def shifted(self, delta: int) -> "WeightSequence":
         """Sequence whose value at k is this formula evaluated at k + delta."""
-        return replace(self, shift=self.shift + int(delta), name=None)
+        return replace(self, shift=self.shift + int(delta))
 
     def values_at(self, indices) -> np.ndarray:
         """Vectorized evaluation; indices below start_index give 0."""
@@ -136,7 +137,7 @@ class WeightSequence:
         out = np.zeros(ks.shape, dtype=float)
         mask = ks >= self.start_index
         if mask.any():
-            k2 = ks[mask] + self.shift  # argument fed to the base formula
+            k2 = ks[mask] + self.shift  # argument fed to the formula
             out[mask] = self._formula(k2)
         return out[0] if scalar else out
 
@@ -144,23 +145,8 @@ class WeightSequence:
         return float(self.values_at(k))
 
     def _formula(self, k2: np.ndarray) -> np.ndarray:
-        kind = self.kind
-        if kind == "pisier_flat":
-            p = k2 + 1
-            return np.where((p & (p - 1)) == 0, 1.0, 0.0)
-        if kind == "pisier_geometric":
-            p = k2 + 1
-            return np.where((p & (p - 1)) == 0, 1.0 / p, 0.0)
-        if kind == "power":
-            return (k2 + 1.0) ** (-self.param)
-        if kind == "geometric":
-            return self.param ** k2.astype(float)
-        if kind == "log_family":
-            return 1.0 / np.log(k2) ** (1.0 + self.param)
-        if kind == "loglog_family":
-            lg = np.log(k2)
-            return 1.0 / (lg * np.log(lg) ** (1.0 + self.param))
-        # custom
+        if self.kind != "custom":
+            return FAMILIES[self.kind][2](k2, self.param)
         arr = np.asarray(self.data, dtype=float)
         out = np.zeros(k2.shape, dtype=float)
         ok = (k2 >= 0) & (k2 < len(arr))
@@ -168,15 +154,14 @@ class WeightSequence:
         return out
 
     def describe(self) -> str:
-        if self.name:
-            return self.name
-        base = self.kind.replace("_family", "").replace("_", "-")
-        if self.kind == "custom":
-            label = f"custom[{len(self.data)}]"
-        elif self.param is not None:
-            label = f"{base}:{_param_text(self.param)}"
-        else:
-            label = base
+        """``kind[:param][±shift]``, or ``custom[length][±shift]``.
+
+        The label of an unshifted family sequence reads back through
+        :func:`family` as the same sequence.
+        """
+        label = f"custom[{len(self.data)}]" if self.kind == "custom" else self.kind
+        if self.param is not None:
+            label += f":{_param_text(self.param)}"
         if self.shift:
             label += f"{self.shift:+d}"
         return label
@@ -188,40 +173,15 @@ def _param_text(x: float) -> str:
     return text if float(text) == x else repr(x)
 
 
-#: The named coefficient families: name -> (constructor, label of its one
-#: parameter, or None when it takes none).
-FAMILIES = {
-    "pisier-flat": (WeightSequence.pisier_flat, None),
-    "pisier-geometric": (WeightSequence.pisier_geometric, None),
-    "harmonic": (WeightSequence.harmonic, None),
-    "constant": (WeightSequence.constant, None),
-    "power": (WeightSequence.power, "S"),
-    "geometric": (WeightSequence.geometric, "R"),
-    "log": (lambda eps: WeightSequence.log_family(eps).shifted(1), "EPS"),
-    "loglog": (lambda eps: WeightSequence.loglog_family(eps).shifted(1), "EPS"),
-}
-
-FAMILY_HELP = " | ".join(f"{name}:{label}" if label else name
-                        for name, (_, label) in FAMILIES.items())
-
-
 def family(name: str, param: float | None = None) -> WeightSequence:
-    """The sequence of the family ``name``, given its parameter if it takes one.
-
-    A family that takes a parameter names its sequence ``NAME:X``, so the
-    ``describe()`` of every family's sequence reads back through
-    :func:`family` as the same sequence.
-    """
+    """The sequence of the family ``name``, given its parameter if it takes one."""
     if name not in FAMILIES:
         raise ValidationError(f"unknown coefficient family {name!r}; expected {FAMILY_HELP}")
-    make, label = FAMILIES[name]
+    label = FAMILIES[name][1]
     if (param is None) != (label is None):
         needs = "no parameter" if label is None else f"one parameter {label}"
         raise ValidationError(f"family {name!r} takes {needs}")
-    if label is None:
-        return make()
-    seq = make(param)
-    return replace(seq, name=f"{name}:{_param_text(seq.param)}")
+    return WeightSequence(name, param=None if param is None else float(param))
 
 
 def diff1(a) -> np.ndarray:

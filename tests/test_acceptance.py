@@ -170,8 +170,8 @@ def test_c04_harmonic_telescoping_sums():
 
 
 DAMPED_FAMILIES = [
-    ("log-eps1", WeightSequence.log_family(1.0).shifted(1), MultiplierSpec.log_damped(1.0)),
-    ("loglog-eps1", WeightSequence.loglog_family(1.0).shifted(1), MultiplierSpec.loglog_damped(1.0)),
+    ("log-eps1", WeightSequence("log", param=1.0), MultiplierSpec.log_damped(1.0)),
+    ("loglog-eps1", WeightSequence("loglog", param=1.0), MultiplierSpec.loglog_damped(1.0)),
 ]
 
 

@@ -37,7 +37,7 @@ from foguel_lab.cli import (
     parse_alpha,
     resolve_seed,
 )
-from foguel_lab.sequences import family
+from foguel_lab.sequences import FAMILIES, family
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,13 +59,11 @@ def test_parse_alpha_families():
 
 
 @pytest.mark.parametrize("alpha, cell", [
+    *((f"{name}:0.5",) * 2 if label else (name,) * 2 for name, (_, label, _) in FAMILIES.items()),
     ("log:1", "log:1"),  # was log:1+1, which --alpha refused
     ("loglog:0.25", "loglog:0.25"),
     ("power:1.23456789", "power:1.23456789"),  # was power:1.23457
     ("power:2.0", "power:2"),
-    ("geometric:0.5", "geometric:0.5"),
-    ("harmonic", "harmonic"),
-    ("pisier-geometric", "pisier-geometric"),
 ])
 def test_norm_param_cell_reads_back_as_its_alpha(tmp_path, alpha, cell):
     for text in (alpha, cell):

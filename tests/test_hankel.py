@@ -30,7 +30,7 @@ LOOP_FAMILIES = (
     WeightSequence.power(2.0),
     WeightSequence.harmonic(),
     WeightSequence.pisier_flat(),
-    WeightSequence.log_family(1.0).shifted(1),
+    WeightSequence("log", param=1.0),
     WeightSequence.custom([-0.0, 1.0, -2.5, 0.0, 3.0, -0.0, 7.0]),
 )
 LOOP_SIZES = (1, 2, 5, 16)

@@ -105,10 +105,10 @@ def test_a_complex_car_section_stays_complex():
 
 
 def test_dense_norm_of_a_real_section_holds_no_complex_copy():
-    # the float64 N = 2048 geometric section is 32 MiB; building it may
-    # trace 1.25 times that (the section and no n x n index array), and
-    # building and norming it 2.5 times, not the 128 MiB of a complex
-    # section with a real copy of it
+    # the float64 N = 2048 geometric section is 32 MiB; building it, and
+    # building and norming it, may each trace 1.25 times that: the section
+    # and no n x n temporary (no index array, no |a|), not the 128 MiB of a
+    # complex section with a real copy of it
     n = 2048
     spec = HankelSpec(WeightSequence.geometric(0.5), n)
     tracemalloc.start()
@@ -121,7 +121,7 @@ def test_dense_norm_of_a_real_section_holds_no_complex_copy():
         tracemalloc.stop()
     assert est.converged
     assert build_peak <= 1.25 * n * n * 8
-    assert peak <= 2.5 * n * n * 8
+    assert peak <= 1.25 * n * n * 8
 
 
 J_MINUS_I_BUILDERS = {

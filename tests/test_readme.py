@@ -18,16 +18,32 @@ def readme_command_lines():
     return [shlex.split(line) for line in block.splitlines() if line.strip()]
 
 
+def line_id(argv):
+    """The line's command and values (a file by its name), without ``--out X``.
+
+    An id made of the line's own arguments survives the insertion of other
+    lines; leaving out the option names keeps each test name short enough
+    to be listed whole.
+    """
+    args = argv[1:]
+    if "--out" in args:
+        i = args.index("--out")
+        del args[i:i + 2]
+    return "_".join(Path(a).name for a in args if not a.startswith("--"))
+
+
 LINES = readme_command_lines()
+IDS = [line_id(argv) for argv in LINES]
 
 
 def test_the_command_line_block_is_found():
     assert len(LINES) >= 8
     assert all(argv[0] == "foguel-lab" for argv in LINES)
+    assert len(set(IDS)) == len(IDS)
 
 
-@pytest.mark.parametrize("argv", LINES, ids=[f"{i}-{a[1]}" for i, a in enumerate(LINES)])
-def test_readme_command_line_runs(tmp_path, argv):
+@pytest.mark.parametrize("argv", LINES, ids=IDS)
+def test_readme_line_runs(tmp_path, argv):
     args = []
     it = iter(argv[1:])
     for tok in it:

@@ -193,7 +193,7 @@ def test_log_damped_passes_the_criterion():
     assert rep.row_tail < 1e-2
     assert rep.col_tail < 1e-2
     # and the chain of series bounds dominates the matrix partial sum
-    seq = WeightSequence.log_family(1.0).shifted(1)
+    seq = WeightSequence("log", param=1.0)
     assert rep.total <= bennett_sums(seq, 10_000).chain_bound
 
 

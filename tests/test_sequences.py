@@ -17,7 +17,7 @@ from foguel_lab import (
     diff2,
     exact_sum,
 )
-from foguel_lab.sequences import FAMILY_HELP, family
+from foguel_lab.sequences import FAMILIES, FAMILY_HELP, family
 
 
 # ---- point values ------------------------------------------------------
@@ -45,15 +45,45 @@ def test_pisier_supports():
 
 
 def test_log_families_start_where_defined():
-    e = WeightSequence.log_family(1.0)
-    f = WeightSequence.loglog_family(1.0)
-    assert e.start_index == 2
-    assert f.start_index == 3
-    assert e.value(1) == 0.0 and e.value(2) > 0.0
-    assert f.value(2) == 0.0 and f.value(3) > 0.0
-    # shifting left by one moves the start down by one
-    assert e.shifted(1).start_index == 1
-    assert f.shifted(1).start_index == 2
+    e = family("log", 1.0)
+    f = family("loglog", 1.0)
+    assert e.start_index == 1
+    assert f.start_index == 2
+    assert e.value(0) == 0.0 and e.value(1) > 0.0
+    assert f.value(1) == 0.0 and f.value(2) > 0.0
+    # shifting right by one moves the start up by one
+    assert e.shifted(-1).start_index == 2
+    assert f.shifted(-1).start_index == 3
+
+
+def _lacunary(k):
+    """Whether k = 2^j - 1 for some j >= 0."""
+    return bin(k + 1).count("1") == 1
+
+
+#: Each family's first index and its a_k at parameter 0.5, one index at a
+#: time in the math module, written apart from the vectorized table.
+MATH_FAMILIES = {
+    "pisier-flat": (0, lambda k: 1.0 if _lacunary(k) else 0.0),
+    "pisier-geometric": (0, lambda k: 2.0 ** (1 - (k + 1).bit_length()) if _lacunary(k) else 0.0),
+    "harmonic": (1, lambda k: 1.0 / k),
+    "constant": (0, lambda k: 1.0),
+    "power": (0, lambda k: math.pow(k + 1, -0.5)),
+    "geometric": (0, lambda k: math.pow(0.5, k)),
+    "log": (1, lambda k: math.log(k + 1) ** -1.5),
+    "loglog": (2, lambda k: 1.0 / (math.log(k + 1) * math.log(math.log(k + 1)) ** 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_each_family_matches_its_formula_and_is_zero_below_its_start(name):
+    start, formula = MATH_FAMILIES[name]
+    seq = family(name, 0.5 if FAMILIES[name][1] else None)
+    assert seq.start_index == start
+    assert (seq.values_at(np.arange(start)) == 0.0).all()
+    ks = [k for k in [*range(301), 10**6, 10**7] if k >= start]
+    for k, got in zip(ks, seq.values_at(ks)):
+        assert got == pytest.approx(formula(k), rel=1e-15, abs=0.0), k
 
 
 def test_custom_sequence_roundtrip():
@@ -69,14 +99,9 @@ def test_shift_composes_additively(d1, d2, k):
     assert a.value(k) == b.value(k)
 
 
-@given(st.sampled_from(["pisier_flat", "geometric", "power", "log_family"]))
-def test_values_at_matches_scalar_loop(kind):
-    seq = {
-        "pisier_flat": WeightSequence.pisier_flat(),
-        "geometric": WeightSequence.geometric(0.7),
-        "power": WeightSequence.power(2.0),
-        "log_family": WeightSequence.log_family(0.5),
-    }[kind]
+@given(st.sampled_from(list(FAMILIES)))
+def test_values_at_matches_scalar_loop(name):
+    seq = family(name, 0.5 if FAMILIES[name][1] else None)
     ks = np.arange(0, 30)
     vec = seq.values_at(ks)
     assert vec.shape == ks.shape
@@ -87,6 +112,8 @@ def test_describe_is_stable():
     assert WeightSequence.harmonic().describe() == "harmonic"
     assert WeightSequence.geometric(0.5).describe() == "geometric:0.5"
     assert WeightSequence.power(1.0).shifted(-1).describe() == "power:1-1"
+    assert WeightSequence.harmonic().shifted(1).describe() == "harmonic+1"
+    assert WeightSequence.custom([1.0, 2.0]).shifted(-2).describe() == "custom[2]-2"
 
 
 # ---- derived quantities ------------------------------------------------
@@ -131,7 +158,7 @@ def _brute_sums(seq: WeightSequence, terms: int):
     "seq",
     [
         WeightSequence.harmonic(),
-        WeightSequence.log_family(1.0).shifted(1),
+        family("log", 1.0),
         WeightSequence.geometric(0.5),
     ],
     ids=["harmonic", "log-eps1", "dyadic"],
@@ -209,8 +236,8 @@ def test_report_is_frozen():
         lambda: WeightSequence.power(np.nan),
         lambda: WeightSequence.power(np.inf),
         lambda: WeightSequence.geometric(np.nan),
-        lambda: WeightSequence.log_family(np.inf),
-        lambda: WeightSequence.loglog_family(np.nan),
+        lambda: family("log", np.inf),
+        lambda: family("loglog", np.nan),
         lambda: WeightSequence.custom([1.0, np.nan]),
         lambda: WeightSequence.custom([np.inf]),
         lambda: MultiplierSpec.log_damped(np.inf),
@@ -223,14 +250,10 @@ def test_non_finite_parameters_are_refused(build):
         build()
 
 
-#: The arguments each sequence kind takes.
+#: The arguments each sequence kind takes: a family's one parameter, if it
+#: has one, or the value list of ``custom``.
 KIND_ARGS = {
-    "pisier_flat": {},
-    "pisier_geometric": {},
-    "power": {"param": 0.5},
-    "geometric": {"param": 0.5},
-    "log_family": {"param": 0.5},
-    "loglog_family": {"param": 0.5},
+    **{name: {"param": 0.5} if label else {} for name, (_, label, _) in FAMILIES.items()},
     "custom": {"data": (1.0,)},
 }
 
@@ -258,5 +281,8 @@ def test_family_refuses_unknown_names_and_a_wrong_parameter_count():
         "pisier-flat", "pisier-geometric", "harmonic", "constant",
         "power:S", "geometric:R", "log:EPS", "loglog:EPS",
     ]
-    assert family("log", 0.5) == WeightSequence.log_family(0.5).shifted(1)
-    assert family("loglog", 0.5) == WeightSequence.loglog_family(0.5).shifted(1)
+    with pytest.raises(ValidationError, match="unknown coefficient family"):
+        family("custom")
+    # harmonic is power:1 read one index back, value for value
+    ks = np.arange(1, 300)
+    assert (family("harmonic").values_at(ks) == family("power", 1.0).shifted(-1).values_at(ks)).all()
