@@ -35,17 +35,23 @@ size x size coefficient matrix and antidiagonal t carries the generator
 C_{t-lag}, so block (i, j) is section(size)[i, j] C_{i+j-lag}.  The
 Hankel pattern is the weighted Hankel section of :mod:`foguel_lab.hankel`
 with lag 0; the commutator pattern is its derivation commutator with
-lag 1.  :func:`car_pattern_operator` assembles a pattern once, as the
-sparse operator sum_t B_t (x) C_{t-lag}, B_t the section on antidiagonal
-t of the Hankel window over 0 .. 2*size-2.  ``linalg.op_norm`` norms it
-as it stands: block by block within the dense cap, matrix-free above it.
+lag 1.  The norm does not depend on which distinct generators the
+antidiagonals carry: any L operators that satisfy the CAR relations
+generate a copy of M_{2^L}, so sending one such family to another
+extends to a *-isomorphism, which stays isometric when tensored with the
+size x size matrices.  So :func:`car_pattern_operator` realizes the
+r-th live antidiagonal t_r on mode r, one mode per live antidiagonal, as
+the sparse operator sum_r B_{t_r} (x) C_r, B_t the section on
+antidiagonal t of the Hankel window over 0 .. 2*size-2.  ``linalg.op_norm`` norms it as it stands:
+block by block within the dense cap, matrix-free above it.
 
 The operator is graded, which is what keeps those blocks small.  Write a
 basis state of block row or column i as (i, S), with S the set of
-occupied modes (C_k empties mode k and needs it occupied).  Entry (i, j)
-sends (j, S) to (i, S - {t}) with t = i + j - lag, so it lowers the
-fermion number |S| by exactly one and keeps the weight: sum(S) - j for a
-column state equals sum(S') + i - lag for the row state it reaches.
+occupied modes (C_r empties mode r and needs it occupied), and let its
+weight w(S) be the sum of the live positions t_r over r in S.  Entry
+(i, j) sends (j, S) to (i, S - {r}) with t_r = i + j, so it lowers the
+fermion number |S| by exactly one and keeps the weight: w(S) - j for a
+column state equals w(S') + i for the row state it reaches.
 Rows of one (number, weight) pair meet only columns of one pair, so the
 operator is a permuted direct sum of small blocks, and the dense route
 finds them (or finer ones) as the connected components of its pattern.
@@ -159,20 +165,15 @@ def _scalar_section(section: Callable[[int], np.ndarray], size: int) -> np.ndarr
 
 
 def car_pattern_operator(
-    section: Callable[[int], np.ndarray],
-    lag: int,
-    size: int,
-    alg: CarAlgebra | None = None,
+    section: Callable[[int], np.ndarray], lag: int, size: int
 ) -> sp.csr_matrix:
-    """Sparse block matrix with (i, j) block section(size)[i, j] C_{i+j-lag}.
+    """Sparse block matrix sum_r B_{t_r} (x) C_r, t_r the r-th live antidiagonal.
 
-    Antidiagonal t carries the generator C_{t-lag}, so distinct
-    antidiagonals carry distinct generators, the independence that makes
-    the row/column bounds of :func:`rc_bounds` meaningful.  A live
-    antidiagonal below ``lag`` has no generator and is refused.  Without
-    ``alg`` the algebra has the t_last - lag + 1 modes that the last live
-    antidiagonal t_last needs; a larger ``alg`` embeds the same operator
-    isometrically, since C_k on one mode more is C_k (x) I_2.
+    Distinct antidiagonals carry distinct generators, the independence
+    that makes the row/column bounds of :func:`rc_bounds` meaningful, so
+    the norm is that of the blocks section(size)[i, j] C_{i+j-lag}.  A live
+    antidiagonal below ``lag`` has no generator and is refused, and so is a
+    section with more live antidiagonals than :func:`build_car` has modes.
     """
     coeffs = _scalar_section(section, size)
     anti = hankel_windows(np.arange(2 * size - 1), size)
@@ -181,29 +182,24 @@ def car_pattern_operator(
         raise InvalidPatternError(
             f"antidiagonal {live[0]} is live below the lag {lag}"
         )
-    modes = live[-1] - lag + 1 if live else 1
-    if alg is None:
-        alg = build_car(modes)
-    elif alg.modes < modes:
+    if len(live) > _MAX_MODES:
         raise InvalidModesError(
-            f"need {modes} generator modes, algebra has {alg.modes}"
+            f"section of size {size} has {len(live)} live antidiagonals; "
+            f"at most {_MAX_MODES} take a generator mode"
         )
+    alg = build_car(max(len(live), 1))
     dim = size * alg.dim
     out = sp.csr_matrix((dim, dim), dtype=coeffs.dtype)
-    for t in live:
-        b_t = np.where(anti == t, coeffs, 0.0)
-        out = out + sp.kron(b_t, alg.generators[t - lag], format="csr")
+    for t, gen in zip(live, alg.generators):
+        out = out + sp.kron(np.where(anti == t, coeffs, 0.0), gen, format="csr")
     return out
 
 
 def car_pattern_matrix(
-    section: Callable[[int], np.ndarray],
-    lag: int,
-    size: int,
-    alg: CarAlgebra | None = None,
+    section: Callable[[int], np.ndarray], lag: int, size: int
 ) -> np.ndarray:
     """Dense form of :func:`car_pattern_operator`, refused above the dense cap."""
-    op = car_pattern_operator(section, lag, size, alg=alg)
+    op = car_pattern_operator(section, lag, size)
     check_dense_cap(op.shape)
     return op.toarray()
 

@@ -18,13 +18,12 @@ coefficient family used by the operator constructions, one row each:
 ``log`` and ``loglog`` read log(k+1) so that the quotient matrix
 [(j-i) a_{i+j} / (i+j+1)] has the log-damped entries
 (j-i) / ((i+j+1) log^(1+eps)(i+j+1)).  ``custom(values)`` is an explicit
-finite list, 0 beyond its end, and belongs to no family.  ``shifted(d)``
-re-indexes a sequence (value at k becomes the formula at k + d).
+finite list, 0 beyond its end, and belongs to no family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,12 +60,11 @@ FAMILY_HELP = " | ".join(f"{name}:{label}" if label else name
 @dataclass(frozen=True)
 class WeightSequence:
     """The family ``kind`` (a :data:`FAMILIES` name) at ``param``, or the
-    ``custom`` list ``data``, read ``shift`` indices ahead."""
+    ``custom`` list ``data``."""
 
     kind: str
     param: float | None = None
     data: tuple[float, ...] | None = None
-    shift: int = 0
 
     def __post_init__(self):
         if self.kind != "custom" and self.kind not in FAMILIES:
@@ -122,12 +120,7 @@ class WeightSequence:
 
     @property
     def start_index(self) -> int:
-        first = 0 if self.kind == "custom" else FAMILIES[self.kind][0]
-        return max(0, first - self.shift)
-
-    def shifted(self, delta: int) -> "WeightSequence":
-        """Sequence whose value at k is this formula evaluated at k + delta."""
-        return replace(self, shift=self.shift + int(delta))
+        return 0 if self.kind == "custom" else FAMILIES[self.kind][0]
 
     def values_at(self, indices) -> np.ndarray:
         """Vectorized evaluation; indices below start_index give 0."""
@@ -137,33 +130,30 @@ class WeightSequence:
         out = np.zeros(ks.shape, dtype=float)
         mask = ks >= self.start_index
         if mask.any():
-            k2 = ks[mask] + self.shift  # argument fed to the formula
-            out[mask] = self._formula(k2)
+            out[mask] = self._formula(ks[mask])
         return out[0] if scalar else out
 
     def value(self, k: int) -> float:
         return float(self.values_at(k))
 
-    def _formula(self, k2: np.ndarray) -> np.ndarray:
+    def _formula(self, ks: np.ndarray) -> np.ndarray:
         if self.kind != "custom":
-            return FAMILIES[self.kind][2](k2, self.param)
+            return FAMILIES[self.kind][2](ks, self.param)
         arr = np.asarray(self.data, dtype=float)
-        out = np.zeros(k2.shape, dtype=float)
-        ok = (k2 >= 0) & (k2 < len(arr))
-        out[ok] = arr[k2[ok]]
+        out = np.zeros(ks.shape, dtype=float)
+        ok = ks < len(arr)
+        out[ok] = arr[ks[ok]]
         return out
 
     def describe(self) -> str:
-        """``kind[:param][±shift]``, or ``custom[length][±shift]``.
+        """``kind[:param]``, or ``custom[length]``.
 
-        The label of an unshifted family sequence reads back through
-        :func:`family` as the same sequence.
+        The label of a family sequence reads back through :func:`family`
+        as the same sequence.
         """
         label = f"custom[{len(self.data)}]" if self.kind == "custom" else self.kind
         if self.param is not None:
             label += f":{_param_text(self.param)}"
-        if self.shift:
-            label += f"{self.shift:+d}"
         return label
 
 

@@ -7,7 +7,10 @@ function, and the suite as a whole has a hard runtime budget.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
+
+from foguel_lab import build_car
 
 settings.register_profile(
     "lab",
@@ -26,3 +29,22 @@ def rng():
 def random_complex(rng, rows, cols=None):
     cols = rows if cols is None else cols
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def generator_section(section, size, mode_of):
+    """sum_t B_t (x) C_{mode_of(t)} over the antidiagonals t live in section(size).
+
+    B_t keeps the section's entries on antidiagonal t, and the algebra has
+    the modes that the largest mode_of(t) needs.  The caller picks the
+    generator of each live antidiagonal; nothing here goes through
+    ``car_pattern_operator``.
+    """
+    coeffs = np.asarray(section(size), dtype=float)
+    anti = np.add.outer(np.arange(size), np.arange(size))
+    live = np.unique(anti[coeffs != 0.0])
+    alg = build_car(max(mode_of(t) for t in live) + 1)
+    out = sp.csr_matrix((size * alg.dim,) * 2)
+    for t in live:
+        b_t = np.where(anti == t, coeffs, 0.0)
+        out = out + sp.kron(b_t, alg.generators[mode_of(t)], format="csr")
+    return out

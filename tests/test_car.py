@@ -35,6 +35,7 @@ from foguel_lab import (
     unit_weight,
 )
 from foguel_lab.cli import NORM_TARGETS, parse_alpha
+from conftest import generator_section
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -130,7 +131,8 @@ def test_tiny_section_assembled_by_hand():
 def test_section_blocks_are_hankel():
     alpha = WeightSequence.pisier_geometric()
     m = car_hankel(alpha, unit_weight, 3)
-    assert hankel_defect(m, block_dim=2**4) == 0.0
+    # live antidiagonals 0, 1, 3: one mode each
+    assert hankel_defect(m, block_dim=2**3) == 0.0
 
 
 def test_commutator_pattern_coefficients():
@@ -165,19 +167,22 @@ def test_dense_cap_enforced():
 
 
 def test_extra_modes_leave_the_section_unchanged():
-    """Embedding the same pattern in a larger algebra is isometric."""
+    """Any distinct generators of a larger algebra give the same norm: they
+    generate a copy of the algebra with one mode per live antidiagonal."""
     alpha = WeightSequence.pisier_flat()
-    small = op_norm_dense(car_hankel(alpha, None, 3)).value
-    big_alg = build_car(8)  # four modes more than needed
-    big_mat = car_pattern_matrix(*hankel_pattern(alpha, None), 3, alg=big_alg)
-    big = op_norm_dense(big_mat).value
-    assert big == pytest.approx(small, abs=1e-10)
+    section, _ = hankel_pattern(alpha, None)
+    # live antidiagonals 0, 1, 3 and 7 on modes 7, 4, 1 and 0 of eight
+    spread = {0: 7, 1: 4, 3: 1, 7: 0}.__getitem__
+    for size in (3, 4, 5):
+        small = op_norm_dense(car_hankel(alpha, None, size)).value
+        big = op_norm_dense(generator_section(section, size, spread)).value
+        assert big == pytest.approx(small, rel=1e-14)
 
 
 def test_matrix_free_oracles_agree_with_dense():
     alpha = WeightSequence.pisier_flat()
-    # live antidiagonals 0, 1 at size 2 and 0, 1, 3 at size 3
-    for size, modes in ((2, 2), (3, 4)):
+    # live antidiagonals 0, 1 at size 2 and 0, 1, 3 at size 3, one mode each
+    for size, modes in ((2, 2), (3, 3)):
         dense = op_norm_dense(car_hankel(alpha, None, size)).value
         op = car_pattern_operator(*hankel_pattern(alpha, None), size)
         assert op.shape == (size * 2**modes,) * 2
@@ -201,28 +206,35 @@ def test_block_norm_equals_the_densified_norm(target, alpha):
 @pytest.mark.parametrize("pattern", [
     hankel_pattern(WeightSequence.geometric(0.5)),
     commutator_pattern(WeightSequence.power(2.0)),
-], ids=["lag0", "lag1"])
+    hankel_pattern(WeightSequence.pisier_flat()),
+], ids=["lag0", "lag1", "lacunary"])
 def test_pattern_conserves_number_and_weight(pattern):
-    """C_t empties mode t of an occupied state, so each entry joins a column
-    state (j, S) to a row state (i, S - {t}) with t = i + j - lag: the
-    fermion number drops by one and sum(S) - j = sum(S') + i - lag."""
+    """C_r empties mode r of an occupied state, and mode r carries the r-th
+    live antidiagonal t_r, so each entry joins a column state (j, S) to a
+    row state (i, S - {r}) with t_r = i + j: the fermion number drops by
+    one, and the weight w(S), the sum of t_r over r in S, keeps
+    w(S) - j = w(S') + i.  The lacunary section is live on 0, 1 and 3
+    only, so there a live position differs from its mode."""
     size = 4
-    op = car_pattern_operator(*pattern, size).tocoo()
-    modes = (op.shape[0] // size).bit_length() - 1
+    section, lag = pattern
+    op = car_pattern_operator(section, lag, size).tocoo()
+    idx = np.arange(size)
+    live = np.unique(np.add.outer(idx, idx)[section(size) != 0.0])
+    modes = len(live)
+    assert op.shape[0] == size * 2**modes
     assert op.nnz > 0
 
     def state(index):
         block, bits = divmod(int(index), 2**modes)
         # the first tensor factor is the most significant bit
-        occupied = [k for k in range(modes) if bits >> (modes - 1 - k) & 1]
-        return block, len(occupied), sum(occupied)
+        occupied = [r for r in range(modes) if bits >> (modes - 1 - r) & 1]
+        return block, len(occupied), sum(live[occupied])
 
-    lag = pattern[1]
     for row, col in zip(op.row, op.col):
-        i, row_number, row_sum = state(row)
-        j, col_number, col_sum = state(col)
+        i, row_number, row_weight = state(row)
+        j, col_number, col_weight = state(col)
         assert row_number == col_number - 1
-        assert row_sum + i - lag == col_sum - j
+        assert row_weight + i == col_weight - j
 
 
 def test_block_norm_eigensolves_only_small_blocks(monkeypatch):

@@ -8,8 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
-from scipy.sparse.linalg import svds
 
 from foguel_lab import (
     BENNETT_TERMS_CAP,
@@ -19,13 +19,12 @@ from foguel_lab import (
     WeightSequence,
     bennett_criterion,
     bennett_sums,
-    build_car,
-    car_pattern_matrix,
-    car_pattern_operator,
+    commutator_pattern,
     derivative_weight,
     hankel_pattern,
     make_multiplier,
     op_norm_dense,
+    rc_bounds,
     schur,
 )
 from foguel_lab.cli import (
@@ -38,6 +37,7 @@ from foguel_lab.cli import (
     resolve_seed,
 )
 from foguel_lab.sequences import FAMILIES, family
+from conftest import generator_section
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,7 +54,7 @@ def test_parse_alpha_families():
     assert parse_alpha("pisier-flat").describe() == "pisier-flat"
     assert parse_alpha("geometric:0.5").value(3) == 0.5**3
     assert parse_alpha("harmonic").value(2) == 0.5
-    # damped families arrive pre-shifted so the section starts at index 1
+    # the log family starts at index 1, where log(k + 1) > 0
     assert parse_alpha("log:1.0").start_index == 1
 
 
@@ -203,8 +203,12 @@ def test_car_commutator_above_the_dense_cap_runs_matrix_free(tmp_path, method):
     assert row[6] == "false"
 
 
-#: the generator-valued Hankel targets and the scalar weight of each
-CAR_HANKEL_WEIGHTS = {"car-hankel": None, "car-hankel-deriv": derivative_weight}
+#: the generator-valued section targets and the pattern each one norms
+CAR_PATTERNS = {
+    "car-hankel": hankel_pattern,
+    "car-hankel-deriv": lambda seq: hankel_pattern(seq, derivative_weight),
+    "car-commutator": commutator_pattern,
+}
 LACUNARY = ["pisier-flat", "pisier-geometric"]
 
 
@@ -215,39 +219,71 @@ def car_norm_rows(out, target, alpha, sizes):
 
 
 @pytest.mark.parametrize("alpha", LACUNARY)
-@pytest.mark.parametrize("target", sorted(CAR_HANKEL_WEIGHTS))
+@pytest.mark.parametrize("target", ["car-hankel", "car-hankel-deriv"])
 def test_lacunary_car_hankel_sections_stay_dense(tmp_path, target, alpha):
-    # live antidiagonals 0, 1, 3, 7 below N = 8 need 8 modes, not 2N - 1,
-    # so the dimension N * 2^8 stays within the dense cap through N = 8
-    sizes = "6,7,8" if target == "car-hankel-deriv" else "6,7"
-    rows = car_norm_rows(tmp_path, target, alpha, sizes)
-    assert sorted(rows) == [int(n) for n in sizes.split(",")]
+    # one mode per live antidiagonal 2^j - 1: at most six through N = 32,
+    # so the dimension N * 2^6 stays within the dense cap
+    rows = car_norm_rows(tmp_path, target, alpha, "9,16,32")
+    assert sorted(rows) == [9, 16, 32]
     assert all(r[3] == "dense" and r[6] == "true" for r in rows.values())
-    # the unused top modes embed isometrically: 2N - 1 modes give the same norm
-    section, lag = hankel_pattern(parse_alpha(alpha), CAR_HANKEL_WEIGHTS[target])
-    wide = car_pattern_operator(section, lag, 6, alg=build_car(11))
-    (sigma,) = svds(wide, k=1, return_singular_vectors=False, random_state=0)
-    assert float(rows[6][4]) == pytest.approx(sigma, rel=1e-10)
+    # at N = 16 and 32 every live antidiagonal lies whole (C02), so the
+    # norm is the row bound of the scalar section
+    section, _ = CAR_PATTERNS[target](parse_alpha(alpha))
+    for n in (16, 32):
+        assert float(rows[n][4]) == pytest.approx(rc_bounds(section, n).lower, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", LACUNARY)
-@pytest.mark.parametrize("target", sorted(CAR_HANKEL_WEIGHTS))
+@pytest.mark.parametrize("target", sorted(CAR_PATTERNS))
 def test_car_hankel_sections_equal_their_one_mode_per_antidiagonal_embedding(
     tmp_path, target, alpha
 ):
-    rows = car_norm_rows(tmp_path, target, alpha, "2,3,4")
-    section, lag = hankel_pattern(parse_alpha(alpha), CAR_HANKEL_WEIGHTS[target])
-    for n in (2, 3, 4):
-        wide = car_pattern_matrix(section, lag, n, alg=build_car(2 * n - 1))
-        assert float(rows[n][4]) == pytest.approx(op_norm_dense(wide).value, rel=1e-14)
+    # the embedding gives antidiagonal t the mode t - lag, on t_last - lag + 1
+    # modes, live or not; the norm rows must match it to the bit
+    rows = car_norm_rows(tmp_path, target, alpha, "2,3,4,5,6,7,8")
+    section, lag = CAR_PATTERNS[target](parse_alpha(alpha))
+    for n in range(2, 9):
+        wide = generator_section(section, n, lambda t: t - lag)
+        assert float(rows[n][4]) == op_norm_dense(wide).value, n
+
+
+def ulps_off(value, exact):
+    """Distance of a float from exact(), taken to 40 digits, in units of its last place."""
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(value) - exact()) / math.ulp(value))
 
 
 def test_whole_lacunary_sections_attain_the_profile_norm(tmp_path):
-    # at N = 4 and 8 every live antidiagonal of the flat profile lies whole
-    # (C02), so the norm is the l2 norm of the profile: sqrt(3), then 2
-    rows = car_norm_rows(tmp_path, "car-hankel", "pisier-flat", "4,8")
-    assert float(rows[4][4]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
-    assert float(rows[8][4]) == pytest.approx(2.0, rel=1e-12)
+    # at N = 2^k every live antidiagonal 2^j - 1, j <= k, lies whole (C02), so
+    # the norm is the l2 norm of the profile: sqrt(k + 1) for the flat one,
+    # (sum_{j <= k} 4^-j)^(1/2) for the geometric one
+    exact = {
+        "pisier-flat": lambda k: mpmath.sqrt(k + 1),
+        "pisier-geometric": lambda k: mpmath.sqrt(mpmath.fsum(mpmath.mpf(4) ** -j for j in range(k + 1))),
+    }
+    for alpha in LACUNARY:
+        rows = car_norm_rows(tmp_path, "car-hankel", alpha, "2,4,8,16,32")
+        for k in range(1, 6):
+            row = rows[2**k]
+            assert row[3] == "dense" and row[6] == "true"
+            assert ulps_off(float(row[4]), lambda: exact[alpha](k)) <= 4, (alpha, k)
+
+
+def test_flat_sections_have_path_graph_norms(tmp_path):
+    # below N = 8 the flat sections cut live antidiagonals; each norm is the
+    # spectral radius 2 cos(pi / (k + 1)) of the path on k vertices
+    rows = car_norm_rows(tmp_path, "car-hankel", "pisier-flat", "2,3,4,5,6,7")
+    for n, k in zip(range(2, 8), (3, 4, 5, 7, 7, 11)):
+        assert ulps_off(float(rows[n][4]), lambda: 2 * mpmath.cos(mpmath.pi / (k + 1))) <= 4, n
+
+
+def test_too_many_live_antidiagonals_are_refused(tmp_path, capsys):
+    # geometric:0.5 is live on all 15 antidiagonals of the N = 8 section
+    argv = ["norm", "--target", "car-hankel", "--alpha", "geometric:0.5", "--N", "8"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "15 live antidiagonals" in err and "at most 14" in err
+    assert "--modes" not in err and "modes must lie" not in err
 
 
 @pytest.mark.parametrize("method", ["power", "auto"])

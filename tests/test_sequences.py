@@ -51,9 +51,6 @@ def test_log_families_start_where_defined():
     assert f.start_index == 2
     assert e.value(0) == 0.0 and e.value(1) > 0.0
     assert f.value(1) == 0.0 and f.value(2) > 0.0
-    # shifting right by one moves the start up by one
-    assert e.shifted(-1).start_index == 2
-    assert f.shifted(-1).start_index == 3
 
 
 def _lacunary(k):
@@ -91,14 +88,6 @@ def test_custom_sequence_roundtrip():
     assert [seq.value(k) for k in range(4)] == [3.0, 1.0, 4.0, 0.0]
 
 
-@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 40))
-def test_shift_composes_additively(d1, d2, k):
-    base = WeightSequence.power(1.5)
-    a = base.shifted(d1).shifted(d2)
-    b = base.shifted(d1 + d2)
-    assert a.value(k) == b.value(k)
-
-
 @given(st.sampled_from(list(FAMILIES)))
 def test_values_at_matches_scalar_loop(name):
     seq = family(name, 0.5 if FAMILIES[name][1] else None)
@@ -111,9 +100,7 @@ def test_values_at_matches_scalar_loop(name):
 def test_describe_is_stable():
     assert WeightSequence.harmonic().describe() == "harmonic"
     assert WeightSequence.geometric(0.5).describe() == "geometric:0.5"
-    assert WeightSequence.power(1.0).shifted(-1).describe() == "power:1-1"
-    assert WeightSequence.harmonic().shifted(1).describe() == "harmonic+1"
-    assert WeightSequence.custom([1.0, 2.0]).shifted(-2).describe() == "custom[2]-2"
+    assert WeightSequence.custom([1.0, 2.0]).describe() == "custom[2]"
 
 
 # ---- derived quantities ------------------------------------------------
@@ -285,4 +272,4 @@ def test_family_refuses_unknown_names_and_a_wrong_parameter_count():
         family("custom")
     # harmonic is power:1 read one index back, value for value
     ks = np.arange(1, 300)
-    assert (family("harmonic").values_at(ks) == family("power", 1.0).shifted(-1).values_at(ks)).all()
+    assert (family("harmonic").values_at(ks) == family("power", 1.0).values_at(ks - 1)).all()
