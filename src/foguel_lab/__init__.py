@@ -20,16 +20,7 @@ from .car import (
     hankel_pattern,
     rc_bounds,
 )
-from .errors import (
-    InvalidDimensionError,
-    InvalidLengthError,
-    InvalidModesError,
-    InvalidOffsetError,
-    InvalidPatternError,
-    InvalidWindowError,
-    SizeCapExceededError,
-    ValidationError,
-)
+from .errors import SizeCapExceededError, ValidationError
 from .foguel import (
     FoguelBlock,
     IntertwinerResult,

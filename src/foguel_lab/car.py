@@ -57,6 +57,17 @@ operator is a permuted direct sum of small blocks, and the dense route
 finds them (or finer ones) as the connected components of its pattern.
 :func:`car_pattern_matrix` and :func:`car_hankel` are the dense forms,
 refused above the cap.
+
+A particle-hole mirror pairs those blocks.  Let U flip every mode (X on
+each factor) and P be the parity of the odd modes (Z on the factors of
+odd r): U C_r U* = (-1)^r C_r* and P C_r P* = (-1)^r C_r, so V = I (x) PU
+sends B (x) C_r to B (x) C_r*.  Mode r is the rank of t_r, not t_r - lag,
+so D = diag((-1)^i), which turns B_t into (-1)^t B_t, cannot remove the
+sign.  Every section here is real and symmetric (Hankel) or antisymmetric
+(commutator), so V Gamma V* = +-Gamma*.  Gamma lowers the fermion number
+by one, U sends number s to L - s (L modes), P keeps it, and V is a signed
+permutation; so the blocks on column states of number s have the norms of
+those on number L + 1 - s.  The norm routes do not use this yet.
 """
 
 from __future__ import annotations
@@ -68,11 +79,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    InvalidDimensionError,
-    InvalidModesError,
-    InvalidPatternError,
-)
+from .errors import ValidationError
 from .hankel import HankelSpec, derivation_product, hankel_windows
 from .hankel import make_weighted_hankel, unit_weight
 from .linalg import as_matrix, check_dense_cap, op_norm
@@ -96,7 +103,7 @@ class CarAlgebra:
 def build_car(modes: int) -> CarAlgebra:
     """Generators C_0..C_{modes-1} as CSR matrices of size 2^modes."""
     if not (1 <= modes <= _MAX_MODES):
-        raise InvalidModesError(f"modes must lie in [1, {_MAX_MODES}]")
+        raise ValidationError(f"modes must lie in [1, {_MAX_MODES}]")
     gens = []
     for k in range(modes):
         factors = [_Z] * k + [_LOWER] + [_I2] * (modes - k - 1)
@@ -155,10 +162,10 @@ def commutator_pattern(alpha: WeightSequence):
 
 def _scalar_section(section: Callable[[int], np.ndarray], size: int) -> np.ndarray:
     if size < 1:
-        raise InvalidDimensionError("size must be >= 1")
+        raise ValidationError("size must be >= 1")
     coeffs = as_matrix(section(size))
     if coeffs.shape != (size, size):
-        raise InvalidDimensionError(
+        raise ValidationError(
             f"section({size}) has shape {coeffs.shape}, expected {(size, size)}"
         )
     return coeffs
@@ -179,11 +186,9 @@ def car_pattern_operator(
     anti = hankel_windows(np.arange(2 * size - 1), size)
     live = np.unique(anti[coeffs != 0.0]).tolist()
     if live and live[0] < lag:
-        raise InvalidPatternError(
-            f"antidiagonal {live[0]} is live below the lag {lag}"
-        )
+        raise ValidationError(f"antidiagonal {live[0]} is live below the lag {lag}")
     if len(live) > _MAX_MODES:
-        raise InvalidModesError(
+        raise ValidationError(
             f"section of size {size} has {len(live)} live antidiagonals; "
             f"at most {_MAX_MODES} take a generator mode"
         )

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Every precondition failure raises a subclass of :class:`ValidationError`
-(itself a ``ValueError``), so callers — in particular the command line
-driver — can map "bad arguments" to a single exit code without having to
-enumerate the individual kinds.
+Every refusal of an input raises :class:`ValidationError`, which is a
+``ValueError``; its message names the broken rule.  An input that is valid
+but larger than a size cap raises its one subclass,
+:class:`SizeCapExceededError`.  The command line interface maps both to exit
+code 1.
 """
 
 
@@ -11,29 +12,5 @@ class ValidationError(ValueError):
     """A precondition on user-supplied arguments was violated."""
 
 
-class InvalidDimensionError(ValidationError):
-    """Matrix shapes are empty, non-2D, or do not conform."""
-
-
 class SizeCapExceededError(ValidationError):
     """A dense construction or factorization would exceed its size cap."""
-
-
-class InvalidWindowError(ValidationError):
-    """A requested leading-corner window is larger than the data allows."""
-
-
-class InvalidOffsetError(ValidationError):
-    """A multiplier section starts at an index where its entries are undefined."""
-
-
-class InvalidPatternError(ValidationError):
-    """A block-pattern map reuses or escapes the available generator indices."""
-
-
-class InvalidModesError(ValidationError):
-    """A generator-algebra mode count is out of range or insufficient."""
-
-
-class InvalidLengthError(ValidationError):
-    """A sequence argument is too short for the requested difference order."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidWindowError, ValidationError
+from .errors import ValidationError
 from .linalg import as_matrix, make_shift, op_norm_dense
 
 #: How far power_offdiag's two corner routes may disagree (at unit scale),
@@ -48,7 +48,7 @@ def _foguel_operands(t2, t1, x):
     n = t1.shape[0]
     for name, a in (("t2", t2), ("t1", t1), ("x", x)):
         if a.shape != (n, n):
-            raise InvalidDimensionError(f"{name} has shape {a.shape}, expected {(n, n)}")
+            raise ValidationError(f"{name} has shape {a.shape}, expected {(n, n)}")
     return t2, t1, x
 
 
@@ -99,11 +99,9 @@ def _block_grid(x, block_dim: int):
     x = as_matrix(x)
     d = block_dim
     if d < 1:
-        raise InvalidDimensionError("block_dim must be >= 1")
+        raise ValidationError("block_dim must be >= 1")
     if x.shape[0] != x.shape[1] or x.shape[0] % d:
-        raise InvalidDimensionError(
-            f"shape {x.shape} is not square with block size {d}"
-        )
+        raise ValidationError(f"shape {x.shape} is not square with block size {d}")
     n = x.shape[0] // d
     return x.reshape(n, d, n, d), n
 
@@ -177,6 +175,8 @@ def intertwiner_partial(
     t2, t1, x = (m.astype(dtype, copy=False) for m in (t2, t1, x))
     if n_terms < 1:
         raise ValidationError("need at least one term")
+    if stab_run < 1:
+        raise ValidationError("stab_run must be >= 1")
     term = t2 @ x
     z = term.copy()
     term_norms = np.empty(n_terms, dtype=float)
@@ -232,9 +232,9 @@ def similarity_check(block: FoguelBlock, z, window: int) -> SimilarityReport:
     z = as_matrix(z)
     n = block.t1.shape[0]
     if z.shape != (n, n):
-        raise InvalidDimensionError(f"Z has shape {z.shape}, expected {(n, n)}")
+        raise ValidationError(f"Z has shape {z.shape}, expected {(n, n)}")
     if not (1 <= window <= n):
-        raise InvalidWindowError(f"window must lie in [1, {n}]")
+        raise ValidationError(f"window must lie in [1, {n}]")
     a = block.t2.conj().T
     r1 = a @ z - z @ block.t1 - block.x
     residual_full = op_norm_dense(r1).value
@@ -261,7 +261,7 @@ def poly_eval_matrix(coeffs, c) -> np.ndarray:
     """p(C) by Horner's rule; ``coeffs`` ascending (c_0 + c_1 z + ...)."""
     c = as_matrix(c)
     if c.shape[0] != c.shape[1]:
-        raise InvalidDimensionError("expected a square matrix")
+        raise ValidationError("expected a square matrix")
     coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
     if coeffs.size == 0:
         raise ValidationError("empty coefficient list")

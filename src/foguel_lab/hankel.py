@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidWindowError, ValidationError
+from .errors import ValidationError
+from .foguel import _block_grid
 from .linalg import as_matrix, check_dense_cap, make_shift, op_norm_dense
 from .sequences import WeightSequence
 
@@ -42,7 +43,7 @@ class HankelSpec:
         if not isinstance(self.coefficients, WeightSequence):
             raise ValidationError("Hankel coefficients must be a WeightSequence")
         if self.size < 1:
-            raise InvalidDimensionError("size must be >= 1")
+            raise ValidationError("size must be >= 1")
 
     def coeff_table(self, count: int) -> np.ndarray:
         """a_0 .. a_{count-1} as one aligned table (0 below the start index)."""
@@ -77,17 +78,12 @@ def make_weighted_hankel(spec: HankelSpec, weight: Callable) -> np.ndarray:
 
 def hankel_defect(a, block_dim: int = 1) -> float:
     """max block-norm discrepancy along antidiagonals (0 for true Hankel)."""
-    a = as_matrix(a)
-    d = block_dim
-    if a.shape[0] != a.shape[1] or a.shape[0] % d:
-        raise InvalidDimensionError("expected a square block matrix")
-    n = a.shape[0] // d
+    grid, n = _block_grid(a, block_dim)
     worst = 0.0
     for s in range(2 * n - 1):
         ref = None
         for i in range(max(0, s - n + 1), min(n, s + 1)):
-            j = s - i
-            blk = a[i * d : (i + 1) * d, j * d : (j + 1) * d]
+            blk = grid[i, :, s - i, :]
             if ref is None:
                 ref = blk
             else:
@@ -98,7 +94,7 @@ def hankel_defect(a, block_dim: int = 1) -> float:
 def derivation_matrix(n: int) -> np.ndarray:
     """Truncation of the differentiation-style weighted shift: (i, i+1) -> i+1."""
     if n < 1:
-        raise InvalidDimensionError("size must be >= 1")
+        raise ValidationError("size must be >= 1")
     return np.diag(np.arange(1.0, n), 1)
 
 
@@ -146,11 +142,11 @@ def sylvester_residual(y, gamma, window: int | None = None) -> float:
     y = as_matrix(y)
     gamma = as_matrix(gamma)
     if y.shape != gamma.shape or y.shape[0] != y.shape[1]:
-        raise InvalidDimensionError("Y and Gamma must be square of equal size")
+        raise ValidationError("Y and Gamma must be square of equal size")
     n = y.shape[0]
     w = n - 1 if window is None else window
     if not (1 <= w <= n - 1):
-        raise InvalidWindowError(f"window must lie in [1, {n - 1}]")
+        raise ValidationError(f"window must lie in [1, {n - 1}]")
     s = make_shift(n)
     r = s.conj().T @ y - y @ s - gamma
     return op_norm_dense(r[:w, :w]).value

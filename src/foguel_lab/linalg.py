@@ -29,11 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    InvalidDimensionError,
-    SizeCapExceededError,
-    ValidationError,
-)
+from .errors import SizeCapExceededError, ValidationError
 
 #: Largest Gram dimension accepted by the dense norm route; the dense section
 #: builders refuse larger sizes before they allocate.
@@ -65,9 +61,9 @@ def as_matrix(a) -> np.ndarray:
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     m = np.asarray(a, dtype=dtype, order="C")
     if m.ndim != 2:
-        raise InvalidDimensionError(f"expected a 2-D array, got ndim={m.ndim}")
+        raise ValidationError(f"expected a 2-D array, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
-        raise InvalidDimensionError(f"empty matrix shape {m.shape}")
+        raise ValidationError(f"empty matrix shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
     return m
@@ -80,7 +76,7 @@ def make_shift(n: int) -> np.ndarray:
     S*S is the identity minus the projection onto the last coordinate.
     """
     if n < 1:
-        raise InvalidDimensionError("shift size must be >= 1")
+        raise ValidationError("shift size must be >= 1")
     check_dense_cap((n, n))
     return np.eye(n, k=-1)
 
@@ -193,7 +189,7 @@ def _pattern_blocks(a):
     from scipy.sparse.csgraph import connected_components
 
     if min(a.shape) < 1:
-        raise InvalidDimensionError(f"empty matrix shape {a.shape}")
+        raise ValidationError(f"empty matrix shape {a.shape}")
     p = sp.csr_matrix(a, copy=True)
     p.eliminate_zeros()
     edges = p.astype(bool)
@@ -277,7 +273,7 @@ def op_norm_power(
         a = as_matrix(a).astype(np.complex128, copy=False)
         ah = a.conj().T
     if min(a.shape) < 1:
-        raise InvalidDimensionError(f"empty matrix shape {a.shape}")
+        raise ValidationError(f"empty matrix shape {a.shape}")
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be > 0 and max_iter >= 1")
     dim = a.shape[1]

@@ -32,11 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    InvalidDimensionError,
-    InvalidOffsetError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .hankel import _factor_section
 from .linalg import as_matrix, check_dense_cap, op_norm_dense
 from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family
@@ -65,9 +61,9 @@ class MultiplierSpec:
         if (self.sequence is None) == (self.entry_fn is None):
             raise ValidationError("give exactly one of a sequence or an entry callable")
         if self.offset < 0:
-            raise InvalidOffsetError("offset must be >= 0")
+            raise ValidationError("offset must be >= 0")
         if self.sequence is not None and 2 * self.offset < self.sequence.start_index:
-            raise InvalidOffsetError(
+            raise ValidationError(
                 f"offset {self.offset} reads the sequence at {2 * self.offset}, "
                 f"below its start index {self.sequence.start_index}"
             )
@@ -108,7 +104,7 @@ class MultiplierSpec:
 def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
     """The size x size section with indices i, j in [offset, offset + size)."""
     if size < 1:
-        raise InvalidDimensionError("section size must be >= 1")
+        raise ValidationError("section size must be >= 1")
     check_dense_cap((size, size))
     if spec.entry_fn is not None:
         ks = range(spec.offset, spec.offset + size)

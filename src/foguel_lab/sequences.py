@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLengthError, SizeCapExceededError, ValidationError
+from .errors import SizeCapExceededError, ValidationError
 from .summation import exact_sum, exact_sums
 
 #: The largest series length the summability diagnostics accept: they
@@ -68,11 +68,13 @@ class WeightSequence:
 
     def __post_init__(self):
         if self.kind != "custom" and self.kind not in FAMILIES:
-            raise ValidationError(f"unknown sequence kind {self.kind!r}")
-        takes_param = self.kind != "custom" and FAMILIES[self.kind][1] is not None
-        if (self.param is not None) != takes_param:
-            needs = "one parameter" if takes_param else "no parameter"
-            raise ValidationError(f"sequence kind {self.kind!r} takes {needs}")
+            raise ValidationError(
+                f"unknown coefficient family {self.kind!r}; expected {FAMILY_HELP}"
+            )
+        label = None if self.kind == "custom" else FAMILIES[self.kind][1]
+        if (self.param is not None) != (label is not None):
+            needs = "no parameter" if label is None else f"one parameter {label}"
+            raise ValidationError(f"family {self.kind!r} takes {needs}")
         if self.data is not None and self.kind != "custom":
             raise ValidationError(f"sequence kind {self.kind!r} takes no value list")
         if self.param is not None and not np.isfinite(self.param):
@@ -165,12 +167,8 @@ def _param_text(x: float) -> str:
 
 def family(name: str, param: float | None = None) -> WeightSequence:
     """The sequence of the family ``name``, given its parameter if it takes one."""
-    if name not in FAMILIES:
+    if name == "custom":
         raise ValidationError(f"unknown coefficient family {name!r}; expected {FAMILY_HELP}")
-    label = FAMILIES[name][1]
-    if (param is None) != (label is None):
-        needs = "no parameter" if label is None else f"one parameter {label}"
-        raise ValidationError(f"family {name!r} takes {needs}")
     return WeightSequence(name, param=None if param is None else float(param))
 
 
@@ -178,7 +176,7 @@ def diff1(a) -> np.ndarray:
     """First forward difference b_n = a_n - a_{n+1} (length len(a) - 1)."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1 or len(arr) < 2:
-        raise InvalidLengthError("diff1 needs a 1-D sequence of length >= 2")
+        raise ValidationError("diff1 needs a 1-D sequence of length >= 2")
     return arr[:-1] - arr[1:]
 
 
@@ -186,7 +184,7 @@ def diff2(a) -> np.ndarray:
     """Second difference c_n = a_n - 2 a_{n+1} + a_{n+2} (length len(a) - 2)."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1 or len(arr) < 3:
-        raise InvalidLengthError("diff2 needs a 1-D sequence of length >= 3")
+        raise ValidationError("diff2 needs a 1-D sequence of length >= 3")
     return arr[:-2] - 2.0 * arr[1:-1] + arr[2:]
 
 

@@ -6,6 +6,7 @@ below reflects that.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from foguel_lab import (
     CarAlgebra,
-    InvalidDimensionError,
-    InvalidModesError,
-    InvalidPatternError,
     SizeCapExceededError,
+    ValidationError,
     WeightSequence,
     build_car,
     car_check,
@@ -72,9 +72,9 @@ def test_dimensions_scale_as_powers_of_two():
 
 
 def test_modes_bounds_enforced():
-    with pytest.raises(InvalidModesError):
+    with pytest.raises(ValidationError, match=re.escape("modes must lie in [1, 14]")):
         build_car(0)
-    with pytest.raises(InvalidModesError):
+    with pytest.raises(ValidationError, match=re.escape("modes must lie in [1, 14]")):
         build_car(15)
 
 
@@ -154,9 +154,10 @@ def test_pattern_lag_and_section_shape_are_checked():
     m = car_pattern_matrix(section, 1, 2)
     assert m.shape == (4, 4)
     assert np.array_equal(m[:2, 2:], build_car(1).generators[0].toarray())
-    with pytest.raises(InvalidPatternError):
+    with pytest.raises(ValidationError, match="antidiagonal 1 is live below the lag 2"):
         car_pattern_matrix(section, 2, 2)
-    with pytest.raises(InvalidDimensionError):
+    wrong_shape = re.escape("section(2) has shape (2, 3), expected (2, 2)")
+    with pytest.raises(ValidationError, match=wrong_shape):
         car_pattern_matrix(lambda n: np.ones((n, n + 1)), 0, 2)
 
 
@@ -235,6 +236,33 @@ def test_pattern_conserves_number_and_weight(pattern):
         j, col_number, col_weight = state(col)
         assert row_number == col_number - 1
         assert row_weight + i == col_weight - j
+
+
+@pytest.mark.parametrize("target", ["car-hankel", "car-hankel-deriv", "car-commutator"])
+@pytest.mark.parametrize("alpha", ["geometric:0.5", "power:1.5", "pisier-flat", "pisier-geometric"])
+def test_particle_hole_mirror_pairs_the_number_sectors(target, alpha):
+    """The pattern blocks of fermion number s have the norms of those of
+    number L + 1 - s, L the number of modes (the mirror of the module
+    docstring).  A block's number is that of its column states; the
+    blocks are split here by the pattern's components directly."""
+    for size in (3, 4, 5):
+        op = sp.csr_matrix(NORM_TARGETS[target](parse_alpha(alpha), size))
+        op.eliminate_zeros()
+        modes = (op.shape[0] // size).bit_length() - 1
+        edges = op.astype(bool)
+        _, labels = connected_components(sp.bmat([[None, edges], [edges.T, None]]),
+                                         directed=False)
+        row_labels, col_labels = labels[:op.shape[0]], labels[op.shape[0]:]
+        number = np.array([(c % 2**modes).bit_count() for c in range(op.shape[1])])
+        norms = {s: [] for s in range(1, modes + 1)}
+        for k in np.unique(col_labels[np.diff(op.tocsc().indptr) > 0]):
+            cols = np.flatnonzero(col_labels == k)
+            (s,) = np.unique(number[cols])
+            block = op[row_labels == k][:, cols].toarray()
+            norms[int(s)].append(np.linalg.norm(block, 2))
+        for s in range(1, modes + 1):
+            np.testing.assert_allclose(sorted(norms[s]), sorted(norms[modes + 1 - s]),
+                                       rtol=1e-14, atol=0)
 
 
 def test_block_norm_eigensolves_only_small_blocks(monkeypatch):

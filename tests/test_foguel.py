@@ -1,11 +1,12 @@
 """Block operators, sliding antidiagonal sums, and the similarity pipeline."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from foguel_lab import (
-    InvalidDimensionError,
     ValidationError,
     antidiag_partial_sum,
     antidiag_shift_form,
@@ -41,7 +42,7 @@ def test_assembly_layout(rng):
 
 
 def test_assembly_rejects_mismatched_shapes(rng):
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match=re.escape("t2 has shape (3, 3), expected (4, 4)")):
         assemble_foguel(random_complex(rng, 3), random_complex(rng, 4), random_complex(rng, 3))
 
 
@@ -145,8 +146,9 @@ def test_shift_form_is_the_formula_shifted_down(seed, d, n):
 def test_intertwiner_rejects_mismatched_shapes(rng):
     # a 4 x 4 X between shifts of sizes 4 and 5; one term multiplies no T1,
     # so only the shape check catches it there
+    wrong_shape = re.escape("t2 has shape (4, 4), expected (5, 5)")
     for n_terms in (1, 2):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(ValidationError, match=wrong_shape):
             intertwiner_partial(make_shift(4), make_shift(5), random_complex(rng, 4), n_terms)
 
 
@@ -171,6 +173,16 @@ def test_nilpotent_t1_stabilizes_exactly(rng):
     assert res.partial_norms[-1] == res.partial_norms[n - 1]
     # the norms carried over zero increments are those of the final Z
     assert all(v == op_norm_dense(res.z).value for v in res.partial_norms[n - 1:])
+
+
+@pytest.mark.parametrize("stab_run", [0, -3])
+def test_intertwiner_refuses_a_stab_run_below_one(stab_run):
+    # an empty run would call the series stable at its first term, of norm 1
+    n = 8
+    t2, t1, x = make_shift(n), make_shift(n), np.eye(n)
+    assert intertwiner_partial(t2, t1, x, 2, stab_tol=1e-12, stab_run=1).stabilized_at is None
+    with pytest.raises(ValidationError, match="stab_run must be >= 1"):
+        intertwiner_partial(t2, t1, x, 20, stab_tol=1e-12, stab_run=stab_run)
 
 
 def test_running_sup_respects_the_geometric_envelope(rng):

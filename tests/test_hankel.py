@@ -1,13 +1,13 @@
 """Hankel sections, derivation products, and the displacement identity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from foguel_lab import (
     HankelSpec,
-    InvalidDimensionError,
-    InvalidWindowError,
     ValidationError,
     WeightSequence,
     derivation_matrix,
@@ -94,6 +94,16 @@ def test_defect_zero_on_every_generated_section():
     for seq in (WeightSequence.pisier_flat(), WeightSequence.harmonic()):
         h = make_hankel(HankelSpec(seq, 6))
         assert hankel_defect(h) == 0.0
+
+
+@pytest.mark.parametrize("block_dim", [0, -1, -2, 3])
+def test_defect_refuses_a_bad_block_grid(block_dim):
+    # 0 would divide by zero, and a negative size would read the identity,
+    # whose defect is 1, as a true Hankel matrix; 3 does not tile 4
+    message = "block_dim must be >= 1" if block_dim < 1 else "is not square with block size 3"
+    assert hankel_defect(np.eye(4)) == 1.0
+    with pytest.raises(ValidationError, match=message):
+        hankel_defect(np.eye(4), block_dim)
 
 
 # ---- derivation products ----------------------------------------------
@@ -216,13 +226,13 @@ def test_displacement_kernel_contains_hankel_matrices(rng):
 
 def test_sylvester_residual_validates_window():
     y = np.zeros((4, 4))
-    with pytest.raises(InvalidWindowError):
+    with pytest.raises(ValidationError, match=re.escape("window must lie in [1, 3]")):
         sylvester_residual(y, y, 4)  # window must leave the boundary out
-    with pytest.raises(InvalidWindowError):
+    with pytest.raises(ValidationError, match=re.escape("window must lie in [1, 3]")):
         sylvester_residual(y, y, 0)
 
 
 def test_sylvester_residual_shape_mismatch():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match="Y and Gamma must be square of equal size"):
         sylvester_residual(np.zeros((4, 4)), np.zeros((5, 5)), 2)
 

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from foguel_lab import (
     DENSE_SIZE_CAP,
     HankelSpec,
-    InvalidDimensionError,
     MultiplierSpec,
     NormEstimate,
     SizeCapExceededError,
@@ -153,7 +152,7 @@ def test_shift_is_a_contraction_of_norm_one():
 
 
 def test_make_shift_rejects_tiny():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match="shift size must be >= 1"):
         make_shift(0)
 
 
@@ -466,5 +465,5 @@ def test_power_iteration_rank_one(rng):
 
 
 def test_as_matrix_rejects_non_2d():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match="expected a 2-D array, got ndim=1"):
         as_matrix(np.zeros(3))

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foguel_lab import (
-    InvalidOffsetError,
     MultiplierSpec,
     ValidationError,
     WeightSequence,
@@ -121,9 +120,9 @@ def test_damped_kinds_validate_epsilon_and_offset():
 
 def test_an_offset_below_the_sequence_start_is_refused():
     # harmonic starts at 1, and an offset-0 section reads a(0) at (0, 0)
-    with pytest.raises(InvalidOffsetError):
+    with pytest.raises(ValidationError, match="reads the sequence at 0, below its start index 1"):
         MultiplierSpec(WeightSequence.harmonic(), offset=0)
-    with pytest.raises(InvalidOffsetError):
+    with pytest.raises(ValidationError, match="reads the sequence at 0, below its start index 2"):
         MultiplierSpec.loglog_damped(1.0, offset=0)
     assert MultiplierSpec(WeightSequence.constant(), offset=0).entry(0, 1) == 0.5
 

@@ -258,12 +258,14 @@ def test_each_kind_refuses_a_missing_or_extra_argument(kind):
 
 
 def test_family_refuses_unknown_names_and_a_wrong_parameter_count():
-    with pytest.raises(ValidationError, match="expected " + re.escape(FAMILY_HELP)):
-        family("fibonacci")
-    with pytest.raises(ValidationError, match="takes one parameter EPS"):
-        family("log")
-    with pytest.raises(ValidationError, match="takes no parameter"):
-        family("harmonic", 1.0)
+    # family() leaves both rules to WeightSequence, which words them alike
+    for make in (family, WeightSequence):
+        with pytest.raises(ValidationError, match="expected " + re.escape(FAMILY_HELP)):
+            make("fibonacci")
+        with pytest.raises(ValidationError, match="family 'log' takes one parameter EPS"):
+            make("log")
+        with pytest.raises(ValidationError, match="family 'harmonic' takes no parameter"):
+            make("harmonic", 1.0)
     assert FAMILY_HELP.split(" | ") == [
         "pisier-flat", "pisier-geometric", "harmonic", "constant",
         "power:S", "geometric:R", "log:EPS", "loglog:EPS",
