@@ -32,10 +32,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import summation
 from .errors import ValidationError
 from .hankel import _factor_section
 from .linalg import as_matrix, check_dense_cap, op_norm_dense
-from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family
+from .sequences import (WeightSequence, check_terms_cap, decade_verdict, decade_windows,
+                        diff2, family)
 
 #: The named multiplier kinds, each the quotient array of a coefficient family.
 MULTIPLIER_KINDS = {
@@ -127,31 +129,27 @@ def antidiag_abs_coeff(ns, offset: int = 1) -> np.ndarray:
     return np.where(K < 0, 0.0, (K + 1) ** 2 // 2)
 
 
-def antidiagonal_sums(spec: MultiplierSpec, terms: int) -> np.ndarray:
-    """Absolute second-difference mass of each antidiagonal of a section.
+def antidiagonal_sums(spec: MultiplierSpec, start: int, stop: int) -> np.ndarray:
+    """Absolute second-difference mass of the antidiagonals start <= n < stop.
 
     Entry t totals |m(i,j) - m(i,j+1) - m(i+1,j) + m(i+1,j+1)| over the
-    antidiagonal i + j = 2*offset + t, for i + j <= terms.  For a
-    quotient array the inner sum collapses exactly: the second difference
-    at (i, j) with i + j = n equals (j - i) * (g(n) - 2 g(n+1) + g(n+2)), so
-    each antidiagonal contributes |g(n) - 2g(n+1) + g(n+2)| times the
-    closed-form coefficient :func:`antidiag_abs_coeff` — the same grouping
-    as direct summation but O(terms) instead of O(terms^2).  Entry-callable
-    arrays are summed directly.
+    antidiagonal i + j = start + t.  For a quotient array the inner sum
+    collapses exactly: the second difference at (i, j) with i + j = n
+    equals (j - i) * (g(n) - 2 g(n+1) + g(n+2)), so each antidiagonal
+    contributes |g(n) - 2g(n+1) + g(n+2)| times the closed-form coefficient
+    :func:`antidiag_abs_coeff` — the same grouping as direct summation but
+    O(stop - start) instead of O(stop^2).  Entry-callable arrays are
+    summed directly.
     """
-    check_terms_cap(terms)
-    n_lo = 2 * spec.offset
-    if terms < n_lo + 2:
-        raise ValidationError(f"terms must be >= {n_lo + 2}")
     if spec.sequence is not None:
-        d2 = diff2(spec.g_values(np.arange(n_lo, terms + 3)))
-        ns = np.arange(n_lo, terms + 1, dtype=np.int64)
+        d2 = diff2(spec.g_values(np.arange(start, stop + 2)))
+        ns = np.arange(start, stop, dtype=np.int64)
         return antidiag_abs_coeff(ns, spec.offset) * np.abs(d2)
     f = spec.entry_fn
     return np.array([
         sum(abs(f(i, n - i) - f(i, n - i + 1) - f(i + 1, n - i) + f(i + 1, n - i + 1))
             for i in range(spec.offset, n - spec.offset + 1))
-        for n in range(n_lo, terms + 1)
+        for n in range(start, stop)
     ])
 
 
@@ -159,7 +157,7 @@ def antidiagonal_sums(spec: MultiplierSpec, terms: int) -> np.ndarray:
 class MatrixDiffReport:
     """Absolute second-difference mass of a multiplier section.
 
-    ``total`` sums :func:`antidiagonal_sums` over i + j <= terms;
+    ``total`` sums :func:`antidiagonal_sums` over 2 * offset <= i + j <= terms;
     summability of those sums (plus vanishing row/column limits) is the
     classical sufficient condition for the array to multiply boundedly.
     """
@@ -175,12 +173,20 @@ class MatrixDiffReport:
 def bennett_criterion(spec: MultiplierSpec, terms: int) -> MatrixDiffReport:
     """Second-difference partial sums over the triangle i + j <= terms.
 
-    The per-antidiagonal masses of :func:`antidiagonal_sums` are summed
-    exactly by decade and dropped.  Row/column vanishing is sampled at
-    index max(10 * terms, 10^6) in the first few columns/rows.
+    The masses of :func:`antidiagonal_sums`, taken over blocks of
+    ``summation._CHUNK`` antidiagonals, are summed exactly by decade and
+    dropped.  Row/column vanishing is sampled at index max(10 * terms,
+    10^6) in the first few columns/rows.
     """
-    sums = antidiagonal_sums(spec, terms)
-    windows, increments, total, verdict = decade_sums(sums, 2 * spec.offset, terms)
+    check_terms_cap(terms)
+    n_lo = 2 * spec.offset
+    if terms < n_lo + 2:
+        raise ValidationError(f"terms must be >= {n_lo + 2}")
+    windows, cuts, full = decade_windows(n_lo, terms)
+    acc = summation.WindowSums(cuts)
+    for s in range(n_lo, terms + 1, summation._CHUNK):
+        acc.add(antidiagonal_sums(spec, s, min(s + summation._CHUNK, terms + 1)))
+    increments, total = acc.result()
     probe = max(10 * terms, 10 ** 6)
     near = range(spec.offset, spec.offset + 4)
     row_tail = max(abs(spec.entry(probe, j)) for j in near)
@@ -189,7 +195,7 @@ def bennett_criterion(spec: MultiplierSpec, terms: int) -> MatrixDiffReport:
         total=total,
         decades=windows,
         decade_increments=increments,
-        verdict=verdict,
+        verdict=decade_verdict(increments, full),
         row_tail=row_tail,
         col_tail=col_tail,
     )

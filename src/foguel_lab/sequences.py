@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import summation
 from .errors import SizeCapExceededError, ValidationError
-from .summation import exact_sum, exact_sums
 
-#: The largest series length the summability diagnostics accept: they
-#: hold a few float arrays of that length at once, about 47 bytes a term.
+#: The largest series length the summability diagnostics accept.  They
+#: stream the series in fixed-size blocks, so it bounds run time, not memory.
 BENNETT_TERMS_CAP = 10 ** 8
 
 
@@ -129,10 +129,13 @@ class WeightSequence:
         ks = np.asarray(indices, dtype=np.int64)
         scalar = ks.ndim == 0
         ks = np.atleast_1d(ks)
-        out = np.zeros(ks.shape, dtype=float)
-        mask = ks >= self.start_index
-        if mask.any():
-            out[mask] = self._formula(ks[mask])
+        with np.errstate(over="ignore"):  # an overflow gives inf; finite checks refuse it
+            if ks.min(initial=self.start_index) >= self.start_index:
+                out = self._formula(ks)
+            else:
+                out = np.zeros(ks.shape, dtype=float)
+                mask = ks >= self.start_index
+                out[mask] = self._formula(ks[mask])
         return out[0] if scalar else out
 
     def value(self, k: int) -> float:
@@ -223,30 +226,27 @@ class BennettReport:
     verdicts: tuple[bool, bool, bool]
 
 
-def decade_sums(series, n_start: int, terms: int):
-    """(windows, increments, total, verdict) of one series over [n_start, terms].
-
-    ``series[k]`` is the term at n = n_start + k.  The windows are
-    (10^(d-1), 10^d] clipped to [n_start, terms]; one exactly rounded pass
-    gives the increment of every window and the total.  The verdict is
-    True iff the increments over the last three windows that lie entirely
-    inside the range (so are comparable across runs) strictly decrease.
-    """
-    windows = []
-    full = []
-    d = 1
-    while 10 ** (d - 1) < terms:
-        lo, hi = 10 ** (d - 1), 10 ** d
-        a, b = max(n_start, lo + 1), min(terms, hi)
+def decade_windows(n_start: int, terms: int):
+    """(windows, cuts, full): the windows (10^(d-1), 10^d] clipped to [n_start, terms],
+    the cuts that split a series whose k-th term is at n = n_start + k into
+    them, and which windows lie entirely inside the range (so are
+    comparable across runs)."""
+    windows, full = [], []
+    lo = 1
+    while lo < terms:
+        a, b = max(n_start, lo + 1), min(terms, 10 * lo)
         if a <= b:
             windows.append((a, b))
-            full.append(lo + 1 >= n_start and hi <= terms)
-        d += 1
+            full.append(lo + 1 >= n_start and 10 * lo <= terms)
+        lo *= 10
     cuts = [windows[0][0] - n_start] + [b + 1 - n_start for _, b in windows]
-    increments, total = exact_sums(series, cuts)
+    return tuple(windows), cuts, full
+
+
+def decade_verdict(increments, full) -> bool:
+    """True iff the increments over the last three full windows strictly decrease."""
     tail = [v for v, f in zip(increments, full) if f][-3:]
-    verdict = len(tail) == 3 and tail[0] > tail[1] > tail[2]
-    return tuple(windows), increments, total, verdict
+    return len(tail) == 3 and tail[0] > tail[1] > tail[2]
 
 
 def check_terms_cap(terms: int) -> None:
@@ -260,10 +260,10 @@ def check_terms_cap(terms: int) -> None:
 def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
     """Summability diagnostics for the series view (a_n) of ``seq``.
 
-    The series starts at n_start = max(1, start_index); one evaluation of
-    a_n over [n_start, terms + 3] feeds the three series and the proof
-    chain, which look ahead to a_{terms+3}.  Each series array is dropped
-    once its exactly rounded sums are taken.
+    The series starts at n_start = max(1, start_index).  Each block of
+    ``summation._CHUNK`` n evaluates a_n there and at the three n after it,
+    which the differences look ahead to, and streams the three series and
+    the proof chain into exact window accumulators.
     """
     check_terms_cap(terms)
     if terms < 10:
@@ -271,23 +271,25 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
     n0 = max(1, seq.start_index)
     if terms <= n0:
         raise ValidationError(f"terms must exceed the series start {n0}")
-    ns = np.arange(n0, terms + 1, dtype=np.int64)
-    L = len(ns)
-    a = seq.values_at(np.arange(n0, terms + 4))
-    reports = [decade_sums(np.abs(a[:L]) / ns, n0, terms)]
-    b = np.abs(diff1(a))
-    reports.append(decade_sums(b[:L], n0, terms))
-    # The weighted second differences n|c_n| are the third series and the
-    # first proof-chain term; the other three terms are added in place.
-    chain = ns * np.abs(diff2(a)[:L])
-    reports.append(decade_sums(chain, n0, terms))
-    chain += b[:L]
-    chain += b[1 : L + 1]
-    del b
-    chain += 2.0 * np.abs(a[2 : L + 2]) / (ns + 2.0)
-    del a
-    chain_bound = exact_sum(chain)
-    windows, increments, totals, verdicts = zip(*reports)
+    windows, cuts, full = decade_windows(n0, terms)
+    sums = [summation.WindowSums(cuts) for _ in range(3)] + [summation.WindowSums()]
+    for s in range(n0, terms + 1, summation._CHUNK):
+        ns = np.arange(s, min(s + summation._CHUNK, terms + 1), dtype=np.int64)
+        L = len(ns)
+        a = seq.values_at(np.arange(s, s + L + 3))
+        sums[0].add(np.abs(a[:L]) / ns)
+        b = np.abs(diff1(a))
+        sums[1].add(b[:L])
+        # The weighted second differences n|c_n| are the third series and
+        # the first proof-chain term; the other three are added in place.
+        chain = ns * np.abs(diff2(a)[:L])
+        sums[2].add(chain)
+        chain += b[:L]
+        chain += b[1 : L + 1]
+        chain += 2.0 * np.abs(a[2 : L + 2]) / (ns + 2.0)
+        sums[3].add(chain)
+    chain_bound = sums.pop().result()[1]
+    increments, totals = zip(*(acc.result() for acc in sums))
     return BennettReport(
         terms=terms,
         n_start=n0,
@@ -295,7 +297,7 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
         sum_abs_diff1=totals[1],
         sum_weighted_diff2=totals[2],
         chain_bound=chain_bound,
-        decades=windows[0],
+        decades=windows,
         decade_increments=increments,
-        verdicts=verdicts,  # type: ignore[arg-type]
+        verdicts=tuple(decade_verdict(inc, full) for inc in increments),  # type: ignore[arg-type]
     )

@@ -3,18 +3,18 @@
 Partial sums of the slowly convergent series studied here (tails like
 1/(n log^2 n)) lose their meaning in double precision if accumulated
 naively over 10^5..10^7 terms, so every series total in this package goes
-through :func:`exact_sum` or :func:`exact_sums`.
-
-Both sum with an integer superaccumulator (Neal, "Fast exact summation
-using small and large superaccumulators", arXiv:1505.05571).  ``np.frexp``
-writes each term as m 2^e with 1/2 <= |m| < 1; m 2^27 splits by
-``np.trunc`` into a whole part below 2^27 and a fraction that is a
-multiple of 2^-26.  ``np.bincount`` sums each part per exponent.  Over at
-most 2^25 terms every bucket is a multiple of 2^-26 below 2^52 in size,
-so float64 holds it exactly.  The buckets are then merged as Python ints
-into one exact multiple of 2^-1126 and rounded once by int true division,
-which CPython rounds correctly.  Exact integers merge exactly, so the sums
-of contiguous windows and of the whole array come from one pass.
+through one :class:`WindowSums` accumulator: whole arrays through
+:func:`exact_sum` and :func:`exact_sums`, the summability series block by
+block as they are evaluated.  It is an integer superaccumulator (Neal,
+arXiv:1505.05571).  ``np.frexp`` writes each term as m 2^e with
+1/2 <= |m| < 1; ``np.trunc`` splits m 2^27 into a whole part below 2^27
+and a multiple of 2^-26, and ``np.bincount`` sums each part per exponent.
+Over at most 2^25 terms every bucket is a multiple of 2^-26 below 2^52,
+so float64 holds it exactly.  At each cut, and every 2^25 terms, the open
+window's buckets are merged as Python ints into one exact multiple of
+2^-1126, rounded once by int true division, which CPython rounds
+correctly.  Exact integers merge exactly, so no sum depends on how the
+stream is split into chunks.
 """
 
 from __future__ import annotations
@@ -30,56 +30,96 @@ _FLUSH = 1 << 25  # terms per float64 bucket, so every bucket stays exact
 _EXP0 = 1073  # frexp exponents run from -1073 (subnormals) to 1024
 _BUCKETS = _EXP0 + 1025
 _SCALE = 1 << 1126  # a term m 2^e is (m 2^53) << (e + _EXP0), over _SCALE
+_NEG_ZERO = np.float64(-0.0).view(np.int64)
 
 
-def _as_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).ravel()
+def _rounded(total: int, odd: list[float]) -> float:
+    if total and all(map(math.isfinite, odd)):
+        return total / _SCALE
+    return math.fsum(odd)
 
 
-def _scaled_total(arr: np.ndarray) -> int | None:
-    """sum(arr) * _SCALE as an exact int; None if an entry is inf or nan."""
-    total = 0
-    for start in range(0, len(arr), _FLUSH):
-        whole_b = np.zeros(_BUCKETS)
-        frac_b = np.zeros(_BUCKETS)
-        with np.errstate(invalid="ignore"):  # inf - inf only marks a fallback
-            for s in range(start, min(start + _FLUSH, len(arr)), _CHUNK):
-                m, e = np.frexp(arr[s : s + _CHUNK])
-                m *= 2.0**27
-                whole = np.trunc(m)
-                frac = m - whole
-                e += _EXP0
-                whole_b += np.bincount(e, whole, _BUCKETS)
-                frac_b += np.bincount(e, frac, _BUCKETS)
-        if not (np.isfinite(whole_b).all() and np.isfinite(frac_b).all()):
-            return None
-        for i in np.flatnonzero((whole_b != 0.0) | (frac_b != 0.0)).tolist():
-            total += ((int(whole_b[i]) << 26) + int(frac_b[i] * 2.0**26)) << i
-    return total
+class WindowSums:
+    """Exactly rounded sums of a stream of chunks, cut into windows.
 
+    ``cuts`` are non-decreasing offsets into the stream.  :meth:`add` sums
+    the next chunk and keeps none of it; :meth:`result`, called once at the
+    end, gives the sums of ``[cuts[i], cuts[i + 1])`` and of it all.  Each is
+    bit-identical to ``math.fsum`` of its terms wherever that returns:
+    ``fsum`` itself settles inf, nan, inf - inf (``ValueError``) and the sign
+    of an exact zero, from stand-ins kept per window (its distinct inf and
+    nan entries; a zero, -0.0 only if every entry is -0.0).  Where ``fsum``
+    raises ``OverflowError`` on an intermediate overflow of finite terms,
+    this returns the correctly rounded sum and raises only if that overflows.
+    """
 
-def _rounded(total: int | None, arr: np.ndarray) -> float:
-    # A non-finite entry (None) and an exact zero, whose sign depends on
-    # the signs of the zero terms, take fsum's own route.
-    if not total:
-        return math.fsum(memoryview(arr))
-    return total / _SCALE
+    def __init__(self, cuts=()):
+        self._cuts = [int(c) for c in cuts]
+        if any(a > b for a, b in zip([0, *self._cuts], self._cuts)):
+            raise ValidationError("cuts must be non-negative and non-decreasing")
+        self._seen, self._closed = 0, []  # entries added; (sum * _SCALE, stand-ins) per window
+        self._whole, self._frac = np.zeros(_BUCKETS), np.zeros(_BUCKETS)
+        self._total, self._odd, self._zero = 0, [], []  # the open window's sum and stand-ins
+
+    def _flush(self):
+        if not self._odd:  # an inf or nan entry leaves the buckets non-finite
+            for i in np.flatnonzero((self._whole != 0.0) | (self._frac != 0.0)).tolist():
+                self._total += ((int(self._whole[i]) << 26) + int(self._frac[i] * 2.0**26)) << i
+        self._whole[:] = self._frac[:] = 0.0
+
+    def _close(self):
+        self._flush()
+        self._closed.append((self._total, self._odd + self._zero))
+        self._total, self._odd, self._zero = 0, [], []
+
+    def _fold(self, piece: np.ndarray):
+        with np.errstate(invalid="ignore"):  # inf - inf only marks a stand-in
+            m, e = np.frexp(piece)
+            m *= 2.0**27
+            whole = np.trunc(m)
+            m -= whole
+            e += _EXP0
+            self._whole += np.bincount(e, whole, _BUCKETS)
+            if not math.isfinite(self._whole[_EXP0]):  # inf and nan have e = 0
+                self._odd += np.unique(piece[~np.isfinite(piece)]).tolist()
+            self._frac += np.bincount(e, m, _BUCKETS)
+        if not self._zero or math.copysign(1.0, self._zero[0]) < 0:  # all -0.0 so far
+            self._zero = [-0.0 if (piece.view(np.int64) == _NEG_ZERO).all() else 0.0]
+        self._seen += len(piece)
+        if self._seen % _FLUSH == 0:
+            self._flush()
+
+    def add(self, chunk) -> None:
+        """Sum the next ``len(chunk)`` entries of the stream."""
+        arr = np.asarray(chunk, dtype=float).ravel()
+        while len(arr):
+            k = len(self._closed)
+            end = self._cuts[k] if k < len(self._cuts) else math.inf
+            if self._seen == end:
+                self._close()
+                continue
+            step = min(len(arr), end - self._seen, _CHUNK, _FLUSH - self._seen % _FLUSH)
+            self._fold(arr[:step])
+            arr = arr[step:]
+
+    def result(self) -> tuple[tuple[float, ...], float]:
+        """(window sums, total) of everything added."""
+        for cut in self._cuts[len(self._closed) :]:
+            if cut > self._seen:
+                raise ValidationError(f"cut {cut} lies beyond the {self._seen} entries summed")
+            self._close()
+        self._close()
+        windows = tuple(_rounded(*part) for part in self._closed[1:-1])
+        odd = [x for _, part in self._closed for x in part]
+        return windows, _rounded(sum(t for t, _ in self._closed), odd)
 
 
 def exact_sum(values) -> float:
     """Exactly rounded sum of every entry of ``values`` (raveled to 1-D).
 
-    The result is bit-identical to ``math.fsum`` wherever ``fsum``
-    returns.  Input with an inf or nan entry, and input whose exact sum
-    is zero, go to ``math.fsum`` itself, so inf, nan, the ``ValueError``
-    on inf - inf and the sign of a zero total are fsum's.  Where
-    ``fsum`` raises ``OverflowError`` on an intermediate overflow of
-    finite terms, this returns the correctly rounded total, and raises
-    ``OverflowError`` only when that total overflows or is exactly zero
-    (which goes to ``fsum``).
+    Bit-identical to ``math.fsum`` wherever that returns; see :class:`WindowSums`.
     """
-    arr = _as_array(values)
-    return _rounded(_scaled_total(arr), arr)
+    return exact_sums(values, ())[1]
 
 
 def exact_sums(values, cuts) -> tuple[tuple[float, ...], float]:
@@ -88,16 +128,8 @@ def exact_sums(values, cuts) -> tuple[tuple[float, ...], float]:
     ``cuts`` are non-decreasing indices into the raveled ``values``.  Each
     window sum equals :func:`exact_sum` of its slice and the total equals
     :func:`exact_sum` of the whole array; entries before the first cut
-    and after the last count only towards the total.  Every entry is read
-    once.
+    and after the last count only towards the total.
     """
-    arr = _as_array(values)
-    bounds = [0, *(int(c) for c in cuts), len(arr)]
-    if any(a > b for a, b in zip(bounds, bounds[1:])):
-        raise ValidationError(f"cuts must be non-decreasing within [0, {len(arr)}]")
-    parts = [_scaled_total(arr[a:b]) for a, b in zip(bounds, bounds[1:])]
-    windows = tuple(
-        _rounded(t, arr[a:b]) for t, a, b in zip(parts[1:-1], bounds[1:], bounds[2:])
-    )
-    total = None if None in parts else sum(parts)
-    return windows, _rounded(total, arr)
+    acc = WindowSums(cuts)
+    acc.add(values)
+    return acc.result()

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -653,6 +654,16 @@ def test_non_finite_floats_and_non_positive_tol_are_refused(tmp_path, capsys, ca
     assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 1
     summary = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert capsys.readouterr().err == f"error: {summary['jobs'][0]['error']}\n"
+
+
+def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_path, capsys):
+    # (k+1)^400 overflows from k = 5 on; a numpy overflow warning raised as
+    # an error would end the run as an unexpected error, exit 3
+    argv = ["norm", "--target", "hankel", "--alpha", "power:-400", "--sizes", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: matrix entries must be finite\n"
 
 
 BOOLEAN_FLOATS = {

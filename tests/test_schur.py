@@ -156,8 +156,8 @@ def test_criterion_closed_form_matches_direct_summation():
     literal = MultiplierSpec(entry_fn=lambda i, j: (j - i) / (i + j + 1.0))
     rs = bennett_criterion(structured, 80)
     rl = bennett_criterion(literal, 80)
-    sums_s = antidiagonal_sums(structured, 80)
-    assert np.abs(sums_s - antidiagonal_sums(literal, 80)).max() < 1e-12
+    sums_s = antidiagonal_sums(structured, 2, 81)
+    assert np.abs(sums_s - antidiagonal_sums(literal, 2, 81)).max() < 1e-12
     assert rs.total == pytest.approx(rl.total, rel=1e-12)
 
 
@@ -170,7 +170,7 @@ def test_constant_array_has_no_second_difference_mass():
 def test_alternating_array_diverges_linearly():
     spec = MultiplierSpec(entry_fn=lambda i, j: (-1.0) ** (i + j))
     rep = bennett_criterion(spec, 60)
-    sums = antidiagonal_sums(spec, 60)
+    sums = antidiagonal_sums(spec, 2, 61)
     # every second difference has modulus 4, so antidiagonal sums grow
     # with the antidiagonal length and the partial sums diverge
     assert sums[0] == 4.0

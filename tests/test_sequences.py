@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from foguel_lab import (
     MultiplierSpec,
     ValidationError,
     WeightSequence,
+    bennett_criterion,
     bennett_sums,
     diff1,
     diff2,
     exact_sum,
+    summation,
 )
 from foguel_lab.sequences import FAMILIES, FAMILY_HELP, family
 
@@ -183,6 +187,49 @@ def test_constant_sequence_flags_divergence():
     assert rep.sum_weighted_diff2 == 0.0
     # sum 1/n keeps adding ~ln(10) per decade: never strictly decreasing
     assert rep.verdicts[0] is False
+
+
+@pytest.mark.parametrize(
+    "spec, terms",
+    [
+        (MultiplierSpec(WeightSequence.harmonic()), 10_000),
+        (MultiplierSpec(WeightSequence.constant()), 10_000),  # exactly zero totals
+        (MultiplierSpec.log_damped(1.0), 10_000),
+        (MultiplierSpec.loglog_damped(1.0), 10_000),
+        (MultiplierSpec(entry_fn=lambda i, j: (j - i) / (i + j + 1.0)), 300),
+    ],
+    ids=["harmonic", "constant", "log-eps1", "loglog-eps1", "entry-callable"],
+)
+def test_streamed_blocks_give_the_whole_array_reports(spec, terms):
+    """Blocks of 97 terms, flushed every 16, against one block of the whole
+    range: every report field is bit-identical.  The decade cuts at n = 11,
+    101 and 1001 fall inside blocks."""
+    def reports():
+        sums = () if spec.sequence is None else (bennett_sums(spec.sequence, terms),)
+        return repr((*sums, bennett_criterion(spec, terms)))
+
+    assert terms < summation._CHUNK
+    whole = reports()
+    with patch.multiple(summation, _CHUNK=97, _FLUSH=16):
+        assert reports() == whole
+
+
+def test_summability_memory_does_not_grow_with_the_series_length():
+    """The series are streamed in blocks, so the traced peak stays flat."""
+    seq = WeightSequence.harmonic()
+
+    def peak(terms):
+        tracemalloc.start()
+        try:
+            bennett_sums(seq, terms)
+            bennett_criterion(MultiplierSpec(seq), terms)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**5), peak(10**6)
+    assert large < 8 * 2**20
+    assert large < 1.2 * small
 
 
 def test_bennett_sums_rejects_tiny_range():
