@@ -74,7 +74,7 @@ from .sequences import (
     diff1,
     diff2,
 )
-from .summation import WindowSums, exact_sum, exact_sums
+from .summation import exact_sum, exact_sums
 
 __version__ = "0.1.0"
 

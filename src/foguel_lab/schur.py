@@ -32,12 +32,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import summation
 from .errors import ValidationError
 from .hankel import _factor_section
 from .linalg import as_matrix, check_dense_cap, op_norm_dense
-from .sequences import (WeightSequence, check_terms_cap, decade_verdict, decade_windows,
-                        diff2, family)
+from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family
 
 #: The named multiplier kinds, each the quotient array of a coefficient family.
 MULTIPLIER_KINDS = {
@@ -141,6 +139,7 @@ def antidiagonal_sums(spec: MultiplierSpec, start: int, stop: int) -> np.ndarray
     O(stop - start) instead of O(stop^2).  Entry-callable arrays are
     summed directly.
     """
+    check_terms_cap(stop - 1)
     if spec.sequence is not None:
         d2 = diff2(spec.g_values(np.arange(start, stop + 2)))
         ns = np.arange(start, stop, dtype=np.int64)
@@ -173,20 +172,15 @@ class MatrixDiffReport:
 def bennett_criterion(spec: MultiplierSpec, terms: int) -> MatrixDiffReport:
     """Second-difference partial sums over the triangle i + j <= terms.
 
-    The masses of :func:`antidiagonal_sums`, taken over blocks of
-    ``summation._CHUNK`` antidiagonals, are summed exactly by decade and
-    dropped.  Row/column vanishing is sampled at index max(10 * terms,
-    10^6) in the first few columns/rows.
+    The masses of :func:`antidiagonal_sums` are summed exactly by decade,
+    block by block (:func:`decade_sums`), and dropped.  Row/column vanishing
+    is sampled at index max(10 * terms, 10^6) in the first few columns/rows.
     """
-    check_terms_cap(terms)
     n_lo = 2 * spec.offset
     if terms < n_lo + 2:
         raise ValidationError(f"terms must be >= {n_lo + 2}")
-    windows, cuts, full = decade_windows(n_lo, terms)
-    acc = summation.WindowSums(cuts)
-    for s in range(n_lo, terms + 1, summation._CHUNK):
-        acc.add(antidiagonal_sums(spec, s, min(s + summation._CHUNK, terms + 1)))
-    increments, total = acc.result()
+    windows, (increments,), (total,), (verdict,) = decade_sums(
+        n_lo, terms, 1, lambda s, e: (antidiagonal_sums(spec, s, e),))
     probe = max(10 * terms, 10 ** 6)
     near = range(spec.offset, spec.offset + 4)
     row_tail = max(abs(spec.entry(probe, j)) for j in near)
@@ -195,7 +189,7 @@ def bennett_criterion(spec: MultiplierSpec, terms: int) -> MatrixDiffReport:
         total=total,
         decades=windows,
         decade_increments=increments,
-        verdict=decade_verdict(increments, full),
+        verdict=verdict,
         row_tail=row_tail,
         col_tail=col_tail,
     )

@@ -130,12 +130,8 @@ class WeightSequence:
         scalar = ks.ndim == 0
         ks = np.atleast_1d(ks)
         with np.errstate(over="ignore"):  # an overflow gives inf; finite checks refuse it
-            if ks.min(initial=self.start_index) >= self.start_index:
-                out = self._formula(ks)
-            else:
-                out = np.zeros(ks.shape, dtype=float)
-                mask = ks >= self.start_index
-                out[mask] = self._formula(ks[mask])
+            out = self._formula(np.maximum(ks, self.start_index))
+        out[ks < self.start_index] = 0.0
         return out[0] if scalar else out
 
     def value(self, k: int) -> float:
@@ -226,13 +222,17 @@ class BennettReport:
     verdicts: tuple[bool, bool, bool]
 
 
-def decade_windows(n_start: int, terms: int):
-    """(windows, cuts, full): the windows (10^(d-1), 10^d] clipped to [n_start, terms],
-    the cuts that split a series whose k-th term is at n = n_start + k into
-    them, and which windows lie entirely inside the range (so are
-    comparable across runs)."""
-    windows, full = [], []
-    lo = 1
+def decade_sums(n_start: int, terms: int, count: int, block_series):
+    """(windows, increments, totals, verdicts) of ``count`` series over n in [n_start, terms].
+
+    ``block_series(s, e)`` gives each series' terms at n = s..e-1 for each
+    block of :func:`summation.blocks`; they are summed exactly by window,
+    (10^(d-1), 10^d] clipped to [n_start, terms], and dropped.  A verdict is
+    True iff the increments over the last three windows that lie entirely
+    inside the range (so are comparable across runs) strictly decrease.
+    """
+    check_terms_cap(terms)
+    windows, full, lo = [], [], 1
     while lo < terms:
         a, b = max(n_start, lo + 1), min(terms, 10 * lo)
         if a <= b:
@@ -240,13 +240,14 @@ def decade_windows(n_start: int, terms: int):
             full.append(lo + 1 >= n_start and 10 * lo <= terms)
         lo *= 10
     cuts = [windows[0][0] - n_start] + [b + 1 - n_start for _, b in windows]
-    return tuple(windows), cuts, full
-
-
-def decade_verdict(increments, full) -> bool:
-    """True iff the increments over the last three full windows strictly decrease."""
-    tail = [v for v, f in zip(increments, full) if f][-3:]
-    return len(tail) == 3 and tail[0] > tail[1] > tail[2]
+    sums = [summation.WindowSums(cuts) for _ in range(count)]
+    for s, e in summation.blocks(n_start, terms + 1):
+        for acc, series in zip(sums, block_series(s, e), strict=True):
+            acc.add(series)
+    increments, totals = zip(*(acc.result() for acc in sums))
+    tails = [[v for v, f in zip(inc, full) if f][-3:] for inc in increments]
+    verdicts = tuple(len(t) == 3 and t[0] > t[1] > t[2] for t in tails)
+    return tuple(windows), increments, totals, verdicts
 
 
 def check_terms_cap(terms: int) -> None:
@@ -260,44 +261,37 @@ def check_terms_cap(terms: int) -> None:
 def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
     """Summability diagnostics for the series view (a_n) of ``seq``.
 
-    The series starts at n_start = max(1, start_index).  Each block of
-    ``summation._CHUNK`` n evaluates a_n there and at the three n after it,
-    which the differences look ahead to, and streams the three series and
-    the proof chain into exact window accumulators.
+    The series starts at n_start = max(1, start_index).  Each block of n
+    evaluates a_n there and at the three n after it, which the differences
+    look ahead to, and gives the three series and the proof chain to
+    :func:`decade_sums`.
     """
-    check_terms_cap(terms)
     if terms < 10:
         raise ValidationError("terms must be >= 10")
     n0 = max(1, seq.start_index)
     if terms <= n0:
         raise ValidationError(f"terms must exceed the series start {n0}")
-    windows, cuts, full = decade_windows(n0, terms)
-    sums = [summation.WindowSums(cuts) for _ in range(3)] + [summation.WindowSums()]
-    for s in range(n0, terms + 1, summation._CHUNK):
-        ns = np.arange(s, min(s + summation._CHUNK, terms + 1), dtype=np.int64)
-        L = len(ns)
-        a = seq.values_at(np.arange(s, s + L + 3))
-        sums[0].add(np.abs(a[:L]) / ns)
+
+    def series(s, e):
+        ns = np.arange(s, e, dtype=np.int64)
+        L = e - s
+        a = seq.values_at(np.arange(s, e + 3))
         b = np.abs(diff1(a))
-        sums[1].add(b[:L])
         # The weighted second differences n|c_n| are the third series and
-        # the first proof-chain term; the other three are added in place.
-        chain = ns * np.abs(diff2(a)[:L])
-        sums[2].add(chain)
-        chain += b[:L]
-        chain += b[1 : L + 1]
-        chain += 2.0 * np.abs(a[2 : L + 2]) / (ns + 2.0)
-        sums[3].add(chain)
-    chain_bound = sums.pop().result()[1]
-    increments, totals = zip(*(acc.result() for acc in sums))
+        # the first proof-chain term.
+        weighted = ns * np.abs(diff2(a)[:L])
+        chain = weighted + b[:L] + b[1 : L + 1] + 2.0 * np.abs(a[2 : L + 2]) / (ns + 2.0)
+        return np.abs(a[:L]) / ns, b[:L], weighted, chain
+
+    windows, increments, totals, verdicts = decade_sums(n0, terms, 4, series)
     return BennettReport(
         terms=terms,
         n_start=n0,
         sum_a_over_n=totals[0],
         sum_abs_diff1=totals[1],
         sum_weighted_diff2=totals[2],
-        chain_bound=chain_bound,
+        chain_bound=totals[3],
         decades=windows,
-        decade_increments=increments,
-        verdicts=tuple(decade_verdict(inc, full) for inc in increments),  # type: ignore[arg-type]
+        decade_increments=increments[:3],
+        verdicts=verdicts[:3],  # type: ignore[arg-type]
     )

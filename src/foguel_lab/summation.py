@@ -33,10 +33,15 @@ _SCALE = 1 << 1126  # a term m 2^e is (m 2^53) << (e + _EXP0), over _SCALE
 _NEG_ZERO = np.float64(-0.0).view(np.int64)
 
 
-def _rounded(total: int, odd: list[float]) -> float:
+def _rounded(total: int, odd: list[float], terms) -> float:
     if total and all(map(math.isfinite, odd)):
         return total / _SCALE
-    return math.fsum(odd)
+    return math.fsum(odd if terms is None else memoryview(terms))
+
+
+def blocks(start: int, stop: int):
+    """The consecutive ranges (s, e) of at most ``_CHUNK`` integers that tile [start, stop)."""
+    return ((s, min(s + _CHUNK, stop)) for s in range(start, stop, _CHUNK))
 
 
 class WindowSums:
@@ -44,13 +49,13 @@ class WindowSums:
 
     ``cuts`` are non-decreasing offsets into the stream.  :meth:`add` sums
     the next chunk and keeps none of it; :meth:`result`, called once at the
-    end, gives the sums of ``[cuts[i], cuts[i + 1])`` and of it all.  Each is
-    bit-identical to ``math.fsum`` of its terms wherever that returns:
-    ``fsum`` itself settles inf, nan, inf - inf (``ValueError``) and the sign
-    of an exact zero, from stand-ins kept per window (its distinct inf and
-    nan entries; a zero, -0.0 only if every entry is -0.0).  Where ``fsum``
-    raises ``OverflowError`` on an intermediate overflow of finite terms,
-    this returns the correctly rounded sum and raises only if that overflows.
+    end, gives the sums of ``[cuts[i], cuts[i + 1])`` and of it all, as
+    :func:`exact_sum` would when the terms are handed to it.  Without them,
+    a sum that is exactly zero or meets inf or nan is ``math.fsum`` of
+    stand-ins kept per window (its distinct inf and nan entries; a zero,
+    -0.0 only if every entry is -0.0): fsum's inf, nan, ``ValueError`` on
+    inf - inf and sign of zero, but not its ``OverflowError`` there when
+    finite terms overflow on the way, which depends on their order.
     """
 
     def __init__(self, cuts=()):
@@ -102,22 +107,28 @@ class WindowSums:
             self._fold(arr[:step])
             arr = arr[step:]
 
-    def result(self) -> tuple[tuple[float, ...], float]:
-        """(window sums, total) of everything added."""
+    def result(self, terms=None) -> tuple[tuple[float, ...], float]:
+        """(window sums, total) of everything added; ``terms`` may repeat it as one array."""
         for cut in self._cuts[len(self._closed) :]:
             if cut > self._seen:
                 raise ValidationError(f"cut {cut} lies beyond the {self._seen} entries summed")
             self._close()
         self._close()
-        windows = tuple(_rounded(*part) for part in self._closed[1:-1])
+        bounds = [0, *self._cuts, self._seen]
+        windows = tuple(_rounded(t, odd, None if terms is None else terms[a:b])
+                        for (t, odd), a, b in zip(self._closed[1:-1], bounds[1:], bounds[2:]))
         odd = [x for _, part in self._closed for x in part]
-        return windows, _rounded(sum(t for t, _ in self._closed), odd)
+        return windows, _rounded(sum(t for t, _ in self._closed), odd, terms)
 
 
 def exact_sum(values) -> float:
     """Exactly rounded sum of every entry of ``values`` (raveled to 1-D).
 
-    Bit-identical to ``math.fsum`` wherever that returns; see :class:`WindowSums`.
+    Bit-identical to ``math.fsum`` wherever ``fsum`` returns.  Input with
+    an inf or nan entry, and input whose exact sum is zero, go to ``fsum``
+    itself.  Where ``fsum`` raises ``OverflowError`` on an intermediate
+    overflow of finite terms otherwise, this returns the correctly rounded
+    total, and raises only when that total overflows.
     """
     return exact_sums(values, ())[1]
 
@@ -130,6 +141,7 @@ def exact_sums(values, cuts) -> tuple[tuple[float, ...], float]:
     :func:`exact_sum` of the whole array; entries before the first cut
     and after the last count only towards the total.
     """
+    arr = np.asarray(values, dtype=float).ravel()
     acc = WindowSums(cuts)
-    acc.add(values)
-    return acc.result()
+    acc.add(arr)
+    return acc.result(arr)

@@ -18,6 +18,7 @@ from foguel_lab import (
     MultiplierSpec,
     SizeCapExceededError,
     WeightSequence,
+    antidiagonal_sums,
     bennett_criterion,
     bennett_sums,
     commutator_pattern,
@@ -330,6 +331,8 @@ def test_bennett_terms_above_the_cap_are_refused_before_evaluation(
     assert f"exceeds the series cap {BENNETT_TERMS_CAP}" in capsys.readouterr().err
     with pytest.raises(SizeCapExceededError):
         bennett_criterion(MultiplierSpec(WeightSequence.harmonic()), terms)
+    with pytest.raises(SizeCapExceededError):
+        antidiagonal_sums(MultiplierSpec(WeightSequence.harmonic()), 2, terms + 1)
 
 
 @pytest.mark.parametrize("oversize", ["window", "corner"])
