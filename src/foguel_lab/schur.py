@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ValidationError
 from .hankel import _factor_section
 from .linalg import as_matrix, check_dense_cap, op_norm_dense
-from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family
+from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family, finite_block
 
 #: The named multiplier kinds, each the quotient array of a coefficient family.
 MULTIPLIER_KINDS = {
@@ -141,7 +141,7 @@ def antidiagonal_sums(spec: MultiplierSpec, start: int, stop: int) -> np.ndarray
     """
     check_terms_cap(stop - 1)
     if spec.sequence is not None:
-        d2 = diff2(spec.g_values(np.arange(start, stop + 2)))
+        d2 = diff2(finite_block(spec.g_values(np.arange(start, stop + 2))))
         ns = np.arange(start, stop, dtype=np.int64)
         return antidiag_abs_coeff(ns, spec.offset) * np.abs(d2)
     f = spec.entry_fn

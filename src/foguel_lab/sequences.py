@@ -129,7 +129,7 @@ class WeightSequence:
         ks = np.asarray(indices, dtype=np.int64)
         scalar = ks.ndim == 0
         ks = np.atleast_1d(ks)
-        with np.errstate(over="ignore"):  # an overflow gives inf; finite checks refuse it
+        with np.errstate(over="ignore", divide="ignore"):  # inf, which finite checks refuse
             out = self._formula(np.maximum(ks, self.start_index))
         out[ks < self.start_index] = 0.0
         return out[0] if scalar else out
@@ -250,6 +250,13 @@ def decade_sums(n_start: int, terms: int, count: int, block_series):
     return tuple(windows), increments, totals, verdicts
 
 
+def finite_block(values: np.ndarray) -> np.ndarray:
+    """``values``, a block of sequence values, refused unless every entry is finite."""
+    if not np.isfinite(values).all():
+        raise ValidationError("sequence values must be finite")
+    return values
+
+
 def check_terms_cap(terms: int) -> None:
     """Refuse a series length above :data:`BENNETT_TERMS_CAP`."""
     if terms > BENNETT_TERMS_CAP:
@@ -275,7 +282,7 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
     def series(s, e):
         ns = np.arange(s, e, dtype=np.int64)
         L = e - s
-        a = seq.values_at(np.arange(s, e + 3))
+        a = finite_block(seq.values_at(np.arange(s, e + 3)))
         b = np.abs(diff1(a))
         # The weighted second differences n|c_n| are the third series and
         # the first proof-chain term.

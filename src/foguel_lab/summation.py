@@ -5,16 +5,20 @@ Partial sums of the slowly convergent series studied here (tails like
 naively over 10^5..10^7 terms, so every series total in this package goes
 through one :class:`WindowSums` accumulator: whole arrays through
 :func:`exact_sum` and :func:`exact_sums`, the summability series block by
-block as they are evaluated.  It is an integer superaccumulator (Neal,
-arXiv:1505.05571).  ``np.frexp`` writes each term as m 2^e with
-1/2 <= |m| < 1; ``np.trunc`` splits m 2^27 into a whole part below 2^27
-and a multiple of 2^-26, and ``np.bincount`` sums each part per exponent.
-Over at most 2^25 terms every bucket is a multiple of 2^-26 below 2^52,
-so float64 holds it exactly.  At each cut, and every 2^25 terms, the open
-window's buckets are merged as Python ints into one exact multiple of
-2^-1126, rounded once by int true division, which CPython rounds
-correctly.  Exact integers merge exactly, so no sum depends on how the
-stream is split into chunks.
+block as they are evaluated.  It sums each chunk p of n <= ``_CHUNK``
+finite terms by error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci.
+Comput. 31(1), 2008).  With max|p| < 2^e, M = (n + 1).bit_length(), so
+that 2^M >= n + 2, and sigma = 2^(e+M), q = (sigma + p) - sigma is exact
+and rounds each p_i to a multiple of 2^(e+M-53) (or of 2^-1074) with
+|q_i| <= 2^e.  Every partial sum of q is then such a multiple below
+n 2^e < sigma, so ``q.sum()`` is exact in any order.  So is the remainder
+p - q, at most 2^(e+M-53): passes repeat until it is zero (one or two for
+the summability series).  Entries at or above 2^(1023-M), where sigma
+would overflow, are folded first times 2^-64, which is exact for them.
+Each pass's sum goes exactly into the open window's total, a Python int
+in units of 2^-1074, rounded once by int true division, which CPython
+rounds correctly.  Exact integers merge exactly, so no sum depends on how
+the stream is split into chunks.
 """
 
 from __future__ import annotations
@@ -26,10 +30,7 @@ import numpy as np
 from .errors import ValidationError
 
 _CHUNK = 1 << 16  # terms per numpy pass; keeps each temporary at 512 KiB
-_FLUSH = 1 << 25  # terms per float64 bucket, so every bucket stays exact
-_EXP0 = 1073  # frexp exponents run from -1073 (subnormals) to 1024
-_BUCKETS = _EXP0 + 1025
-_SCALE = 1 << 1126  # a term m 2^e is (m 2^53) << (e + _EXP0), over _SCALE
+_SCALE = 1 << 1074  # the window totals count units of 2^-1074
 _NEG_ZERO = np.float64(-0.0).view(np.int64)
 
 
@@ -63,36 +64,31 @@ class WindowSums:
         if any(a > b for a, b in zip([0, *self._cuts], self._cuts)):
             raise ValidationError("cuts must be non-negative and non-decreasing")
         self._seen, self._closed = 0, []  # entries added; (sum * _SCALE, stand-ins) per window
-        self._whole, self._frac = np.zeros(_BUCKETS), np.zeros(_BUCKETS)
         self._total, self._odd, self._zero = 0, [], []  # the open window's sum and stand-ins
 
-    def _flush(self):
-        if not self._odd:  # an inf or nan entry leaves the buckets non-finite
-            for i in np.flatnonzero((self._whole != 0.0) | (self._frac != 0.0)).tolist():
-                self._total += ((int(self._whole[i]) << 26) + int(self._frac[i] * 2.0**26)) << i
-        self._whole[:] = self._frac[:] = 0.0
-
     def _close(self):
-        self._flush()
         self._closed.append((self._total, self._odd + self._zero))
         self._total, self._odd, self._zero = 0, [], []
 
-    def _fold(self, piece: np.ndarray):
-        with np.errstate(invalid="ignore"):  # inf - inf only marks a stand-in
-            m, e = np.frexp(piece)
-            m *= 2.0**27
-            whole = np.trunc(m)
-            m -= whole
-            e += _EXP0
-            self._whole += np.bincount(e, whole, _BUCKETS)
-            if not math.isfinite(self._whole[_EXP0]):  # inf and nan have e = 0
-                self._odd += np.unique(piece[~np.isfinite(piece)]).tolist()
-            self._frac += np.bincount(e, m, _BUCKETS)
-        if not self._zero or math.copysign(1.0, self._zero[0]) < 0:  # all -0.0 so far
-            self._zero = [-0.0 if (piece.view(np.int64) == _NEG_ZERO).all() else 0.0]
-        self._seen += len(piece)
-        if self._seen % _FLUSH == 0:
-            self._flush()
+    def _fold(self, p: np.ndarray, shift: int = 0):
+        """Add sum(p) * 2^shift to the open window's total (see the module docstring)."""
+        m = (len(p) + 1).bit_length()  # 2^m >= len(p) + 2
+        r, q = np.empty((2, len(p)))  # the remainder and the extracted part
+        while top := max(p.max(), -p.min()):  # nan if any entry is
+            if not math.isfinite(top):  # an inf or nan entry: the window sum is fsum's
+                self._odd += np.unique(p[~np.isfinite(p)]).tolist()
+                return
+            if top >= 2.0 ** (1023 - m):  # sigma would overflow
+                big = np.abs(p) >= 2.0 ** (1023 - m)
+                self._fold(p[big] * 2.0**-64, shift + 64)
+                p = np.where(big, 0.0, p)
+                continue
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + m)  # top < 2^e
+            np.add(p, sigma, out=q)
+            q -= sigma
+            p = np.subtract(p, q, out=r)
+            n, d = q.sum().as_integer_ratio()
+            self._total += n * (_SCALE // d) << shift
 
     def add(self, chunk) -> None:
         """Sum the next ``len(chunk)`` entries of the stream."""
@@ -103,9 +99,12 @@ class WindowSums:
             if self._seen == end:
                 self._close()
                 continue
-            step = min(len(arr), end - self._seen, _CHUNK, _FLUSH - self._seen % _FLUSH)
-            self._fold(arr[:step])
-            arr = arr[step:]
+            step = min(len(arr), end - self._seen, _CHUNK)
+            piece, arr = arr[:step], arr[step:]
+            if not self._zero or math.copysign(1.0, self._zero[0]) < 0:  # all -0.0 so far
+                self._zero = [-0.0 if (piece.view(np.int64) == _NEG_ZERO).all() else 0.0]
+            self._fold(piece)
+            self._seen += len(piece)
 
     def result(self, terms=None) -> tuple[tuple[float, ...], float]:
         """(window sums, total) of everything added; ``terms`` may repeat it as one array."""

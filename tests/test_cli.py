@@ -660,13 +660,22 @@ def test_non_finite_floats_and_non_positive_tol_are_refused(tmp_path, capsys, ca
 
 
 def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_path, capsys):
-    # (k+1)^400 overflows from k = 5 on; a numpy overflow warning raised as
-    # an error would end the run as an unexpected error, exit 3
-    argv = ["norm", "--target", "hankel", "--alpha", "power:-400", "--sizes", "8"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: matrix entries must be finite\n"
+    # (k+1)^400 overflows from k = 5 on, and log(2)^10001 underflows to 0,
+    # so a_1 = 1/0 for log and loglog; a numpy warning raised as an error
+    # would end the run as an unexpected error, exit 3
+    cases = [
+        ("norm --target hankel --alpha power:-400 --sizes 8", "matrix entries"),
+        ("norm --target hankel --alpha log:10000 --sizes 8", "matrix entries"),
+        ("norm --target hankel --alpha loglog:10000 --sizes 8", "matrix entries"),
+        ("bennett --sequence log --epsilon 10000 --terms 100", "sequence values"),
+        ("bennett --sequence loglog --epsilon 10000 --terms 100", "sequence values"),
+    ]
+    for line, what in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(line.split() + ["--out", str(tmp_path / "out")]) == 1, line
+        assert capsys.readouterr().err == f"error: {what} must be finite\n", line
+        assert not (tmp_path / "out" / "bennett.csv").exists()
 
 
 BOOLEAN_FLOATS = {

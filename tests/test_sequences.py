@@ -196,12 +196,16 @@ def test_constant_sequence_flags_divergence():
         (MultiplierSpec(WeightSequence.constant()), 10_000),  # exactly zero totals
         (MultiplierSpec.log_damped(1.0), 10_000),
         (MultiplierSpec.loglog_damped(1.0), 10_000),
+        # their first blocks span every binade down to the subnormals
+        (MultiplierSpec(WeightSequence.geometric(0.5)), 10_000),
+        (MultiplierSpec(WeightSequence.pisier_geometric()), 10_000),
         (MultiplierSpec(entry_fn=lambda i, j: (j - i) / (i + j + 1.0)), 300),
     ],
-    ids=["harmonic", "constant", "log-eps1", "loglog-eps1", "entry-callable"],
+    ids=["harmonic", "constant", "log-eps1", "loglog-eps1", "geometric-0.5",
+         "pisier-geometric", "entry-callable"],
 )
 def test_streamed_blocks_give_the_whole_array_reports(spec, terms):
-    """Blocks of 97 terms, flushed every 16, against one block of the whole
+    """Blocks of 97 terms against one block of the whole
     range: every report field is bit-identical.  The decade cuts at n = 11,
     101 and 1001 fall inside blocks."""
     def reports():
@@ -210,7 +214,7 @@ def test_streamed_blocks_give_the_whole_array_reports(spec, terms):
 
     assert terms < summation._CHUNK
     whole = reports()
-    with patch.multiple(summation, _CHUNK=97, _FLUSH=16):
+    with patch.object(summation, "_CHUNK", 97):
         assert reports() == whole
 
 

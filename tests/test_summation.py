@@ -1,8 +1,7 @@
-"""Exact summation: the superaccumulator against math.fsum and exact fractions.
+"""Exact summation: the window accumulator against math.fsum and exact fractions.
 
 Every property runs twice: at the module's own chunking and at 4-term
-chunks flushed every 16 terms, so that short examples cross the chunk
-and flush boundaries too.
+chunks, so that short examples cross the chunk boundaries too.
 """
 
 import math
@@ -39,7 +38,7 @@ def outcome(fn, *args):
 
 def both_chunkings(fn, *args):
     default = outcome(fn, *args)
-    with patch.multiple(summation, _CHUNK=4, _FLUSH=16):
+    with patch.object(summation, "_CHUNK", 4):
         small = outcome(fn, *args)
     assert small == default
     return default
@@ -100,6 +99,42 @@ def test_arrays_longer_than_a_chunk(seed):
     cancel = np.concatenate([x, -rng.permutation(x), x[:3] * 2.0**-60])
     for arr in (x, cancel, 1.0 / np.arange(1.0, n + 1.0)):
         assert exact_sum(arr).hex() == math.fsum(arr.tolist()).hex()
+
+
+def check_one_chunk(xs):
+    assert len(xs) <= summation._CHUNK
+    for arr in (xs, -xs, np.random.default_rng(len(xs)).permutation(xs)):
+        assert exact_sum(arr).hex() == math.fsum(arr.tolist()).hex()
+
+
+def test_a_chunk_over_every_binade_takes_many_passes():
+    # M = 11, and each pass strips at least 52 - M binades: about 26 passes
+    xs = np.ldexp(1.0, -np.arange(1075))
+    check_one_chunk(xs)
+    check_one_chunk(xs * np.where(np.arange(1075) % 3, 1.0, -1.0))
+
+
+def test_a_chunk_near_overflow_with_subnormals():
+    # 2^(e+M) would overflow for the entries at or above 2^(1023-M), M = 4
+    big = 2.0 ** (1023 - 4)
+    xs = np.array([1.7976931348623157e308, -1.5 * 2.0**1022, big, np.nextafter(big, 0.0),
+                   -big * 1.25, 5e-324, -1.5e-323, 2.0**-1060, 3.0, -(2.0**1012)])
+    assert (len(xs) + 1).bit_length() == 4
+    check_one_chunk(xs)
+
+
+@pytest.mark.parametrize("m", [3, 12, 16])
+def test_a_chunk_of_two_to_the_m_minus_two_terms(m):
+    # the longest chunk with 2^M >= n + 2.  All but one term lie in
+    # [7/8, 1) on the grid 2^(M-54) and total an odd multiple of it above
+    # 2^(M-1); a tiny last term breaks the tie.  With sigma = 2^(M-1) the
+    # negated terms would be extracted whole, and their float sum would
+    # round the total to even, away from the tiny term
+    n = 2**m - 2
+    k = np.random.default_rng(m).integers(7 * 2 ** (51 - m), 2 ** (54 - m), n - 1)
+    k[0] -= (k.sum() - 1) % 4
+    assert (n + 1).bit_length() == m and k.sum() % 4 == 1
+    check_one_chunk(np.append(np.ldexp(k.astype(float), m - 54), 2.0**-70))
 
 
 @given(
