@@ -9,8 +9,11 @@ everything else relies on.  :func:`op_norm` takes a dense array or a
 * ``op_norm_dense`` — largest singular value from ``eigvalsh`` alone: of
   the operand itself when it is Hermitian, else of the smaller Gram
   matrix; two inverse-iteration solves certify the value with a residual.
-  A Hermitian operand is eigensolved only on the indices whose row holds
-  an entry above eps * peak / n, which moves no eigenvalue by more than
+  Whether A* = A or A* = -A is tested in one pass over 64 x 64 tiles,
+  which stops at the first tile that rules out both.  A Hermitian or
+  skew-Hermitian operand is eigensolved (itself, or the Gram of the kept
+  block) only on the indices whose row holds an entry above
+  eps * peak / n, which moves no singular value by more than
   eps * ||A||; its residual is still measured on the whole operand.
   An operand whose entries are all real is normed in real arithmetic.  A
   sparse operand within the cap is first split into the connected
@@ -45,6 +48,9 @@ _SHIFT = 1e-12
 #: solutions (which grow like 1e12/|mu|) and the squares summed by the
 #: residual norm all stay far inside the normal floating-point range.
 _SAFE_PEAK = 2.0**200
+
+#: Side of the square tiles in which the dense route tests A* = +-A.
+_TILE = 64
 
 #: Consecutive iterations the power route needs below ``tol``.
 _POWER_WINDOW = 5
@@ -89,11 +95,12 @@ class NormEstimate:
     requested.  For the dense route the residual is the relative eigenpair
     defect ||Bv - mu v|| / |mu| of the Hermitian matrix B it eigensolved
     (the operand or its Gram matrix), which bounds the distance from mu to
-    the spectrum of B; when only part of a Hermitian operand was
-    eigensolved, B is still the whole operand and v the solved vector
-    padded with zeros.  ``iterations`` is 0.  For the power route it is the
-    worst relative change of the Rayleigh estimate over the trailing
-    convergence window: a stall test, not a bound.
+    the spectrum of B; when only part of a Hermitian or skew-Hermitian
+    operand was eigensolved, B is still the whole operand or its whole
+    Gram matrix, and v the solved vector padded with zeros.  ``iterations``
+    is 0.  For the power route it is the worst relative change of the
+    Rayleigh estimate over the trailing convergence window: a stall test,
+    not a bound.
     """
 
     value: float
@@ -141,16 +148,23 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     as the square root of the top ``eigvalsh`` eigenvalue of A*A or AA*,
     whichever is smaller.  A real operand of either dtype is normed in
     real arithmetic, so each eigensolve is real symmetric.  The cap is
-    checked on the shape, before ``a`` is copied or densified.
+    checked on the shape, before ``a`` is copied or densified.  Whether
+    A* = A or A* = -A is tested exactly, tile by tile: each 64 x 64 tile
+    on or above the diagonal against the adjoint of its mirror tile, up
+    to the first tile that rules out both.
 
-    A Hermitian n x n operand with largest entry ``peak`` is eigensolved
-    only on the indices whose row (and so column) holds an entry above
-    eps * peak / n.  Setting the other rows and columns to zero changes
-    at most n^2 entries, each by at most eps * peak / n, so the operand
-    moves by at most eps * peak <= eps * ||A|| in Frobenius norm; by
-    Weyl's inequality no eigenvalue moves further, and neither does
-    max |lambda|.  On a decaying Hankel section such as [2^-(i+j)] at
-    n = 2048 this leaves a 63 x 63 block.
+    A Hermitian or skew-Hermitian n x n operand with largest entry
+    ``peak`` is eigensolved only on the indices whose row (and so column)
+    holds an entry above eps * peak / n.  Setting the other rows and
+    columns to zero changes at most n^2 entries, each by at most
+    eps * peak / n, so the operand moves by at most eps * peak
+    <= eps * ||A|| in Frobenius norm; by Weyl's inequality no singular
+    value moves further.  A Hermitian operand is then eigensolved on the
+    kept block itself; a skew-Hermitian one (i A is Hermitian, with the
+    same rows, moduli and norm) on the real or complex Gram of the kept
+    block, as any other operand is.  On a decaying Hankel section such as
+    [2^-(i+j)] at n = 2048 this leaves a 63 x 63 block, and on its
+    derivation commutator [(j - i) 2^-(i+j-1)] at n = 512 a 69 x 69 one.
 
     A ``scipy.sparse`` operand is split first.  Rows and columns are the
     two sides of a bipartite graph with an edge for each nonzero entry;
@@ -167,9 +181,10 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     B that was eigensolved, give a unit v; ``relative_residual`` is
     ||Bv - mu v|| / |mu|.  Some eigenvalue of the Hermitian B lies within
     ||Bv - mu v|| of mu (Kahan-Parlett), so ``converged`` means that bound
-    is within ``tol`` relative.  For a trimmed Hermitian operand v is
-    padded with zeros and the defect is taken with the whole operand as B,
-    so the dropped coupling counts in the certificate.
+    is within ``tol`` relative.  For a trimmed operand v is padded with
+    zeros and the defect is taken with the whole operand as B, or its
+    whole Gram A*A = -A^2 applied as two products with A when A* = -A, so
+    the dropped coupling counts in the certificate.
     """
     check_dense_cap(np.shape(a))
     if not sp.issparse(a):
@@ -214,19 +229,21 @@ def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
         scale = float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
         # part by part: numpy's complex division overflows on a subnormal divisor
         a = a.real / scale + 1j * (a.imag / scale) if np.iscomplexobj(a) else a / scale
-    hermitian = (a.shape[0] == a.shape[1] and np.array_equal(a[0], a[:, 0].conj())
-                 and np.array_equal(a, a.conj().T))
-    keep = None  # the indices of a trimmed Hermitian operand
-    if hermitian:
+    sign = _symmetry(a)  # +1: A* = A, -1: A* = -A, 0: neither
+    hermitian = sign == 1
+    keep = None  # the indices of a trimmed Hermitian or skew-Hermitian operand
+    if sign:
         # the trim of op_norm_dense, tested on the unscaled rows and peak:
         # its eps * ||A|| bound does not depend on the scale
         live = np.flatnonzero(rows > np.finfo(float).eps * peak / len(rows))
         keep = live if len(live) < len(rows) else None
-        b = a if keep is None else a[np.ix_(keep, keep)]
-    elif a.shape[0] < a.shape[1]:
-        b = a @ a.conj().T
+    kept = a if keep is None else a[np.ix_(keep, keep)]
+    if hermitian:
+        b = kept
+    elif kept.shape[0] < kept.shape[1]:
+        b = kept @ kept.conj().T
     else:
-        b = a.conj().T @ a
+        b = kept.conj().T @ kept
     w = np.linalg.eigvalsh(b)
     # the eigenvalue of largest modulus; a Gram matrix has no negative one
     mu = float(w[0] if hermitian and -w[0] > w[-1] else w[-1])
@@ -237,12 +254,15 @@ def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
     for _ in range(2):
         v = np.linalg.solve(shifted, v)
         v /= np.linalg.norm(v)
-    if keep is not None:
-        # the residual is taken on the whole operand, dropped coupling included
-        b, v_kept = a, v
-        v = np.zeros(len(a), dtype=v.dtype)
+    if keep is None:
+        bv = b @ v
+    else:
+        # the residual is taken on the whole operand, dropped coupling
+        # included: Av, or A*Av = -A(Av) when A* = -A
+        v_kept, v = v, np.zeros(len(a), dtype=v.dtype)
         v[keep] = v_kept
-    defect = float(np.linalg.norm(b @ v - mu * v)) / abs(mu)
+        bv = a @ v if hermitian else -(a @ (a @ v))
+    defect = float(np.linalg.norm(bv - mu * v)) / abs(mu)
     return NormEstimate(
         value=value,
         method="dense",
@@ -250,6 +270,28 @@ def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
         relative_residual=defect,
         converged=defect <= tol,
     )
+
+
+def _symmetry(a: np.ndarray) -> int:
+    """+1 if A* = A, -1 if A* = -A, else 0 (a zero square ``a`` gives +1).
+
+    Each tile a[i:i+T, j:j+T] with j >= i is compared with the adjoint of
+    its mirror a[j:j+T, i:i+T]: two blocks that stay in cache, where the
+    transpose of the whole array strides across all of it.  The pass stops
+    at the first tile that rules out both signs.
+    """
+    if a.shape[0] != a.shape[1]:
+        return 0
+    hermitian = skew = True
+    for i in range(0, len(a), _TILE):
+        for j in range(i, len(a), _TILE):
+            mirror = a[j:j + _TILE, i:i + _TILE].T.conj()
+            tile = a[i:i + _TILE, j:j + _TILE]
+            hermitian = hermitian and np.array_equal(tile, mirror)
+            skew = skew and np.array_equal(tile, -mirror)
+            if not (hermitian or skew):
+                return 0
+    return 1 if hermitian else -1
 
 
 def op_norm_power(

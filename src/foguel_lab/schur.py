@@ -109,7 +109,7 @@ def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
     if spec.entry_fn is not None:
         ks = range(spec.offset, spec.offset + size)
         return as_matrix([[spec.entry_fn(i, j) for j in ks] for i in ks])
-    g = spec.g_values(np.arange(2 * spec.offset, 2 * (spec.offset + size) - 1))
+    g = finite_block(spec.g_values(np.arange(2 * spec.offset, 2 * (spec.offset + size) - 1)))
     return _factor_section("commutator", g, size)
 
 

@@ -669,6 +669,7 @@ def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_pa
         ("norm --target hankel --alpha loglog:10000 --sizes 8", "matrix entries"),
         ("bennett --sequence log --epsilon 10000 --terms 100", "sequence values"),
         ("bennett --sequence loglog --epsilon 10000 --terms 100", "sequence values"),
+        ("multiplier --kind loglog-damped --epsilon 10000 --sizes 8", "sequence values"),
     ]
     for line, what in cases:
         with warnings.catch_warnings():
@@ -676,6 +677,7 @@ def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_pa
             assert main(line.split() + ["--out", str(tmp_path / "out")]) == 1, line
         assert capsys.readouterr().err == f"error: {what} must be finite\n", line
         assert not (tmp_path / "out" / "bennett.csv").exists()
+        assert not (tmp_path / "out" / "multiplier.csv").exists()
 
 
 BOOLEAN_FLOATS = {

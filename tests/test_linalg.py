@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from foguel_lab import (
     DENSE_SIZE_CAP,
@@ -106,21 +106,24 @@ def test_a_complex_car_section_stays_complex():
 def test_dense_norm_of_a_real_section_holds_no_complex_copy():
     # the float64 N = 2048 geometric section is 32 MiB; building it, and
     # building and norming it, may each trace 1.25 times that: the section
-    # and no n x n temporary (no index array, no |a|), not the 128 MiB of a
-    # complex section with a real copy of it
+    # and no n x n temporary (no index array, no |a|, no whole-array
+    # comparison for the symmetry test), not the 128 MiB of a complex section
+    # with a real copy of it.  The same holds for its skew-symmetric
+    # derivation commutator
     n = 2048
     spec = HankelSpec(WeightSequence.geometric(0.5), n)
-    tracemalloc.start()
-    try:
-        section = make_hankel(spec)
-        _, build_peak = tracemalloc.get_traced_memory()
-        est = op_norm_dense(section)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert est.converged
-    assert build_peak <= 1.25 * n * n * 8
-    assert peak <= 1.25 * n * n * 8
+    for build in (make_hankel, lambda s: derivation_product(s, "commutator")):
+        tracemalloc.start()
+        try:
+            section = build(spec)
+            _, build_peak = tracemalloc.get_traced_memory()
+            est = op_norm_dense(section)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.converged
+        assert build_peak <= 1.25 * n * n * 8
+        assert peak <= 1.25 * n * n * 8
 
 
 J_MINUS_I_BUILDERS = {
@@ -265,38 +268,107 @@ def test_geometric_section_is_eigensolved_on_its_leading_rows(spy):
     assert est.converged
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_trimmed_hermitian_operand_matches_the_full_eigensolve(seed, real):
-    # a random Hermitian block on interleaved live indices; every other
-    # entry has modulus below the threshold eps * peak / n
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1, -1]))
+def test_trimmed_hermitian_operand_matches_the_full_eigensolve(seed, real, sign):
+    # a random Hermitian (sign 1) or skew-Hermitian (sign -1) block on
+    # interleaved live indices; every other entry has modulus below the
+    # threshold eps * peak / n, and A* = sign * A holds exactly.  A real
+    # skew block needs two live indices to be nonzero
     eps = np.finfo(float).eps
     r = np.random.default_rng(seed)
-    n = int(r.integers(2, 13))
-    live = np.sort(r.choice(n, int(r.integers(1, n)), replace=False))
+    n = int(r.integers(3, 13))
+    live = np.sort(r.choice(n, int(r.integers(1 if sign == 1 else 2, n)), replace=False))
     h = random_complex(r, len(live))
-    h = (h + h.conj().T).real if real else h + h.conj().T
+    h = (h + sign * h.conj().T).real if real else h + sign * h.conj().T
     peak = float(np.abs(h).max())
     dead = r.uniform(-1, 1, (n, n)) + (0 if real else 1j * r.uniform(-1, 1, (n, n)))
     dead *= eps * peak / (2 * n)
-    a = (dead + dead.conj().T) / 2
+    a = (dead + sign * dead.conj().T) / 2
     a[np.ix_(live, live)] = h
     with pytest.MonkeyPatch.context() as mp:
         spy = _Spy(mp)
         est = op_norm_dense(a)
-    # the eigensolve sees exactly the live block, wherever its indices sit
+    # the eigensolve sees exactly the live block, or the Gram of it,
+    # wherever its indices sit
+    kept = a[np.ix_(live, live)]
     assert [b.shape for b in spy.eigvalsh_args] == [h.shape]
-    assert np.array_equal(spy.eigvalsh_args[0], h)
+    assert np.array_equal(spy.eigvalsh_args[0], h if sign == 1 else kept.conj().T @ kept)
     # Weyl: the trim moves the value by at most eps * peak; each of the two
-    # eigensolves adds a rounding error of a few eps * ||A|| of its own
-    ref = float(np.abs(np.linalg.eigvalsh(a)).max())
+    # eigensolves adds a rounding error of a few eps * ||A|| of its own.  i A
+    # is Hermitian with the norm of a skew-Hermitian A
+    ref = float(np.abs(np.linalg.eigvalsh(a if sign == 1 else 1j * a)).max())
     assert abs(est.value - ref) <= eps * peak + 4 * n * eps * ref
-    # the residual is the defect of the zero-padded vector on the full operand
+    # the residual is the defect of the zero-padded vector on the full
+    # operand, or on its full Gram A*A = -A^2
     w = spy.eigvalsh_out[0]
     mu = w[0] if -w[0] > w[-1] else w[-1]
     v = np.zeros(n, dtype=spy.solve_out[-1].dtype)
     v[live] = spy.solve_out[-1]
-    assert est.relative_residual == np.linalg.norm(a @ v - mu * v) / abs(mu)
+    bv = a @ v if sign == 1 else -(a @ (a @ v))
+    assert est.relative_residual == np.linalg.norm(bv - mu * v) / abs(mu)
     assert est.converged
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.booleans(),
+       st.sampled_from([1, -1, 0]), st.sampled_from([None, "anywhere", "last tile"]))
+@example(seed=0, n=63, real=True, sign=1, nudge="last tile")
+@example(seed=1, n=64, real=False, sign=-1, nudge="last tile")
+@example(seed=2, n=65, real=True, sign=-1, nudge="last tile")
+@example(seed=3, n=129, real=False, sign=1, nudge="last tile")
+@example(seed=4, n=129, real=True, sign=-1, nudge=None)
+@example(seed=5, n=65, real=False, sign=1, nudge=None)
+def test_the_tiled_symmetry_test_routes_as_the_full_comparison(seed, n, real, sign, nudge):
+    # a random operand with A* = sign * A (sign 0: no structure) and zero
+    # rows and columns, so that the trim shows the route; then, unless
+    # nudge is None, one entry moves by one ulp: anywhere, or in the last
+    # row or column band of tiles, which is partial unless 64 divides n
+    eps = np.finfo(float).eps
+    r = np.random.default_rng(seed)
+    x = r.standard_normal((n, n)) if real else random_complex(r, n)
+    a = x + sign * x.conj().T if sign else x
+    dead = r.random(n) < 0.3
+    dead[r.choice(n, min(n, 2), replace=False)] = False
+    a[dead] = 0.0
+    a[:, dead] = 0.0
+    assume(a.any())  # a real skew operand of size 1 is zero
+    if nudge is not None:
+        lo = (n - 1) // 64 * 64 if nudge == "last tile" else 0
+        i, j = r.integers(0, n), r.integers(lo, n)
+        if r.random() < 0.5:
+            i, j = j, i
+        part = a.real if real or r.random() < 0.5 else a.imag
+        part[i, j] = np.nextafter(part[i, j], np.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _Spy(mp)
+        op_norm_dense(a)
+    # the route of the full comparison: a Hermitian operand is eigensolved
+    # on its kept block, a skew-Hermitian one on the Gram of its kept
+    # block, any other on the Gram of the whole operand
+    hermitian = np.array_equal(a, a.conj().T)
+    skew = np.array_equal(a, -a.conj().T)
+    rows = np.abs(a).max(axis=1)
+    keep = np.flatnonzero(rows > eps * rows.max() / n)
+    kept = a[np.ix_(keep, keep)] if hermitian or skew else a
+    [b] = spy.eigvalsh_args
+    if hermitian:
+        assert np.array_equal(b, kept)
+    else:
+        assert b.shape == (len(kept),) * 2
+        assert np.allclose(b, kept.conj().T @ kept, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("n, kept", [(64, 64), (512, 69), (2048, 71)])
+def test_plateau_commutator_is_normed_on_the_gram_of_its_kept_rows(spy, n, kept):
+    # the C10 plateau commutator [(j - i) 2^-(i+j-1)] is real skew-symmetric;
+    # it is trimmed as i A would be, and its Gram eigensolved on the leading
+    # kept rows (all 64 at n = 64), with the value of the untrimmed Gram
+    a = derivation_product(HankelSpec(WeightSequence.geometric(0.5), n), "commutator")
+    est = op_norm_dense(a)
+    assert est.value == 1.7777777777777777
+    assert est.converged
+    [b] = spy.eigvalsh_args
+    block = np.ascontiguousarray(a[:kept, :kept])
+    assert np.array_equal(b, block.T @ block)
 
 
 @pytest.mark.parametrize("target, alpha, n", [
