@@ -22,6 +22,7 @@ from .car import (
 )
 from .errors import SizeCapExceededError, ValidationError
 from .foguel import (
+    INTERTWINER_TERMS_CAP,
     FoguelBlock,
     IntertwinerResult,
     SimilarityReport,

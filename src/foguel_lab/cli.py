@@ -10,17 +10,20 @@ similarity   Sylvester-series similarity residuals for a shift-coupled block
 sweep        run a batch of the above from a JSON job file
 
 Each of the first five commands is stated once, as a :class:`Command` in
-``COMMANDS``: its parameters (:class:`Param`: flag and aliases, type,
+``COMMANDS``: its parameters (:class:`Param`: flag and aliases, reader,
 default, choices, whether it is required), its handler, its row family
 and that family's CSV fields.  The argparse subcommands, the parameter
 validation that sweep jobs share (:func:`normalize_params`),
 ``FAMILY_OF`` and the CSV headers are all derived from it, so a flag and
 the sweep parameter of the same name (``-`` read as ``_``) have one
-default and one validator.  ``NORM_TARGETS`` likewise gives each ``norm``
-target the operator it norms: a dense section, or for the
-generator-valued targets one sparse operator; ``linalg.op_norm`` picks
-the route.  ``--alpha`` and ``bennett --sequence`` name a family of
-``sequences.FAMILIES``; ``multiplier --kind`` names a ``schur.MULTIPLIER_KINDS``.
+default and one validator: argparse only names the flags and splits argv,
+and a parameter's ``read`` is its value's one validator, so a bad value
+gets the same message from a flag and from a sweep job.  ``NORM_TARGETS``
+likewise gives each ``norm`` target the operator it norms: a dense
+section, or for the generator-valued targets one sparse operator;
+``linalg.op_norm`` picks the route.  ``--alpha`` and ``bennett
+--sequence`` name a family of ``sequences.FAMILIES``; ``multiplier
+--kind`` names a ``schur.MULTIPLIER_KINDS``.
 
 Every command writes a CSV for its row family (norms.csv, bennett.csv,
 similarity.csv, car.csv or multiplier.csv) into --out, plus a JSON mirror
@@ -50,6 +53,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -103,55 +107,36 @@ _BENNETT_SEQUENCES = ("harmonic", *MULTIPLIER_KINDS.values())
 # ---- parameter parsing -------------------------------------------------
 
 
-def resolve_seed(explicit: int | None) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
+def resolve_seed(explicit) -> int:
+    """The seed ``explicit`` (--seed or a sweep file's), else $FOGUEL_LAB_SEED, else 2002."""
     if explicit is not None:
-        seed = int(explicit)
-    elif env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    else:
-        seed = DEFAULT_SEED
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return seed
+        return _as_int(explicit, "seed", 0)
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is not None:
+        return _as_int(env, SEED_ENV_VAR, 0)
+    return DEFAULT_SEED
 
 
 def parse_alpha(text: str) -> WeightSequence:
     """The coefficient family ``NAME`` or ``NAME:X`` (``sequences.FAMILY_HELP``)."""
     name, sep, value = str(text).strip().partition(":")
-    return family(name, _as_float(value, f"alpha {text!r} parameter", False) if sep else None)
+    return family(name, _as_float(value, f"alpha {text!r} parameter") if sep else None)
 
 
-def _alpha_text(text) -> str:
+def _alpha_text(text, key: str) -> str:
     parse_alpha(text)  # validate eagerly for a prompt error
     return str(text)
 
 
-def parse_sizes(value) -> list[int]:
+def parse_sizes(value, key: str = "sizes") -> list[int]:
+    """Section sizes from ``"8,16,32"`` (empty items skipped) or a list."""
     if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        try:
-            sizes = [int(p) for p in parts]
-        except ValueError:
-            raise ValidationError(f"sizes must be integers, got {value!r}") from None
-    elif isinstance(value, (list, tuple)):
-        sizes = []
-        for p in value:
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise ValidationError("sizes must be a list of integers")
-            sizes.append(p)
-    else:
-        raise ValidationError("sizes must be a comma-separated string or a list")
-    if not sizes:
+        value = [part for part in value.split(",") if part.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{key} must be a comma-separated string or a list")
+    if not value:
         raise ValidationError("at least one size is required")
-    if any(n < 1 for n in sizes):
-        raise ValidationError("sizes must be >= 1")
-    return sizes
+    return [_as_int(item, key, 1) for item in value]
 
 
 def _as_int(value, key: str, lo: int | None = None) -> int:
@@ -166,7 +151,7 @@ def _as_int(value, key: str, lo: int | None = None) -> int:
     return value
 
 
-def _as_float(value, key: str, positive: bool) -> float:
+def _as_float(value, key: str, positive: bool = False) -> float:
     if isinstance(value, bool):
         raise ValidationError(f"{key} must be a number")
     try:
@@ -184,23 +169,21 @@ def _as_float(value, key: str, positive: bool) -> float:
 class Param:
     """One parameter: flag ``--name`` (``_`` written ``-``), sweep key ``name``.
 
-    ``type`` is int (at least ``lo``), float (finite, and > 0 when
-    ``positive``) or str (through ``parse`` when given).  A value outside
-    ``choices`` is refused with ``unknown``.
+    argparse only names the flag and passes its text on; ``read(value,
+    name)`` is the value's one validator, for a flag and a sweep key alike,
+    and returns its canonical form (``_as_int``, ``_as_float``,
+    ``parse_sizes``, ...; the default reader keeps the value as it is).
+    A value outside ``choices`` is refused before it is read.
     ``applies=(key, values, unused)`` makes the parameter required when
     the earlier parameter ``key`` is one of ``values``; otherwise it is
     dropped, or refused with the message ``unused`` when one is given.
     """
 
     name: str
-    type: Callable = str
+    read: Callable = lambda value, name: value
     default: object = None
     required: bool = False
     choices: tuple = ()
-    unknown: str = ""
-    lo: int | None = None
-    positive: bool = False
-    parse: Callable | None = None
     applies: tuple = ()
     aliases: tuple = ()
     help: str | None = None
@@ -221,12 +204,10 @@ class Param:
         if self.required and value is None:
             raise ValidationError(f"missing required parameter {self.name!r}")
         if self.choices and value not in self.choices:
-            raise ValidationError(self.unknown.format(value))
-        if self.type is int:
-            return _as_int(value, self.name, self.lo)
-        if self.type is float:
-            return _as_float(value, self.name, self.positive)
-        return self.parse(value) if self.parse else value
+            raise ValidationError(
+                f"{self.name} must be one of {', '.join(self.choices)}, not {value!r}"
+            )
+        return self.read(value, self.name)
 
 
 def normalize_params(command: str, params: dict) -> dict:
@@ -399,7 +380,7 @@ _SIZES_HELP = "comma-separated section sizes"
 COMMANDS = {
     "car-check": Command(
         "anticommutation residual sweep",
-        (Param("modes", int, 6, lo=1, help="check 1..MODES generators"),),
+        (Param("modes", partial(_as_int, lo=1), 6, help="check 1..MODES generators"),),
         _run_car_check,
         family="car",
         fields=("modes", "dev_anti", "dev_mixed"),
@@ -407,20 +388,18 @@ COMMANDS = {
     "norm": Command(
         "operator norms over a size ladder",
         (
-            Param("target", required=True, choices=tuple(NORM_TARGETS),
-                  unknown="unknown norm target {!r}"),
-            Param("sizes", required=True, parse=parse_sizes, aliases=("--N",),
+            Param("target", required=True, choices=tuple(NORM_TARGETS)),
+            Param("sizes", parse_sizes, required=True, aliases=("--N",),
                   help=_SIZES_HELP),
-            Param("alpha", parse=_alpha_text,
+            Param("alpha", _alpha_text,
                   applies=("target", _ALPHA_TARGETS,
                            "alpha does not apply to the shift target"),
                   help=f"coefficients: {FAMILY_HELP}"),
             Param("method", default="auto", choices=("auto", "dense", "power"),
-                  unknown="method must be auto, dense or power, not {!r}",
                   help="norm route (auto: dense when within the size cap)"),
-            Param("tol", float, 1e-10, positive=True,
+            Param("tol", partial(_as_float, positive=True), 1e-10,
                   help="power-iteration tolerance; bound on the dense relative residual"),
-            Param("max_iter", int, 1000, lo=1),
+            Param("max_iter", partial(_as_int, lo=1), 1000),
         ),
         _run_norm,
         family="norms",
@@ -429,12 +408,11 @@ COMMANDS = {
     "bennett": Command(
         "summability report for a coefficient series",
         (
-            Param("sequence", required=True, choices=_BENNETT_SEQUENCES,
-                  unknown="unknown bennett sequence {!r}"),
-            Param("epsilon", float, applies=(
+            Param("sequence", required=True, choices=_BENNETT_SEQUENCES),
+            Param("epsilon", _as_float, applies=(
                 "sequence", tuple(s for s in _BENNETT_SEQUENCES if FAMILIES[s][1]),
                 "epsilon only applies to the log/loglog sequences")),
-            Param("terms", int, 10000, lo=10),
+            Param("terms", partial(_as_int, lo=10), 10000),
         ),
         _run_bennett,
         family="bennett",
@@ -444,13 +422,12 @@ COMMANDS = {
     "multiplier": Command(
         "witness lower bounds for multiplier sections",
         (
-            Param("kind", required=True, choices=tuple(MULTIPLIER_KINDS),
-                  unknown="unknown multiplier kind {!r}"),
-            Param("epsilon", float, applies=(
+            Param("kind", required=True, choices=tuple(MULTIPLIER_KINDS)),
+            Param("epsilon", _as_float, applies=(
                 "kind", tuple(k for k, fam in MULTIPLIER_KINDS.items() if FAMILIES[fam][1]),
                 "epsilon only applies to the damped kinds")),
-            Param("sizes", default="16,32,64", parse=parse_sizes, help=_SIZES_HELP),
-            Param("witnesses", int, 3, lo=1),
+            Param("sizes", parse_sizes, "16,32,64", help=_SIZES_HELP),
+            Param("witnesses", partial(_as_int, lo=1), 3),
         ),
         _run_multiplier,
         family="multiplier",
@@ -459,11 +436,11 @@ COMMANDS = {
     "similarity": Command(
         "Sylvester-series similarity residuals",
         (
-            Param("size", int, 64, lo=2),
-            Param("rho", float, 0.9, help="contraction factor of T1"),
-            Param("n_terms", int, 100, lo=1),
-            Param("window", int, 32, lo=1),
-            Param("corner", int, 16, lo=1, help="support of the coupling X"),
+            Param("size", partial(_as_int, lo=2), 64),
+            Param("rho", _as_float, 0.9, help="contraction factor of T1"),
+            Param("n_terms", partial(_as_int, lo=1), 100),
+            Param("window", partial(_as_int, lo=1), 32),
+            Param("corner", partial(_as_int, lo=1), 16, help="support of the coupling X"),
         ),
         _run_similarity,
         family="similarity",
@@ -568,7 +545,7 @@ def load_sweep_spec(path: str) -> dict:
     return doc
 
 
-def run_sweep(spec_path: str, cli_seed: int | None, out_dir: Path) -> int:
+def run_sweep(spec_path: str, cli_seed: str | None, out_dir: Path) -> int:
     doc = load_sweep_spec(spec_path)
     explicit = cli_seed if cli_seed is not None else doc.get("seed")
     global_seed = resolve_seed(explicit)
@@ -616,12 +593,7 @@ def run_sweep(spec_path: str, cli_seed: int | None, out_dir: Path) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default=".", help="output directory (default: .)")
-    sp.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
-    )
+    sp.add_argument("--seed", help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -635,16 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in COMMANDS.items():
         sp = sub.add_parser(name, help=cmd.help)
         for prm in cmd.params:
-            sp.add_argument(
-                prm.flag,
-                *prm.aliases,
-                dest=prm.name,
-                type=prm.type if prm.type in (int, float) else None,
-                default=prm.default,
-                required=prm.required,
-                choices=prm.choices or None,
-                help=prm.help,
-            )
+            metavar = "{%s}" % ",".join(prm.choices) if prm.choices else None
+            sp.add_argument(prm.flag, *prm.aliases, dest=prm.name, default=prm.default,
+                            metavar=metavar, help=prm.help)
         _add_common(sp)
 
     sp = sub.add_parser("sweep", help="run a JSON-described batch of jobs")

@@ -26,13 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SizeCapExceededError, ValidationError
 from .linalg import as_matrix, make_shift, op_norm_dense
 
 #: How far power_offdiag's two corner routes may disagree (at unit scale),
 #: and ||p(C)|| exceed the circle sup before von_neumann_probe counts it.
 POWER_CHECK_TOL = 1e-10
 VON_NEUMANN_TOL = 1e-9
+
+#: The longest Sylvester series intertwiner_partial sums: its two norm
+#: arrays then hold at most 16 MB.
+INTERTWINER_TERMS_CAP = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +171,8 @@ def intertwiner_partial(
     ``term_norms[j]`` records the norm of the j-th increment; when
     ``stab_tol`` is given, ``stabilized_at`` is the first index at which
     the latest ``stab_run`` increments all fell below the tolerance
-    (None if that never happens within ``n_terms``).
+    (None if that never happens within ``n_terms``).  ``n_terms`` above
+    ``INTERTWINER_TERMS_CAP`` is refused before anything is allocated.
     """
     t2, t1, x = _foguel_operands(t2, t1, x)
     # one dtype for all three: a mixed product would cast its real factor every step
@@ -175,6 +180,10 @@ def intertwiner_partial(
     t2, t1, x = (m.astype(dtype, copy=False) for m in (t2, t1, x))
     if n_terms < 1:
         raise ValidationError("need at least one term")
+    if n_terms > INTERTWINER_TERMS_CAP:
+        raise SizeCapExceededError(
+            f"n_terms={n_terms} exceeds the series cap {INTERTWINER_TERMS_CAP}"
+        )
     if stab_run < 1:
         raise ValidationError("stab_run must be >= 1")
     term = t2 @ x

@@ -69,10 +69,15 @@ def hankel_windows(table, n: int) -> np.ndarray:
 
 
 def make_weighted_hankel(spec: HankelSpec, weight: Callable) -> np.ndarray:
-    """Section with (i, j) entry weight(i+j) a_{i+j}, copied from its window."""
+    """Section with (i, j) entry weight(i+j) a_{i+j}, copied from its window.
+
+    A product that overflows is left as inf or nan for ``as_matrix`` to
+    refuse, without numpy's warning.
+    """
     n = spec.size
     check_dense_cap((n, n))
-    table = spec.coeff_table(2 * n - 1) * [weight(k) for k in range(2 * n - 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = spec.coeff_table(2 * n - 1) * [weight(k) for k in range(2 * n - 1)]
     return hankel_windows(table, n).copy()
 
 
@@ -107,11 +112,13 @@ DERIVATION_FACTORS = {  # (c_i, c_j): the factor c_i i + c_j j
 
 def _factor_section(kind: str, table, n: int) -> np.ndarray:
     """(c_i i + c_j j) table[i+j]: the exact float64 factor takes the window
-    in place, so the build holds one n x n array and no integer factor."""
+    in place, so the build holds one n x n array and no integer factor.
+    An overflowing product (or 0 * inf) is left for ``as_matrix`` to refuse."""
     c_i, c_j = DERIVATION_FACTORS[kind]
     k = np.arange(n, dtype=np.float64)
     section = np.add.outer(c_i * k, c_j * k)
-    section *= hankel_windows(table, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        section *= hankel_windows(table, n)
     return section
 
 

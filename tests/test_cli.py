@@ -1,6 +1,7 @@
 """Command-line surface: files, formats, seeds, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -512,12 +513,24 @@ def test_negative_seed_is_refused(tmp_path, monkeypatch, capsys, source, command
         else:
             monkeypatch.setenv(SEED_ENV_VAR, "-7")
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-    assert "seed must be >= 0" in capsys.readouterr().err
+    # the message names where the seed came from
+    name = SEED_ENV_VAR if source == "env" else "seed"
+    assert capsys.readouterr().err == f"error: {name} must be >= 0\n"
 
 
 def test_unknown_flags_exit_one(tmp_path):
     assert main(["norm", "--target", "warp-drive", "--out", str(tmp_path)]) == 1
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_every_choice(capsys, command):
+    """argparse checks no value, but --help still shows each choice list."""
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for prm in COMMANDS[command].params:
+        if prm.choices:
+            assert f"{prm.flag} {{{','.join(prm.choices)}}}" in out, prm.name
 
 
 # ---- sweeps ------------------------------------------------------------
@@ -597,6 +610,57 @@ def test_sweep_rejects_bad_schema(tmp_path):
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
+def car_job(jid=0, **fields):
+    return {"id": jid, "command": "car-check", "params": {"modes": 2}, **fields}
+
+
+BAD_SPECS = {
+    "missing-file": (None, "sweep spec not found: {path}"),
+    "invalid-json": ('{"schema": 1,', "sweep spec is not valid JSON: "),
+    "seed-text": ({"schema": 1, "seed": "7", "jobs": []}, "sweep seed must be an integer"),
+    "jobs-object": ({"schema": 1, "jobs": {"0": car_job()}}, 'sweep spec needs a "jobs" array'),
+    "job-list": ({"schema": 1, "jobs": [[0, "car-check"]]}, "each job must be a JSON object"),
+    "id-negative": ({"schema": 1, "jobs": [car_job(-1)]}, "job ids must be non-negative integers"),
+    "id-boolean": ({"schema": 1, "jobs": [car_job(True)]}, "job ids must be non-negative integers"),
+    "id-text": ({"schema": 1, "jobs": [car_job("0")]}, "job ids must be non-negative integers"),
+    "id-duplicate": ({"schema": 1, "jobs": [car_job(3), car_job(3)]}, "duplicate job id 3"),
+    "params-list": ({"schema": 1, "jobs": [car_job(params=["modes", 2])]},
+                    "job params must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_sweep_spec_refusals(tmp_path, capsys, case):
+    """A malformed sweep file exits 1 with its message before any job runs."""
+    doc, message = BAD_SPECS[case]
+    path = tmp_path / "spec.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_records_an_unexpected_error_and_runs_the_next_job(tmp_path, monkeypatch):
+    def boom(params, seed):
+        raise RuntimeError("boom")
+
+    failing = dataclasses.replace(COMMANDS["car-check"], run=boom)
+    monkeypatch.setitem(COMMANDS, "car-check", failing)
+    jobs = [car_job(0), {"id": 1, "command": "bennett",
+                     "params": {"sequence": "harmonic", "terms": 100}}]
+    out = tmp_path / "out"
+    assert main(["sweep", str(make_sweep_spec(tmp_path / "spec.json", jobs)),
+                 "--out", str(out)]) == 3
+    summary = json.loads((out / "sweep.json").read_text())
+    assert summary["exit_code"] == 3
+    assert [(j["exit_code"], j.get("error")) for j in summary["jobs"]] == [
+        (3, "RuntimeError: boom"), (0, None)]
+    assert len(read_csv(out / "bennett.csv")) == 2  # the next job still ran
+
+
 def test_sweep_keeps_going_past_a_bad_job(tmp_path):
     jobs = [
         {"id": 0, "command": "bennett", "params": {"sequence": "log", "terms": 100}},
@@ -641,12 +705,29 @@ BAD_FLOATS = {
     "alpha-inf": ("norm", {**HANKEL4, "alpha": "power:inf"}),
     "epsilon-inf": ("bennett", {"sequence": "log", "epsilon": "inf", "terms": "100"}),
     "rho-inf": ("similarity", {"size": "8", "rho": "inf", "window": "4", "corner": "2"}),
+    # argparse only splits argv, so integers, choices, required parameters
+    # and sizes are refused by the registry's readers on both doors
+    "modes-text": ("car-check", {"modes": "abc"}),
+    "modes-zero": ("car-check", {"modes": "0"}),
+    "terms-low": ("bennett", {"sequence": "harmonic", "terms": "5"}),
+    "witnesses-zero": ("multiplier", {"kind": "difference-quotient", "witnesses": "0"}),
+    "target-unknown": ("norm", {**HANKEL4, "target": "warp-drive"}),
+    "method-unknown": ("norm", {**HANKEL4, "method": "svd"}),
+    "sequence-unknown": ("bennett", {"sequence": "fibonacci", "terms": "100"}),
+    "kind-unknown": ("multiplier", {"kind": "schur-product"}),
+    "target-missing": ("norm", {"alpha": "geometric:0.5", "sizes": "4"}),
+    "sequence-missing": ("bennett", {"terms": "100"}),
+    "sizes-text": ("norm", {**HANKEL4, "sizes": "a,b"}),
+    "sizes-zero": ("norm", {**HANKEL4, "sizes": "0"}),
+    "sizes-empty": ("norm", {**HANKEL4, "sizes": ","}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FLOATS))
 def test_non_finite_floats_and_non_positive_tol_are_refused(tmp_path, capsys, case):
-    """The command line and a one-job sweep both exit 1 with one message."""
+    """The command line and a one-job sweep both exit 1 with one message,
+    for every bad value of the table: floats, integers, choices, a missing
+    required parameter and sizes."""
     command, params = BAD_FLOATS[case]
     argv = [command]
     for key, value in params.items():
@@ -665,6 +746,11 @@ def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_pa
     # would end the run as an unexpected error, exit 3
     cases = [
         ("norm --target hankel --alpha power:-400 --sizes 8", "matrix entries"),
+        # a finite (k+1)^150 times the weight k+1 overflows, and 0 * inf is nan
+        ("norm --target hankel-deriv --alpha power:-150 --sizes 64", "matrix entries"),
+        ("norm --target derivation-commutator --alpha power:-300 --sizes 8", "matrix entries"),
+        ("norm --target car-commutator --alpha power:-300 --N 7", "matrix entries"),
+        ("norm --target car-hankel-deriv --alpha power:-150 --N 64", "matrix entries"),
         ("norm --target hankel --alpha log:10000 --sizes 8", "matrix entries"),
         ("norm --target hankel --alpha loglog:10000 --sizes 8", "matrix entries"),
         ("bennett --sequence log --epsilon 10000 --terms 100", "sequence values"),
@@ -676,8 +762,7 @@ def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_pa
             warnings.simplefilter("error", RuntimeWarning)
             assert main(line.split() + ["--out", str(tmp_path / "out")]) == 1, line
         assert capsys.readouterr().err == f"error: {what} must be finite\n", line
-        assert not (tmp_path / "out" / "bennett.csv").exists()
-        assert not (tmp_path / "out" / "multiplier.csv").exists()
+        assert not (tmp_path / "out").exists(), line
 
 
 BOOLEAN_FLOATS = {

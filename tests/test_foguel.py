@@ -1,5 +1,6 @@
 """Block operators, sliding antidiagonal sums, and the similarity pipeline."""
 
+import json
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foguel_lab import (
+    INTERTWINER_TERMS_CAP,
+    SizeCapExceededError,
     ValidationError,
     antidiag_partial_sum,
     antidiag_shift_form,
@@ -20,6 +23,7 @@ from foguel_lab import (
     similarity_check,
     von_neumann_probe,
 )
+from foguel_lab.cli import main
 from conftest import random_complex
 
 
@@ -183,6 +187,38 @@ def test_intertwiner_refuses_a_stab_run_below_one(stab_run):
     assert intertwiner_partial(t2, t1, x, 2, stab_tol=1e-12, stab_run=1).stabilized_at is None
     with pytest.raises(ValidationError, match="stab_run must be >= 1"):
         intertwiner_partial(t2, t1, x, 20, stab_tol=1e-12, stab_run=stab_run)
+
+
+def test_a_run_ending_at_the_first_term_stabilizes_at_zero():
+    # every term T2^(j+1) X T1^j has norm 1e-12 while the shifts leave it
+    # nonzero, so a one-term run ends at j = 0 and a two-term run at j = 1
+    n = 8
+    t2, t1, x = make_shift(n), make_shift(n), 1e-12 * np.eye(n)
+    res = intertwiner_partial(t2, t1, x, 3, stab_tol=1e-10, stab_run=1)
+    assert res.term_norms[0] == 1e-12
+    assert res.stabilized_at == 0
+    assert intertwiner_partial(t2, t1, x, 3, stab_tol=1e-10, stab_run=2).stabilized_at == 1
+
+
+def test_a_series_above_the_cap_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # 10^12 terms would ask numpy for two 8 TB norm arrays
+    n = 4
+    with pytest.raises(SizeCapExceededError):
+        intertwiner_partial(make_shift(n), make_shift(n), np.eye(n), INTERTWINER_TERMS_CAP + 1)
+    params = {"size": "8", "corner": "2", "window": "4", "n_terms": str(10**12)}
+    message = f"n_terms={10**12} exceeds the series cap {INTERTWINER_TERMS_CAP}"
+    argv = ["similarity"]
+    for key, value in params.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    assert main(argv + ["--out", str(tmp_path / "flags")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "flags" / "similarity.csv").exists()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"schema": 1, "jobs": [
+        {"id": 0, "command": "similarity", "params": params}]}))
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 1
+    job = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["jobs"][0]
+    assert (job["exit_code"], job["error"], job["rows"]) == (1, message, 0)
 
 
 def test_running_sup_respects_the_geometric_envelope(rng):
