@@ -82,7 +82,7 @@ import scipy.sparse as sp
 from .errors import ValidationError
 from .hankel import HankelSpec, derivation_product, hankel_windows
 from .hankel import make_weighted_hankel, unit_weight
-from .linalg import as_matrix, check_dense_cap, op_norm
+from .linalg import as_matrix, check_dense_cap, op_norm, safe_scale
 from .sequences import WeightSequence
 from .summation import exact_sums
 
@@ -240,13 +240,13 @@ def rc_bounds(section: Callable[[int], np.ndarray], size: int) -> RowColBounds:
     different lengths can have its norm strictly between the two
     (sandwich), approaching the row/column sup only as the section grows.
     """
-    sq = np.abs(_scalar_section(section, size)) ** 2
+    # scaled by a power of two, as the dense norm route does, so that no
+    # square overflows; an infinite modulus is refused as a series term
+    with np.errstate(over="ignore", invalid="ignore"):
+        mod = np.abs(_scalar_section(section, size))
+    scale = safe_scale(float(mod.max()))
+    sq = (mod / scale) ** 2
     rows = range(0, size * size + 1, size)
-    row_sup = max(np.sqrt(exact_sums(sq.ravel(), rows)[0]))
-    col_sup = max(np.sqrt(exact_sums(sq.T.ravel(), rows)[0]))
-    return RowColBounds(
-        row_sup=float(row_sup),
-        col_sup=float(col_sup),
-        lower=float(max(row_sup, col_sup)),
-        upper=float(row_sup + col_sup),
-    )
+    row_sup = float(max(np.sqrt(exact_sums(sq.ravel(), rows)[0]))) * scale
+    col_sup = float(max(np.sqrt(exact_sums(sq.T.ravel(), rows)[0]))) * scale
+    return RowColBounds(row_sup, col_sup, lower=max(row_sup, col_sup), upper=row_sup + col_sup)

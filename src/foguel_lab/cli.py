@@ -60,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .car import (
-    build_car, car_check, car_pattern_operator, commutator_pattern, hankel_pattern,
+    _MAX_MODES, build_car, car_check, car_pattern_operator, commutator_pattern, hankel_pattern,
 )
 from .errors import ValidationError
 from .foguel import assemble_foguel, intertwiner_partial, similarity_check
@@ -139,7 +139,7 @@ def parse_sizes(value, key: str = "sizes") -> list[int]:
     return [_as_int(item, key, 1) for item in value]
 
 
-def _as_int(value, key: str, lo: int | None = None) -> int:
+def _as_int(value, key: str, lo: int | None = None, hi: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         try:
             value = int(str(value))
@@ -148,6 +148,8 @@ def _as_int(value, key: str, lo: int | None = None) -> int:
     value = int(value)
     if lo is not None and value < lo:
         raise ValidationError(f"{key} must be >= {lo}")
+    if value > hi:
+        raise ValidationError(f"{key} must be <= {hi}")
     return value
 
 
@@ -380,7 +382,8 @@ _SIZES_HELP = "comma-separated section sizes"
 COMMANDS = {
     "car-check": Command(
         "anticommutation residual sweep",
-        (Param("modes", partial(_as_int, lo=1), 6, help="check 1..MODES generators"),),
+        (Param("modes", partial(_as_int, lo=1, hi=_MAX_MODES), 6,
+               help="check 1..MODES generators"),),
         _run_car_check,
         family="car",
         fields=("modes", "dev_anti", "dev_mixed"),

@@ -47,6 +47,7 @@ _SHIFT = 1e-12
 #: range the Gram entries, the extreme eigenvalue mu, the inverse-iteration
 #: solutions (which grow like 1e12/|mu|) and the squares summed by the
 #: residual norm all stay far inside the normal floating-point range.
+#: ``car.rc_bounds`` scales the moduli whose squares it sums likewise.
 _SAFE_PEAK = 2.0**200
 
 #: Side of the square tiles in which the dense route tests A* = +-A.
@@ -215,6 +216,12 @@ def _pattern_blocks(a):
         yield as_matrix(p[row_labels == k][:, col_labels == k].toarray())
 
 
+def safe_scale(peak: float) -> float:
+    """1.0 for ``peak`` in [1/_SAFE_PEAK, _SAFE_PEAK], else the 2^k with peak / 2^k in [1, 2)."""
+    inside = 1.0 / _SAFE_PEAK <= peak <= _SAFE_PEAK
+    return 1.0 if inside else float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
+
+
 def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
     """:func:`op_norm_dense` of one validated dense array of either dtype."""
     if np.iscomplexobj(a) and not a.imag.any():
@@ -224,9 +231,8 @@ def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
     peak = float(rows.max())
     if peak == 0.0:
         return NormEstimate(0.0, "dense", 0, 0.0, True)
-    scale = 1.0
-    if not 1.0 / _SAFE_PEAK <= peak <= _SAFE_PEAK:
-        scale = float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
+    scale = safe_scale(peak)
+    if scale != 1.0:
         # part by part: numpy's complex division overflows on a subnormal divisor
         a = a.real / scale + 1j * (a.imag / scale) if np.iscomplexobj(a) else a / scale
     sign = _symmetry(a)  # +1: A* = A, -1: A* = -A, 0: neither

@@ -141,9 +141,11 @@ def antidiagonal_sums(spec: MultiplierSpec, start: int, stop: int) -> np.ndarray
     """
     check_terms_cap(stop - 1)
     if spec.sequence is not None:
-        d2 = diff2(finite_block(spec.g_values(np.arange(start, stop + 2))))
+        g = finite_block(spec.g_values(np.arange(start, stop + 2)))
         ns = np.arange(start, stop, dtype=np.int64)
-        return antidiag_abs_coeff(ns, spec.offset) * np.abs(d2)
+        # an overflow leaves inf or nan masses, which the summation refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return antidiag_abs_coeff(ns, spec.offset) * np.abs(diff2(g))
     f = spec.entry_fn
     return np.array([
         sum(abs(f(i, n - i) - f(i, n - i + 1) - f(i + 1, n - i) + f(i + 1, n - i + 1))

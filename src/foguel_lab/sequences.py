@@ -283,12 +283,14 @@ def bennett_sums(seq: WeightSequence, terms: int) -> BennettReport:
         ns = np.arange(s, e, dtype=np.int64)
         L = e - s
         a = finite_block(seq.values_at(np.arange(s, e + 3)))
-        b = np.abs(diff1(a))
-        # The weighted second differences n|c_n| are the third series and
-        # the first proof-chain term.
-        weighted = ns * np.abs(diff2(a)[:L])
-        chain = weighted + b[:L] + b[1 : L + 1] + 2.0 * np.abs(a[2 : L + 2]) / (ns + 2.0)
-        return np.abs(a[:L]) / ns, b[:L], weighted, chain
+        # an overflow leaves inf or nan terms, which the summation refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.abs(diff1(a))
+            # The weighted second differences n|c_n| are the third series
+            # and the first proof-chain term.
+            weighted = ns * np.abs(diff2(a)[:L])
+            chain = weighted + b[:L] + b[1 : L + 1] + 2.0 * np.abs(a[2 : L + 2]) / (ns + 2.0)
+            return np.abs(a[:L]) / ns, b[:L], weighted, chain
 
     windows, increments, totals, verdicts = decade_sums(n0, terms, 4, series)
     return BennettReport(

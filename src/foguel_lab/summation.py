@@ -18,7 +18,9 @@ would overflow, are folded first times 2^-64, which is exact for them.
 Each pass's sum goes exactly into the open window's total, a Python int
 in units of 2^-1074, rounded once by int true division, which CPython
 rounds correctly.  Exact integers merge exactly, so no sum depends on how
-the stream is split into chunks.
+the stream is split into chunks.  Only finite terms are summed: an inf or
+nan term, and a sum whose rounded value lies beyond the float range, raise
+:class:`ValidationError`.  A sum that is exactly zero is +0.0.
 """
 
 from __future__ import annotations
@@ -31,13 +33,6 @@ from .errors import ValidationError
 
 _CHUNK = 1 << 16  # terms per numpy pass; keeps each temporary at 512 KiB
 _SCALE = 1 << 1074  # the window totals count units of 2^-1074
-_NEG_ZERO = np.float64(-0.0).view(np.int64)
-
-
-def _rounded(total: int, odd: list[float], terms) -> float:
-    if total and all(map(math.isfinite, odd)):
-        return total / _SCALE
-    return math.fsum(odd if terms is None else memoryview(terms))
 
 
 def blocks(start: int, stop: int):
@@ -46,38 +41,32 @@ def blocks(start: int, stop: int):
 
 
 class WindowSums:
-    """Exactly rounded sums of a stream of chunks, cut into windows.
+    """Exactly rounded sums of a stream of finite chunks, cut into windows.
 
     ``cuts`` are non-decreasing offsets into the stream.  :meth:`add` sums
-    the next chunk and keeps none of it; :meth:`result`, called once at the
-    end, gives the sums of ``[cuts[i], cuts[i + 1])`` and of it all, as
-    :func:`exact_sum` would when the terms are handed to it.  Without them,
-    a sum that is exactly zero or meets inf or nan is ``math.fsum`` of
-    stand-ins kept per window (its distinct inf and nan entries; a zero,
-    -0.0 only if every entry is -0.0): fsum's inf, nan, ``ValueError`` on
-    inf - inf and sign of zero, but not its ``OverflowError`` there when
-    finite terms overflow on the way, which depends on their order.
+    the next chunk and keeps none of it, and refuses a chunk with an inf
+    or nan entry; :meth:`result`, called once at the end, gives the sums of
+    ``[cuts[i], cuts[i + 1])`` and of it all, as :func:`exact_sums` gives
+    them for the whole stream in one array.
     """
 
     def __init__(self, cuts=()):
         self._cuts = [int(c) for c in cuts]
         if any(a > b for a, b in zip([0, *self._cuts], self._cuts)):
             raise ValidationError("cuts must be non-negative and non-decreasing")
-        self._seen, self._closed = 0, []  # entries added; (sum * _SCALE, stand-ins) per window
-        self._total, self._odd, self._zero = 0, [], []  # the open window's sum and stand-ins
+        self._seen, self._closed, self._total = 0, [], 0  # entries; window sums * _SCALE
 
     def _close(self):
-        self._closed.append((self._total, self._odd + self._zero))
-        self._total, self._odd, self._zero = 0, [], []
+        self._closed.append(self._total)
+        self._total = 0
 
     def _fold(self, p: np.ndarray, shift: int = 0):
         """Add sum(p) * 2^shift to the open window's total (see the module docstring)."""
         m = (len(p) + 1).bit_length()  # 2^m >= len(p) + 2
         r, q = np.empty((2, len(p)))  # the remainder and the extracted part
         while top := max(p.max(), -p.min()):  # nan if any entry is
-            if not math.isfinite(top):  # an inf or nan entry: the window sum is fsum's
-                self._odd += np.unique(p[~np.isfinite(p)]).tolist()
-                return
+            if not math.isfinite(top):
+                raise ValidationError("series terms must be finite")
             if top >= 2.0 ** (1023 - m):  # sigma would overflow
                 big = np.abs(p) >= 2.0 ** (1023 - m)
                 self._fold(p[big] * 2.0**-64, shift + 64)
@@ -101,33 +90,28 @@ class WindowSums:
                 continue
             step = min(len(arr), end - self._seen, _CHUNK)
             piece, arr = arr[:step], arr[step:]
-            if not self._zero or math.copysign(1.0, self._zero[0]) < 0:  # all -0.0 so far
-                self._zero = [-0.0 if (piece.view(np.int64) == _NEG_ZERO).all() else 0.0]
             self._fold(piece)
             self._seen += len(piece)
 
-    def result(self, terms=None) -> tuple[tuple[float, ...], float]:
-        """(window sums, total) of everything added; ``terms`` may repeat it as one array."""
+    def result(self) -> tuple[tuple[float, ...], float]:
+        """(window sums, total) of everything added."""
         for cut in self._cuts[len(self._closed) :]:
             if cut > self._seen:
                 raise ValidationError(f"cut {cut} lies beyond the {self._seen} entries summed")
             self._close()
         self._close()
-        bounds = [0, *self._cuts, self._seen]
-        windows = tuple(_rounded(t, odd, None if terms is None else terms[a:b])
-                        for (t, odd), a, b in zip(self._closed[1:-1], bounds[1:], bounds[2:]))
-        odd = [x for _, part in self._closed for x in part]
-        return windows, _rounded(sum(t for t, _ in self._closed), odd, terms)
+        try:  # int true division rounds correctly, or overflows
+            return tuple(t / _SCALE for t in self._closed[1:-1]), sum(self._closed) / _SCALE
+        except OverflowError:
+            raise ValidationError("series sum lies beyond the float range") from None
 
 
 def exact_sum(values) -> float:
     """Exactly rounded sum of every entry of ``values`` (raveled to 1-D).
 
-    Bit-identical to ``math.fsum`` wherever ``fsum`` returns.  Input with
-    an inf or nan entry, and input whose exact sum is zero, go to ``fsum``
-    itself.  Where ``fsum`` raises ``OverflowError`` on an intermediate
-    overflow of finite terms otherwise, this returns the correctly rounded
-    total, and raises only when that total overflows.
+    The entries must be finite, and so must the rounded sum: an inf or nan
+    entry, or an exact sum beyond the float range, raises
+    :class:`ValidationError`.  A sum that is exactly zero is +0.0.
     """
     return exact_sums(values, ())[1]
 
@@ -140,7 +124,6 @@ def exact_sums(values, cuts) -> tuple[tuple[float, ...], float]:
     :func:`exact_sum` of the whole array; entries before the first cut
     and after the last count only towards the total.
     """
-    arr = np.asarray(values, dtype=float).ravel()
     acc = WindowSums(cuts)
-    acc.add(arr)
-    return acc.result(arr)
+    acc.add(values)
+    return acc.result()

@@ -348,3 +348,24 @@ def test_weighted_profile_feeds_the_bounds():
     b = rc_bounds(section, 2)
     # row 0 profile: (1*1, 2*0.5) -> l2 = sqrt(2)
     assert b.row_sup == pytest.approx(np.sqrt(2.0))
+
+
+def bounds_of(profile, size):
+    b = rc_bounds(hankel_pattern(WeightSequence.custom(profile))[0], size)
+    return (b.row_sup, b.col_sup, b.lower, b.upper)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5])
+@pytest.mark.parametrize("power", [600, -600])
+def test_rc_bounds_scale_exactly_with_a_power_of_two(size, power):
+    # an entry above 2^512 has a square beyond the float range, and one
+    # below 2^-537 a subnormal or zero square: the moduli are scaled by a
+    # power of two first, so 2^power times a profile bounds exactly
+    # 2^power times its own bounds
+    profile = [1.5, -1.0, 0.25, 3.0, 0.5 + 1e-9]
+    big = bounds_of([x * 2.0**power for x in profile], size)
+    assert big == tuple(x * 2.0**power for x in bounds_of(profile, size))
+
+
+def test_rc_bounds_of_an_entry_above_the_square_root_of_the_float_range():
+    assert bounds_of([1e200, 1.0, 1.0], 2) == (1e200, 1e200, 1e200, 2e200)

@@ -709,6 +709,7 @@ BAD_FLOATS = {
     # and sizes are refused by the registry's readers on both doors
     "modes-text": ("car-check", {"modes": "abc"}),
     "modes-zero": ("car-check", {"modes": "0"}),
+    "modes-high": ("car-check", {"modes": "15"}),
     "terms-low": ("bennett", {"sequence": "harmonic", "terms": "5"}),
     "witnesses-zero": ("multiplier", {"kind": "difference-quotient", "witnesses": "0"}),
     "target-unknown": ("norm", {**HANKEL4, "target": "warp-drive"}),
@@ -724,10 +725,14 @@ BAD_FLOATS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FLOATS))
-def test_non_finite_floats_and_non_positive_tol_are_refused(tmp_path, capsys, case):
+def test_non_finite_floats_and_non_positive_tol_are_refused(tmp_path, capsys, monkeypatch,
+                                                           case):
     """The command line and a one-job sweep both exit 1 with one message,
     for every bad value of the table: floats, integers, choices, a missing
-    required parameter and sizes."""
+    required parameter and sizes.  Each is refused before any CAR algebra
+    is built: a car-check above 14 modes, before those of 1..14 modes."""
+    built = []
+    monkeypatch.setattr("foguel_lab.cli.build_car", built.append)
     command, params = BAD_FLOATS[case]
     argv = [command]
     for key, value in params.items():
@@ -738,6 +743,7 @@ def test_non_finite_floats_and_non_positive_tol_are_refused(tmp_path, capsys, ca
     assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 1
     summary = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert capsys.readouterr().err == f"error: {summary['jobs'][0]['error']}\n"
+    assert built == []
 
 
 def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_path, capsys):
@@ -755,6 +761,10 @@ def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_pa
         ("norm --target hankel --alpha loglog:10000 --sizes 8", "matrix entries"),
         ("bennett --sequence log --epsilon 10000 --terms 100", "sequence values"),
         ("bennett --sequence loglog --epsilon 10000 --terms 100", "sequence values"),
+        # finite values whose weighted second differences overflow (299),
+        # or whose proof-chain terms do (298.9)
+        ("bennett --sequence loglog --epsilon 299 --terms 100", "series terms"),
+        ("bennett --sequence loglog --epsilon 298.9 --terms 100", "series terms"),
         ("multiplier --kind loglog-damped --epsilon 10000 --sizes 8", "sequence values"),
     ]
     for line, what in cases:

@@ -1,4 +1,4 @@
-"""Exact summation: the window accumulator against math.fsum and exact fractions.
+"""Exact summation: the window accumulator against exact fractions.
 
 Every property runs twice: at the module's own chunking and at 4-term
 chunks, so that short examples cross the chunk boundaries too.
@@ -22,6 +22,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 mantissa = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
 scaled = st.builds(math.ldexp, mantissa, st.integers(-1074, 1024))
 terms = st.lists(st.one_of(finite, scaled, st.sampled_from([0.0, -0.0, 5e-324])))
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+offsets = st.lists(st.integers(0, 60), max_size=6)
+MAX = 1.7976931348623157e308
 
 
 def hexes(res):
@@ -29,11 +32,11 @@ def hexes(res):
 
 
 def outcome(fn, *args):
-    """The result as hex strings (signed zeros kept apart), or the exception type."""
+    """The result as hex strings (signed zeros kept apart), or ValidationError."""
     try:
         return hexes(fn(*args))
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
+    except ValidationError:
+        return ValidationError
 
 
 def both_chunkings(fn, *args):
@@ -44,20 +47,32 @@ def both_chunkings(fn, *args):
     return default
 
 
-def check_against_fsum(xs):
-    got = both_chunkings(exact_sum, np.array(xs, dtype=float))
-    want = outcome(math.fsum, xs)
-    if want is OverflowError:
-        # fsum gives up on an intermediate overflow.  exact_sum may give up
-        # too, and must when the exact total has no finite rounding;
-        # otherwise it returns the correctly rounded total.
-        try:
-            ref = float(sum(map(Fraction, xs))).hex()
-        except OverflowError:
-            ref = OverflowError
-        assert got in (ref, OverflowError)
-    else:
-        assert got == want
+def rounded(xs):
+    """The exact sum of ``xs`` rounded to a float (+0.0 when it is zero), or
+    ValidationError when that lies beyond the float range."""
+    try:
+        return float(sum(map(Fraction, xs), Fraction(0))).hex()
+    except OverflowError:
+        return ValidationError
+
+
+def check_exact(xs):
+    assert both_chunkings(exact_sum, np.array(xs, dtype=float)) == rounded(xs)
+
+
+def clip(raw, n):
+    return sorted(min(c, n) for c in raw)
+
+
+def streamed(arr, cuts, splits):
+    """exact_sums' outcome from a WindowSums fed ``arr[splits[i]:splits[i + 1]]`` in turn."""
+    def run():
+        acc = summation.WindowSums(cuts)
+        for a, b in zip(splits, splits[1:]):
+            acc.add(arr[a:b])
+        return acc.result()
+
+    return both_chunkings(run)
 
 
 @settings(max_examples=300)
@@ -69,9 +84,11 @@ def check_against_fsum(xs):
 @example([5e-324, -5e-324])
 @example([-5e-324] * 3)
 @example([1e308, 1e308, -1e308])
-@example([1.7976931348623157e308, 1.7976931348623157e308])
-def test_exact_sum_matches_fsum_bit_for_bit(xs):
-    check_against_fsum(xs)
+@example([MAX, MAX])
+@example([MAX, 2.0**969])
+@example([MAX, 2.0**970])
+def test_exact_sum_is_the_rounded_exact_sum(xs):
+    check_exact(xs)
 
 
 @settings(max_examples=200)
@@ -81,13 +98,15 @@ def test_heavy_cancellation(xs, rnd):
     tail = xs[:1]
     xs = xs + [-x for x in xs]
     rnd.shuffle(xs)
-    check_against_fsum(xs + tail)
+    check_exact(xs + tail)
 
 
 @settings(max_examples=100)
 @given(st.lists(finite, min_size=1), st.integers(0, 64))
 def test_signed_zero_totals(xs, zeros):
-    check_against_fsum(xs + [-x for x in reversed(xs)] + [-0.0] * zeros)
+    # an exactly zero sum is +0.0, even of -0.0 terms alone
+    xs = xs + [-x for x in reversed(xs)] + [-0.0] * zeros
+    assert both_chunkings(exact_sum, np.array(xs)) == rounded(xs) == "0x0.0p+0"
 
 
 @settings(max_examples=8)
@@ -117,7 +136,7 @@ def test_a_chunk_over_every_binade_takes_many_passes():
 def test_a_chunk_near_overflow_with_subnormals():
     # 2^(e+M) would overflow for the entries at or above 2^(1023-M), M = 4
     big = 2.0 ** (1023 - 4)
-    xs = np.array([1.7976931348623157e308, -1.5 * 2.0**1022, big, np.nextafter(big, 0.0),
+    xs = np.array([MAX, -1.5 * 2.0**1022, big, np.nextafter(big, 0.0),
                    -big * 1.25, 5e-324, -1.5e-323, 2.0**-1060, 3.0, -(2.0**1012)])
     assert (len(xs) + 1).bit_length() == 4
     check_one_chunk(xs)
@@ -137,77 +156,68 @@ def test_a_chunk_of_two_to_the_m_minus_two_terms(m):
     check_one_chunk(np.append(np.ldexp(k.astype(float), m - 54), 2.0**-70))
 
 
-@given(
-    st.lists(st.one_of(finite, st.sampled_from([math.inf, -math.inf, math.nan])), min_size=1)
-)
-@example([math.inf, -math.inf])
-@example([math.inf, 1.0, math.inf])
-@example([math.nan, math.inf, -math.inf])
-@example([1e308, 1e308, math.inf])
-def test_non_finite_input_follows_fsum(xs):
-    got = both_chunkings(exact_sum, np.array(xs))
-    want = outcome(math.fsum, xs)
-    assert got == want
+@settings(max_examples=200)
+@given(st.lists(st.one_of(finite, scaled, non_finite)), non_finite, st.integers(0, 60),
+       offsets, offsets)
+@example([], math.inf, 0, [], [])
+@example([-math.inf], math.inf, 1, [0, 1], [1])
+@example([1.0, 2.0, 3.0], math.nan, 3, [0, 1], [2])
+@example([MAX, MAX], -math.inf, 2, [0, 2], [])
+def test_an_inf_or_nan_term_is_refused_wherever_it_lies(xs, bad, at, raw_cuts, raw_splits):
+    """Whole or streamed in any chunks, with any cuts, a sum that meets an
+    inf or nan term is refused, and before any other sum is rounded."""
+    xs = xs[:at] + [bad] + xs[at:]
+    arr = np.array(xs)
+    cuts, splits = clip(raw_cuts, len(xs)), [0, *clip(raw_splits, len(xs)), len(xs)]
+    assert both_chunkings(exact_sums, arr, cuts) is ValidationError
+    assert streamed(arr, cuts, splits) is ValidationError
+    with pytest.raises(ValidationError, match="^series terms must be finite$"):
+        exact_sum(arr)
 
 
 @settings(max_examples=200)
-@given(terms, st.lists(st.integers(0, 60), max_size=6))
+@given(terms, offsets)
+@example([MAX, MAX, -MAX], [0, 2])
 def test_window_sums_equal_exact_sum_of_each_slice(xs, raw_cuts):
     arr = np.array(xs, dtype=float)
-    cuts = sorted(min(c, len(arr)) for c in raw_cuts)
+    cuts = clip(raw_cuts, len(arr))
     got = both_chunkings(exact_sums, arr, cuts)
     windows = tuple(outcome(exact_sum, arr[a:b]) for a, b in zip(cuts, cuts[1:]))
     total = outcome(exact_sum, arr)
-    if got is OverflowError:
-        assert OverflowError in windows + (total,)
+    if ValidationError in windows + (total,):
+        assert got is ValidationError
     else:
         assert got == (windows, total)
 
 
-def streamed_sum(xs):
-    """exact_sum's outcome on the list ``xs``, as a stream of it gives it.
-
-    exact_sum hands a sum that is exactly zero or meets inf or nan to fsum,
-    which raises OverflowError there if finite terms overflow on the way.
-    That depends on the order of the terms, which a stream does not keep:
-    it returns fsum of the inf and nan entries instead, or +0.0.
-    """
-    want = outcome(exact_sum, np.array(xs, dtype=float))
-    odd = [x for x in xs if not math.isfinite(x)]
-    if want is OverflowError and (odd or sum(map(Fraction, xs)) == 0):
-        return outcome(math.fsum, odd)
-    return want
-
-
 @settings(max_examples=200)
-@given(
-    st.lists(st.one_of(finite, scaled, st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))),
-    st.lists(st.integers(0, 60), max_size=6),
-    st.lists(st.integers(0, 60), max_size=6),
-)
-@example([math.inf, 1.0, -math.inf], [1, 2], [1])
-@example([math.nan, 2.0, math.inf], [0, 1], [2])
+@given(terms, offsets, offsets)
 @example([-0.0, -0.0, 0.0, -0.0], [1, 3], [2])
-@example([1e308, 1e308, -1e308, math.inf], [0, 3], [1, 2])
 @example([1e308, 1e308, -1e308, -1e308], [2], [3])
+@example([1e308, 1e308, -1e308, -1e308], [0, 2], [1])
+@example([MAX, 2.0**970, -MAX], [0, 2, 3], [1, 2])
 def test_streamed_chunks_sum_like_the_whole_array(xs, raw_cuts, raw_splits):
-    """Any split of the stream into chunks gives exact_sums' result, but
-    for fsum's OverflowError on a sum that depends on the order of the terms."""
+    """Any split of a finite stream into chunks gives the exact window sums
+    and total, each rounded once, or the refusal of one beyond the float
+    range, just as exact_sums does for the whole array."""
     arr = np.array(xs, dtype=float)
-    cuts = sorted(min(c, len(arr)) for c in raw_cuts)
-    splits = [0, *sorted(min(c, len(arr)) for c in raw_splits), len(arr)]
+    cuts, splits = clip(raw_cuts, len(xs)), [0, *clip(raw_splits, len(xs)), len(xs)]
+    parts = [rounded(xs[a:b]) for a, b in zip(cuts, cuts[1:])] + [rounded(xs)]
+    want = ValidationError if ValidationError in parts else (tuple(parts[:-1]), parts[-1])
+    assert both_chunkings(exact_sums, arr, cuts) == want
+    assert streamed(arr, cuts, splits) == want
 
-    def streamed():
-        acc = summation.WindowSums(cuts)
-        for a, b in zip(splits, splits[1:]):
-            acc.add(arr[a:b])
-        return acc.result()
 
-    want = outcome(exact_sums, arr, cuts)
-    if want is OverflowError:
-        parts = [streamed_sum(xs[a:b]) for a, b in zip(cuts, cuts[1:])] + [streamed_sum(xs)]
-        want = next((p for p in parts if isinstance(p, type)), (tuple(parts[:-1]), parts[-1]))
-    assert both_chunkings(streamed) == want
+@pytest.mark.parametrize("xs, cuts", [
+    ([MAX, MAX], []),
+    ([-MAX, -(2.0**970)], []),
+    ([MAX, 2.0**970, -MAX], [0, 2]),
+])
+def test_a_sum_beyond_the_float_range_is_refused(xs, cuts):
+    # MAX + 2^970 lies halfway between MAX and 2^1024 and rounds to even,
+    # up; a window beyond the range is refused even when the total is not
+    with pytest.raises(ValidationError, match="^series sum lies beyond the float range$"):
+        exact_sums(np.array(xs), cuts)
 
 
 def test_exact_sum_ravels_its_input():
