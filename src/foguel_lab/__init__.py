@@ -9,7 +9,6 @@ independent computational routes.
 """
 
 from .car import (
-    CarAlgebra,
     RowColBounds,
     build_car,
     car_check,
@@ -74,6 +73,7 @@ from .sequences import (
     bennett_sums,
     diff1,
     diff2,
+    family,
 )
 from .summation import exact_sum, exact_sums
 

@@ -93,15 +93,8 @@ _LOWER = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 _I2 = sp.identity(2, format="csr")
 
 
-@dataclass(frozen=True)
-class CarAlgebra:
-    modes: int
-    dim: int
-    generators: tuple
-
-
-def build_car(modes: int) -> CarAlgebra:
-    """Generators C_0..C_{modes-1} as CSR matrices of size 2^modes."""
+def build_car(modes: int) -> tuple[sp.csr_matrix, ...]:
+    """The generators C_0..C_{modes-1}: a tuple of CSR matrices of size 2^modes."""
     if not (1 <= modes <= _MAX_MODES):
         raise ValidationError(f"modes must lie in [1, {_MAX_MODES}]")
     gens = []
@@ -110,7 +103,7 @@ def build_car(modes: int) -> CarAlgebra:
         mat = reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
         mat.eliminate_zeros()
         gens.append(mat)
-    return CarAlgebra(modes=modes, dim=2 ** modes, generators=tuple(gens))
+    return tuple(gens)
 
 
 def _residual_norm(r) -> float:
@@ -119,19 +112,19 @@ def _residual_norm(r) -> float:
     return op_norm(r).value if r.nnz else 0.0
 
 
-def car_check(alg: CarAlgebra) -> tuple[float, float]:
-    """Worst-case relation residuals over all ordered generator pairs.
+def car_check(gens: tuple) -> tuple[float, float]:
+    """Worst-case relation residuals over all ordered pairs of ``gens``.
 
-    Returns (dev_anti, dev_mixed): the largest operator norm of
-    C_j C_k + C_k C_j and of C_j C_k* + C_k* C_j - delta_{jk} I.
+    ``gens`` is a tuple of square sparse matrices of one size, such as
+    :func:`build_car` returns.  Returns (dev_anti, dev_mixed): the largest
+    operator norm of C_j C_k + C_k C_j and of C_j C_k* + C_k* C_j - delta_{jk} I.
     """
     dev_anti = 0.0
     dev_mixed = 0.0
-    gens = alg.generators
     adjs = [g.conj().T.tocsr() for g in gens]
-    ident = sp.identity(alg.dim, format="csr")
-    for j in range(alg.modes):
-        for k in range(alg.modes):
+    ident = sp.identity(gens[0].shape[0], format="csr")
+    for j in range(len(gens)):
+        for k in range(len(gens)):
             anti = gens[j] @ gens[k] + gens[k] @ gens[j]
             dev_anti = max(dev_anti, _residual_norm(anti))
             mixed = gens[j] @ adjs[k] + adjs[k] @ gens[j]
@@ -192,10 +185,10 @@ def car_pattern_operator(
             f"section of size {size} has {len(live)} live antidiagonals; "
             f"at most {_MAX_MODES} take a generator mode"
         )
-    alg = build_car(max(len(live), 1))
-    dim = size * alg.dim
+    gens = build_car(max(len(live), 1))
+    dim = size * gens[0].shape[0]
     out = sp.csr_matrix((dim, dim), dtype=coeffs.dtype)
-    for t, gen in zip(live, alg.generators):
+    for t, gen in zip(live, gens):
         out = out + sp.kron(np.where(anti == t, coeffs, 0.0), gen, format="csr")
     return out
 
@@ -239,6 +232,7 @@ def rc_bounds(section: Callable[[int], np.ndarray], size: int) -> RowColBounds:
     carries the whole profile.  A section that cuts live antidiagonals at
     different lengths can have its norm strictly between the two
     (sandwich), approaching the row/column sup only as the section grows.
+    Bounds beyond the float range are refused, as such a sum is.
     """
     # scaled by a power of two, as the dense norm route does, so that no
     # square overflows; an infinite modulus is refused as a series term
@@ -249,4 +243,6 @@ def rc_bounds(section: Callable[[int], np.ndarray], size: int) -> RowColBounds:
     rows = range(0, size * size + 1, size)
     row_sup = float(max(np.sqrt(exact_sums(sq.ravel(), rows)[0]))) * scale
     col_sup = float(max(np.sqrt(exact_sums(sq.T.ravel(), rows)[0]))) * scale
+    if not np.isfinite(row_sup + col_sup):
+        raise ValidationError("row/column bounds lie beyond the float range")
     return RowColBounds(row_sup, col_sup, lower=max(row_sup, col_sup), upper=row_sup + col_sup)

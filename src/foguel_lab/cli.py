@@ -238,8 +238,7 @@ def _run_car_check(p: dict, seed: int):
     worst_anti = 0.0
     worst_mixed = 0.0
     for m in range(1, p["modes"] + 1):
-        alg = build_car(m)
-        dev_anti, dev_mixed = car_check(alg)
+        dev_anti, dev_mixed = car_check(build_car(m))
         rows.append(
             {"modes": m, "dev_anti": float(dev_anti), "dev_mixed": float(dev_mixed)}
         )

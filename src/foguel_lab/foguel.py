@@ -186,26 +186,21 @@ def intertwiner_partial(
         )
     if stab_run < 1:
         raise ValidationError("stab_run must be >= 1")
-    term = t2 @ x
-    z = term.copy()
+    z = np.zeros_like(x)
     term_norms = np.empty(n_terms, dtype=float)
     partial_norms = np.empty(n_terms, dtype=float)
-    term_norms[0] = op_norm_dense(term).value
-    partial_norms[0] = op_norm_dense(z).value
     stabilized_at = None
-    run = 1 if (stab_tol is not None and term_norms[0] < stab_tol) else 0
-    if run >= stab_run:
-        stabilized_at = 0
-    for j in range(1, n_terms):
-        term = t2 @ term @ t1
-        z = z + term
+    run = 0
+    for j in range(n_terms):
+        term = t2 @ term @ t1 if j else t2 @ x
+        z += term
         if term.any():
             term_norms[j] = op_norm_dense(term).value
             partial_norms[j] = op_norm_dense(z).value
         else:
             # an exactly zero increment leaves Z, hence its norm, unchanged
             term_norms[j] = 0.0
-            partial_norms[j] = partial_norms[j - 1]
+            partial_norms[j] = partial_norms[j - 1] if j else 0.0
         if stab_tol is not None:
             run = run + 1 if term_norms[j] < stab_tol else 0
             if run >= stab_run and stabilized_at is None:

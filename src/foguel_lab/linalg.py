@@ -222,6 +222,14 @@ def safe_scale(peak: float) -> float:
     return 1.0 if inside else float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
 
 
+def _divide(a, scale: float):
+    """``a`` / ``scale`` part by part: numpy's complex division overflows on a
+    subnormal divisor, and scipy's sparse one multiplies by 1 / scale."""
+    if sp.issparse(a):
+        return sp.csr_matrix((_divide(a.data, scale), a.indices, a.indptr), shape=a.shape)
+    return a.real / scale + 1j * (a.imag / scale) if np.iscomplexobj(a) else a / scale
+
+
 def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
     """:func:`op_norm_dense` of one validated dense array of either dtype."""
     if np.iscomplexobj(a) and not a.imag.any():
@@ -233,8 +241,7 @@ def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
         return NormEstimate(0.0, "dense", 0, 0.0, True)
     scale = safe_scale(peak)
     if scale != 1.0:
-        # part by part: numpy's complex division overflows on a subnormal divisor
-        a = a.real / scale + 1j * (a.imag / scale) if np.iscomplexobj(a) else a / scale
+        a = _divide(a, scale)
     sign = _symmetry(a)  # +1: A* = A, -1: A* = -A, 0: neither
     hermitian = sign == 1
     keep = None  # the indices of a trimmed Hermitian or skew-Hermitian operand
@@ -311,19 +318,25 @@ def op_norm_power(
     once the relative change of the estimate stays below ``tol`` for five
     consecutive iterations; failing that, the best estimate is still
     returned with ``converged=False`` (no exception).  Deterministic for a
-    fixed seed.
+    fixed seed.  A zero operand has norm 0 after no iteration.  As on the
+    dense route, an operand with extreme entries is first scaled by a power
+    of two, ``safe_scale`` of its largest modulus, so that no norm in the
+    loop overflows or underflows; the estimate is scaled back.
     """
-    # the iterate is complex: convert a real operand once, not in every product
-    if sp.issparse(a):
-        a = a.tocsr().astype(np.complex128, copy=False)
-        ah = a.conj().T.tocsr()
-    else:
-        a = as_matrix(a).astype(np.complex128, copy=False)
-        ah = a.conj().T
+    a = a.tocsr() if sp.issparse(a) else as_matrix(a)
     if min(a.shape) < 1:
         raise ValidationError(f"empty matrix shape {a.shape}")
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be > 0 and max_iter >= 1")
+    peak = float(abs(a).max())
+    if peak == 0.0:
+        return NormEstimate(0.0, "power", 0, 0.0, True)
+    scale = safe_scale(peak)
+    if scale != 1.0:
+        a = _divide(a, scale)
+    # the iterate is complex: convert a real operand once, not in every product
+    a = a.astype(np.complex128, copy=False)
+    ah = a.conj().T.tocsr() if sp.issparse(a) else a.conj().T
     dim = a.shape[1]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -331,28 +344,18 @@ def op_norm_power(
 
     est_prev = None
     recent: list[float] = []
-    est = 0.0
-    iterations = 0
     for it in range(1, max_iter + 1):
-        iterations = it
         w = a @ v
         est = float(np.linalg.norm(w))
-        if est == 0.0:
-            # v lies in the kernel of A; for the purposes of a largest
-            # singular value estimate started at random this means A ~ 0.
-            return NormEstimate(0.0, "power", it, 0.0, True)
         u = ah @ w
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return NormEstimate(est, "power", it, 0.0, True)
-        v = u / nu
+        v = u / float(np.linalg.norm(u))
         if est_prev is not None:
             rel = abs(est - est_prev) / est
             recent.append(rel)
             if len(recent) > _POWER_WINDOW:
                 recent.pop(0)
             if len(recent) == _POWER_WINDOW and max(recent) < tol:
-                return NormEstimate(est, "power", it, max(recent), True)
+                return NormEstimate(scale * est, "power", it, max(recent), True)
         est_prev = est
     residual = max(recent) if recent else float("inf")
-    return NormEstimate(est, "power", iterations, residual, False)
+    return NormEstimate(scale * est, "power", max_iter, residual, False)

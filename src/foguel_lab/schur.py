@@ -74,14 +74,6 @@ class MultiplierSpec:
     def difference_quotient(cls, offset: int = 1) -> "MultiplierSpec":
         return cls(family(MULTIPLIER_KINDS["difference-quotient"]), offset=offset)
 
-    @classmethod
-    def log_damped(cls, eps: float, offset: int = 1) -> "MultiplierSpec":
-        return cls(family(MULTIPLIER_KINDS["log-damped"], eps), offset=offset)
-
-    @classmethod
-    def loglog_damped(cls, eps: float, offset: int = 1) -> "MultiplierSpec":
-        return cls(family(MULTIPLIER_KINDS["loglog-damped"], eps), offset=offset)
-
     # ---- evaluation ---------------------------------------------------
 
     def g_values(self, ns) -> np.ndarray:

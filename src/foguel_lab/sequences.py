@@ -1,6 +1,6 @@
 """Coefficient sequences and scalar series diagnostics.
 
-A :class:`WeightSequence` is a lazily evaluated real sequence: ``value(k)``
+A :class:`WeightSequence` is a lazily evaluated real sequence: ``values_at(k)``
 for ``k >= start_index`` and 0 below.  :data:`FAMILIES` holds every
 coefficient family used by the operator constructions, one row each:
 
@@ -91,26 +91,6 @@ class WeightSequence:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def pisier_flat(cls) -> "WeightSequence":
-        return cls("pisier-flat")
-
-    @classmethod
-    def pisier_geometric(cls) -> "WeightSequence":
-        return cls("pisier-geometric")
-
-    @classmethod
-    def harmonic(cls) -> "WeightSequence":
-        return cls("harmonic")
-
-    @classmethod
-    def constant(cls) -> "WeightSequence":
-        return cls("constant")
-
-    @classmethod
-    def power(cls, s: float) -> "WeightSequence":
-        return cls("power", param=float(s))
-
-    @classmethod
     def geometric(cls, r: float) -> "WeightSequence":
         return cls("geometric", param=float(r))
 
@@ -133,9 +113,6 @@ class WeightSequence:
             out = self._formula(np.maximum(ks, self.start_index))
         out[ks < self.start_index] = 0.0
         return out[0] if scalar else out
-
-    def value(self, k: int) -> float:
-        return float(self.values_at(k))
 
     def _formula(self, ks: np.ndarray) -> np.ndarray:
         if self.kind != "custom":

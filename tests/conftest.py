@@ -42,9 +42,9 @@ def generator_section(section, size, mode_of):
     coeffs = np.asarray(section(size), dtype=float)
     anti = np.add.outer(np.arange(size), np.arange(size))
     live = np.unique(anti[coeffs != 0.0])
-    alg = build_car(max(mode_of(t) for t in live) + 1)
-    out = sp.csr_matrix((size * alg.dim,) * 2)
+    gens = build_car(max(mode_of(t) for t in live) + 1)
+    out = sp.csr_matrix((size * gens[0].shape[0],) * 2)
     for t in live:
         b_t = np.where(anti == t, coeffs, 0.0)
-        out = out + sp.kron(b_t, alg.generators[mode_of(t)], format="csr")
+        out = out + sp.kron(b_t, gens[mode_of(t)], format="csr")
     return out

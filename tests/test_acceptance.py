@@ -45,6 +45,7 @@ from foguel_lab import (
     commutator_pattern,
     derivation_product,
     derivative_weight,
+    family,
     hankel_pattern,
     intertwiner_partial,
     iterated_limits,
@@ -86,8 +87,8 @@ def test_c01_generator_relations_sweep():
 
 
 PROFILE_CASES = [
-    ("flat", WeightSequence.pisier_flat()),
-    ("sparse-geometric", WeightSequence.pisier_geometric()),
+    ("flat", family("pisier-flat")),
+    ("sparse-geometric", family("pisier-geometric")),
     ("dyadic", WeightSequence.geometric(0.5)),
 ]
 WEIGHT_CASES = [("unit", None), ("derivative", derivative_weight)]
@@ -96,7 +97,7 @@ WEIGHT_CASES = [("unit", None), ("derivative", derivative_weight)]
 def _profile_l2(alpha, weight, stop):
     """l^2 norm of the weighted profile w(t) a_t over t in [0, stop)."""
     w = (lambda k: 1.0) if weight is None else weight
-    return float(np.sqrt(sum(abs(w(t) * alpha.value(t)) ** 2 for t in range(stop))))
+    return float(np.sqrt(sum(abs(w(t) * alpha.values_at(t)) ** 2 for t in range(stop))))
 
 
 def test_c02_hankel_pattern_norm_equals_profile_bound():
@@ -109,7 +110,7 @@ def test_c02_hankel_pattern_norm_equals_profile_bound():
             for n in (2, 3, 4):
                 # profile supported in [0, n): every live antidiagonal lies
                 # whole inside the n x n section, so the norm is the bound
-                head = WeightSequence.custom([alpha.value(k) for k in range(n)])
+                head = WeightSequence.custom([alpha.values_at(k) for k in range(n)])
                 hsection, hlag = hankel_pattern(head, weight)
                 dense = op_norm_dense(car_pattern_matrix(hsection, hlag, n)).value
                 bound = rc_bounds(hsection, n).lower
@@ -158,7 +159,7 @@ def test_c03_commutator_pattern_sandwich():
 def test_c04_harmonic_telescoping_sums():
     t0 = time.perf_counter()
     terms = 10**6
-    rep = bennett_sums(WeightSequence.harmonic(), terms)
+    rep = bennett_sums(family("harmonic"), terms)
     elapsed = time.perf_counter() - t0
     err_b = abs(rep.sum_abs_diff1 - (1.0 - 1.0 / (terms + 1)))
     err_c = abs(rep.sum_weighted_diff2 - 1.0)
@@ -170,8 +171,8 @@ def test_c04_harmonic_telescoping_sums():
 
 
 DAMPED_FAMILIES = [
-    ("log-eps1", WeightSequence("log", param=1.0), MultiplierSpec.log_damped(1.0)),
-    ("loglog-eps1", WeightSequence("loglog", param=1.0), MultiplierSpec.loglog_damped(1.0)),
+    ("log-eps1", WeightSequence("log", param=1.0), MultiplierSpec(family("log", 1.0))),
+    ("loglog-eps1", WeightSequence("loglog", param=1.0), MultiplierSpec(family("loglog", 1.0))),
 ]
 
 
@@ -312,7 +313,7 @@ def test_c10_growth_contrast():
 
     flat = norms(WeightSequence.geometric(0.5))
     rel_flat = [(b - a) / a for a, b in zip(flat, flat[1:])]
-    grow = norms(WeightSequence.power(1.5))
+    grow = norms(family("power", 1.5))
     rel_grow = [(b - a) / a for a, b in zip(grow, grow[1:])]
     ok = (
         all(r <= 1e-8 for r in rel_flat)

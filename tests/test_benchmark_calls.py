@@ -4,12 +4,16 @@
 through the command line: ``hankel_pattern``, ``car_pattern_matrix``,
 ``rc_bounds`` and ``car_hankel`` in the car-sections workload, the
 Hankel builders with ``sylvester_residual`` in the scalar-sections one,
-and ``assemble_foguel`` with ``power_offdiag`` in the similarity one.
-A change to their signatures or results would otherwise show only when
-the benchmark runs.  One round of each such call is run here and scored
-by the benchmark's own oracles, which never import the package.
+``assemble_foguel`` with ``power_offdiag`` in the similarity one, and
+``iterated_limits`` of ``MultiplierSpec.difference_quotient()`` in the
+summability one.  A change to their signatures or results would
+otherwise show only when the benchmark runs.  One round of each such
+call is run here and scored by the benchmark's own oracles, which never
+import the package; and every package name the worker's source uses
+must resolve, so that removing one fails here first.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +36,8 @@ WORKLOADS = {
                         ("displacement ",)),
     "similarity": ("similarity_calls", "expect_similarity", ("block power corner",),
                    ("block power corner",)),
+    "summability": ("summability_calls", "expect_summability", ("iterated limits",),
+                    ("iterated limits",)),
 }
 
 
@@ -54,3 +60,15 @@ def test_direct_library_calls_score_correct(tmp_path, workload):
     verdict = checks.evaluate(scored, [outputs], ref_arrays=arrays)
     assert (verdict["failed"], verdict["unexpected"]) == (0, []), verdict["notes"]
     assert verdict["attempted"] == len(scored) > 0
+
+
+def test_every_package_name_the_worker_uses_resolves():
+    fl = worker.import_program()
+    source = Path(worker.__file__).read_text(encoding="utf-8")
+    names = set(re.findall(r"\bfl\.(\w+(?:\.\w+)?)", source))
+    assert {"WeightSequence.custom", "MultiplierSpec.difference_quotient", "cli.main"} <= names
+    for name in sorted(names):
+        obj = fl
+        for part in name.split("."):
+            assert hasattr(obj, part), f"perfbench/worker.py uses fl.{name}"
+            obj = getattr(obj, part)

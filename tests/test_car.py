@@ -17,7 +17,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from foguel_lab import (
-    CarAlgebra,
     SizeCapExceededError,
     ValidationError,
     WeightSequence,
@@ -27,6 +26,7 @@ from foguel_lab import (
     car_pattern_matrix,
     car_pattern_operator,
     commutator_pattern,
+    family,
     hankel_defect,
     hankel_pattern,
     op_norm_dense,
@@ -45,30 +45,26 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 @pytest.mark.parametrize("m", [1, 2, 4, 6])
 def test_relations_hold_exactly(m):
-    alg = build_car(m)
-    dev_anti, dev_mixed = car_check(alg)
+    dev_anti, dev_mixed = car_check(build_car(m))
     assert dev_anti == 0.0
     assert dev_mixed == 0.0
 
 
 def test_generators_are_nilpotent():
-    alg = build_car(3)
-    for g in alg.generators:
+    for g in build_car(3):
         assert (g @ g).nnz == 0
 
 
 def test_mixed_relation_by_hand():
-    alg = build_car(2)
-    c0 = alg.generators[0].toarray()
+    c0 = build_car(2)[0].toarray()
     assert np.array_equal(c0 @ c0.conj().T + c0.conj().T @ c0, np.eye(4))
 
 
 def test_dimensions_scale_as_powers_of_two():
     for m in (1, 3, 5):
-        alg = build_car(m)
-        assert alg.dim == 2**m
-        assert len(alg.generators) == m
-        assert alg.generators[0].shape == (2**m, 2**m)
+        gens = build_car(m)
+        assert len(gens) == m
+        assert gens[0].shape == (2**m, 2**m)
 
 
 def test_modes_bounds_enforced():
@@ -81,16 +77,11 @@ def test_modes_bounds_enforced():
 def test_sign_corruption_is_loud():
     # negating a single entry of one generator breaks the relations by a
     # full unit, not by round-off
-    alg = build_car(3)
-    bad = alg.generators[1].toarray()
+    gens = build_car(3)
+    bad = gens[1].toarray()
     idx = np.argwhere(bad != 0)[0]
     bad[idx[0], idx[1]] *= -1.0
-    tampered = CarAlgebra(
-        modes=3,
-        dim=8,
-        generators=(alg.generators[0], sp.csr_matrix(bad), alg.generators[2]),
-    )
-    dev_anti, dev_mixed = car_check(tampered)
+    dev_anti, dev_mixed = car_check((gens[0], sp.csr_matrix(bad), gens[2]))
     assert max(dev_anti, dev_mixed) >= 1.0
 
 
@@ -104,10 +95,7 @@ def test_parity_factor_corruption_is_loud():
     i2 = sp.identity(2, format="csr")
     good = build_car(3)
     bad_c2 = reduce(lambda a, b: sp.kron(a, b, format="csr"), [i2, z, low])
-    tampered = CarAlgebra(
-        modes=3, dim=8, generators=(good.generators[0], good.generators[1], bad_c2)
-    )
-    dev_anti, dev_mixed = car_check(tampered)
+    dev_anti, dev_mixed = car_check((good[0], good[1], bad_c2))
     assert max(dev_anti, dev_mixed) >= 1.0
 
 
@@ -117,19 +105,19 @@ def test_parity_factor_corruption_is_loud():
 def test_tiny_section_assembled_by_hand():
     """Independent assembly of the 2x2 generator Hankel via plain kron."""
     alpha = WeightSequence.geometric(0.5)
-    alg = build_car(3)
+    gens = build_car(3)
     got = car_hankel(alpha, None, 2)
-    d = alg.dim
+    d = gens[0].shape[0]
     expected = np.zeros((2 * d, 2 * d), dtype=complex)
-    expected[:d, :d] = 1.0 * alg.generators[0].toarray()
-    expected[:d, d:] = 0.5 * alg.generators[1].toarray()
-    expected[d:, :d] = 0.5 * alg.generators[1].toarray()
-    expected[d:, d:] = 0.25 * alg.generators[2].toarray()
+    expected[:d, :d] = 1.0 * gens[0].toarray()
+    expected[:d, d:] = 0.5 * gens[1].toarray()
+    expected[d:, :d] = 0.5 * gens[1].toarray()
+    expected[d:, d:] = 0.25 * gens[2].toarray()
     assert np.array_equal(got, expected)
 
 
 def test_section_blocks_are_hankel():
-    alpha = WeightSequence.pisier_geometric()
+    alpha = family("pisier-geometric")
     m = car_hankel(alpha, unit_weight, 3)
     # live antidiagonals 0, 1, 3: one mode each
     assert hankel_defect(m, block_dim=2**3) == 0.0
@@ -153,7 +141,7 @@ def test_pattern_lag_and_section_shape_are_checked():
 
     m = car_pattern_matrix(section, 1, 2)
     assert m.shape == (4, 4)
-    assert np.array_equal(m[:2, 2:], build_car(1).generators[0].toarray())
+    assert np.array_equal(m[:2, 2:], build_car(1)[0].toarray())
     with pytest.raises(ValidationError, match="antidiagonal 1 is live below the lag 2"):
         car_pattern_matrix(section, 2, 2)
     wrong_shape = re.escape("section(2) has shape (2, 3), expected (2, 2)")
@@ -161,16 +149,23 @@ def test_pattern_lag_and_section_shape_are_checked():
         car_pattern_matrix(lambda n: np.ones((n, n + 1)), 0, 2)
 
 
+def test_a_section_size_below_one_is_refused():
+    section, lag = hankel_pattern(WeightSequence.geometric(0.5))
+    for build in (lambda: car_pattern_operator(section, lag, 0), lambda: rc_bounds(section, 0)):
+        with pytest.raises(ValidationError, match="size must be >= 1"):
+            build()
+
+
 def test_dense_cap_enforced():
     # dimension 6 * 2^11 = 12288 lies above the cap of 4096
     with pytest.raises(SizeCapExceededError):
-        car_hankel(WeightSequence.constant(), None, 6)
+        car_hankel(family("constant"), None, 6)
 
 
 def test_extra_modes_leave_the_section_unchanged():
     """Any distinct generators of a larger algebra give the same norm: they
     generate a copy of the algebra with one mode per live antidiagonal."""
-    alpha = WeightSequence.pisier_flat()
+    alpha = family("pisier-flat")
     section, _ = hankel_pattern(alpha, None)
     # live antidiagonals 0, 1, 3 and 7 on modes 7, 4, 1 and 0 of eight
     spread = {0: 7, 1: 4, 3: 1, 7: 0}.__getitem__
@@ -181,7 +176,7 @@ def test_extra_modes_leave_the_section_unchanged():
 
 
 def test_matrix_free_oracles_agree_with_dense():
-    alpha = WeightSequence.pisier_flat()
+    alpha = family("pisier-flat")
     # live antidiagonals 0, 1 at size 2 and 0, 1, 3 at size 3, one mode each
     for size, modes in ((2, 2), (3, 3)):
         dense = op_norm_dense(car_hankel(alpha, None, size)).value
@@ -206,8 +201,8 @@ def test_block_norm_equals_the_densified_norm(target, alpha):
 
 @pytest.mark.parametrize("pattern", [
     hankel_pattern(WeightSequence.geometric(0.5)),
-    commutator_pattern(WeightSequence.power(2.0)),
-    hankel_pattern(WeightSequence.pisier_flat()),
+    commutator_pattern(family("power", 2.0)),
+    hankel_pattern(family("pisier-flat")),
 ], ids=["lag0", "lag1", "lacunary"])
 def test_pattern_conserves_number_and_weight(pattern):
     """C_r empties mode r of an occupied state, and mode r carries the r-th
@@ -293,7 +288,7 @@ def test_import_leaves_csgraph_unloaded():
 
 
 def test_rc_bounds_by_hand():
-    section, _ = hankel_pattern(WeightSequence.pisier_flat(), None)
+    section, _ = hankel_pattern(family("pisier-flat"), None)
     b = rc_bounds(section, 2)
     # profile rows (1,1) and (1,0): row sups sqrt(2) and 1
     assert b.row_sup == pytest.approx(np.sqrt(2.0))
@@ -306,8 +301,8 @@ def test_rc_bounds_by_hand():
 @pytest.mark.parametrize(
     "alpha",
     [
-        WeightSequence.pisier_flat(),
-        WeightSequence.pisier_geometric(),
+        family("pisier-flat"),
+        family("pisier-geometric"),
         WeightSequence.geometric(0.5),
     ],
     ids=["flat", "pisier-geo", "dyadic"],
@@ -322,7 +317,7 @@ def test_sandwich_bounds_hold(alpha, size):
 def test_two_mode_section_norm_is_the_row_sup():
     # at size 2 the flat-profile norm is ||C_0 + C_1 shifted|| = sqrt(2),
     # exactly the row bound
-    alpha = WeightSequence.pisier_flat()
+    alpha = family("pisier-flat")
     dense = op_norm_dense(car_hankel(alpha, None, 2)).value
     assert dense == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
@@ -333,7 +328,7 @@ def test_three_mode_section_norm_exceeds_the_row_sup():
     the three live antidiagonals at lengths 1, 2, 1, and the middle one
     couples to both neighbours.  Pinned here as a regression anchor for
     the bound-vs-norm gap."""
-    alpha = WeightSequence.pisier_flat()
+    alpha = family("pisier-flat")
     section, _ = hankel_pattern(alpha, None)
     dense = op_norm_dense(car_hankel(alpha, None, 3)).value
     b = rc_bounds(section, 3)
@@ -369,3 +364,12 @@ def test_rc_bounds_scale_exactly_with_a_power_of_two(size, power):
 
 def test_rc_bounds_of_an_entry_above_the_square_root_of_the_float_range():
     assert bounds_of([1e200, 1.0, 1.0], 2) == (1e200, 1e200, 1e200, 2e200)
+
+
+@pytest.mark.parametrize("profile", [[1e308, 0.0, 0.0], [1.5e308] * 3],
+                         ids=["upper-only", "every-bound"])
+def test_rc_bounds_beyond_the_float_range_are_refused(profile):
+    # 1e308 gives row_sup = col_sup = 1e308 but upper = inf; sqrt(2) * 1.5e308
+    # is already beyond the range for every bound
+    with pytest.raises(ValidationError, match="row/column bounds lie beyond the float range"):
+        bounds_of(profile, 2)

@@ -18,6 +18,7 @@ from foguel_lab import (
     HankelSpec,
     MultiplierSpec,
     SizeCapExceededError,
+    ValidationError,
     WeightSequence,
     antidiagonal_sums,
     bennett_criterion,
@@ -36,6 +37,7 @@ from foguel_lab.cli import (
     FAMILY_OF,
     SEED_ENV_VAR,
     main,
+    normalize_params,
     parse_alpha,
     resolve_seed,
 )
@@ -55,8 +57,8 @@ def read_csv(path: Path):
 
 def test_parse_alpha_families():
     assert parse_alpha("pisier-flat").describe() == "pisier-flat"
-    assert parse_alpha("geometric:0.5").value(3) == 0.5**3
-    assert parse_alpha("harmonic").value(2) == 0.5
+    assert parse_alpha("geometric:0.5").values_at(3) == 0.5**3
+    assert parse_alpha("harmonic").values_at(2) == 0.5
     # the log family starts at index 1, where log(k + 1) > 0
     assert parse_alpha("log:1.0").start_index == 1
 
@@ -93,10 +95,18 @@ def test_every_family_in_the_alpha_help_parses():
         assert parse_alpha(f"{head}:0.5" if sep else head) == family(head, 0.5 if sep else None)
 
 
+def log_damped(eps):
+    return MultiplierSpec(family("log", eps))
+
+
+def loglog_damped(eps):
+    return MultiplierSpec(family("loglog", eps))
+
+
 @pytest.mark.parametrize("kind,build", [
     ("difference-quotient", lambda eps: MultiplierSpec.difference_quotient()),
-    ("log-damped", MultiplierSpec.log_damped),
-    ("loglog-damped", MultiplierSpec.loglog_damped),
+    ("log-damped", log_damped),
+    ("loglog-damped", loglog_damped),
 ])
 def test_each_multiplier_kind_builds_its_classmethod_section(tmp_path, monkeypatch, kind, build):
     sections = []
@@ -192,6 +202,24 @@ def test_car_hankel_power_rows_keep_their_known_faults(tmp_path):
         "car-hankel,6,geometric:0.5,power,1.1545746087371436,1000,false",
         "car-hankel,7,geometric:0.5,power,1.1546688545290975,15,true",
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    "norm --target hankel --alpha loglog:100 --sizes 8 --method power",
+    "norm --target car-hankel --alpha loglog:100 --N 7",  # auto: power above the cap
+])
+def test_power_rows_of_a_huge_profile_read_the_dense_norm(tmp_path, argv):
+    # a_2 of loglog:100 is about 4.5e103 and outweighs every other
+    # coefficient by more than 1e50, so both norms are that of the scalar
+    # section; unscaled, the power loop's norms overflowed and the row read 0
+    dense = ["norm", "--target", "hankel", "--alpha", "loglog:100", "--sizes", "8",
+             "--method", "dense", "--out", str(tmp_path / "dense")]
+    assert main(dense) == 0
+    assert main(argv.split() + ["--out", str(tmp_path / "power")]) == 0
+    want = float(read_csv(tmp_path / "dense" / "norms.csv")[1][4])
+    row = read_csv(tmp_path / "power" / "norms.csv")[1]
+    assert (row[3], row[6]) == ("power", "true")
+    assert float(row[4]) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("method", ["power", "auto"])
@@ -331,9 +359,9 @@ def test_bennett_terms_above_the_cap_are_refused_before_evaluation(
     assert main(argv) == 1
     assert f"exceeds the series cap {BENNETT_TERMS_CAP}" in capsys.readouterr().err
     with pytest.raises(SizeCapExceededError):
-        bennett_criterion(MultiplierSpec(WeightSequence.harmonic()), terms)
+        bennett_criterion(MultiplierSpec(family("harmonic")), terms)
     with pytest.raises(SizeCapExceededError):
-        antidiagonal_sums(MultiplierSpec(WeightSequence.harmonic()), 2, terms + 1)
+        antidiagonal_sums(MultiplierSpec(family("harmonic")), 2, terms + 1)
 
 
 @pytest.mark.parametrize("oversize", ["window", "corner"])
@@ -363,7 +391,7 @@ def test_bennett_row_matches_library(tmp_path):
     )
     assert rc == 0
     row = read_csv(tmp_path / "bennett.csv")[1]
-    rep = bennett_sums(WeightSequence.harmonic(), 1000)
+    rep = bennett_sums(family("harmonic"), 1000)
     assert row[0] == "harmonic"
     assert float(row[3]) == rep.sum_a_over_n
     assert float(row[4]) == rep.sum_abs_diff1
@@ -773,6 +801,19 @@ def test_an_overflowing_family_is_refused_as_non_finite_without_a_warning(tmp_pa
             assert main(line.split() + ["--out", str(tmp_path / "out")]) == 1, line
         assert capsys.readouterr().err == f"error: {what} must be finite\n", line
         assert not (tmp_path / "out").exists(), line
+
+
+def test_sizes_of_another_type_and_an_unknown_command_are_refused(tmp_path):
+    # a sweep job's JSON can give sizes as a number or an object; a command
+    # name reaches normalize_params unchecked only from the library
+    for sizes in (5, {"n": 5}):
+        job = {"id": 0, "command": "norm", "params": {**HANKEL4, "sizes": sizes}}
+        spec = make_sweep_spec(tmp_path / "spec.json", [job])
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "out")]) == 1
+        summary = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        assert summary["jobs"][0]["error"] == "sizes must be a comma-separated string or a list"
+    with pytest.raises(ValidationError, match="unknown command 'warp'"):
+        normalize_params("warp", {})
 
 
 BOOLEAN_FLOATS = {

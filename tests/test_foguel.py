@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from foguel_lab import (
     INTERTWINER_TERMS_CAP,
+    FoguelBlock,
     SizeCapExceededError,
     ValidationError,
     antidiag_partial_sum,
@@ -86,6 +87,43 @@ def test_power_offdiag_rejects_zero_power(rng):
     blk = assemble_foguel(*(random_complex(rng, 3) for _ in range(3)))
     with pytest.raises(ValidationError):
         power_offdiag(blk, 0)
+
+
+def _shift_block():
+    t = make_shift(3)
+    return assemble_foguel(t, 0.5 * t, np.ones((3, 3)))
+
+
+def _tampered_block():
+    # a literal matrix that is not [[T2*, X], [0, T1]]: the two corner routes part
+    blk = _shift_block()
+    return FoguelBlock(blk.t2, blk.t1, blk.x, blk.matrix + 1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: power_offdiag(_tampered_block(), 2), RuntimeError,
+     "corner-sum formula and literal power disagree by"),
+    (lambda: antidiag_partial_sum(np.eye(2), 0), ValidationError, "need at least one term"),
+    (lambda: antidiag_shift_form(np.eye(2), 0), ValidationError, "need at least one term"),
+    (lambda: intertwiner_partial(*(make_shift(3),) * 3, 0), ValidationError,
+     "need at least one term"),
+    (lambda: similarity_check(_shift_block(), np.zeros((2, 2)), 1), ValidationError,
+     "Z has shape (2, 2), expected (3, 3)"),
+    (lambda: similarity_check(_shift_block(), np.zeros((3, 3)), 4), ValidationError,
+     "window must lie in [1, 3]"),
+    (lambda: similarity_check(_shift_block(), np.zeros((3, 3)), 0), ValidationError,
+     "window must lie in [1, 3]"),
+    (lambda: poly_eval_matrix([1.0], np.ones((2, 3))), ValidationError,
+     "expected a square matrix"),
+    (lambda: poly_eval_matrix([], np.eye(2)), ValidationError, "empty coefficient list"),
+    (lambda: von_neumann_probe(np.eye(2), [], 8), ValidationError,
+     "need at least one polynomial"),
+], ids=["tampered-power", "partial-sum-no-term", "shift-form-no-term", "series-no-term",
+        "z-shape", "window-high", "window-zero", "poly-not-square", "poly-no-coeffs",
+        "probe-no-polys"])
+def test_bad_operands_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 # ---- sliding antidiagonal sums ----------------------------------------

@@ -13,6 +13,7 @@ from foguel_lab import (
     derivation_matrix,
     derivation_product,
     derivative_weight,
+    family,
     hankel_defect,
     make_hankel,
     make_shift,
@@ -27,9 +28,9 @@ from foguel_lab import (
 # signed zeros included; the custom family carries -0.0 entries
 LOOP_FAMILIES = (
     WeightSequence.geometric(0.5),
-    WeightSequence.power(2.0),
-    WeightSequence.harmonic(),
-    WeightSequence.pisier_flat(),
+    family("power", 2.0),
+    family("harmonic"),
+    family("pisier-flat"),
     WeightSequence("log", param=1.0),
     WeightSequence.custom([-0.0, 1.0, -2.5, 0.0, 3.0, -0.0, 7.0]),
 )
@@ -51,7 +52,7 @@ def test_hankel_entries_follow_the_sequence():
     for seq in LOOP_FAMILIES:
         for n in LOOP_SIZES:
             h = make_hankel(HankelSpec(seq, n))
-            assert_entry_loop(h, n, lambda i, j: seq.value(i + j))
+            assert_entry_loop(h, n, lambda i, j: seq.values_at(i + j))
 
 
 def test_weighted_hankel_carries_the_derivative_weight():
@@ -63,7 +64,7 @@ def test_weighted_hankel_carries_the_derivative_weight():
     for seq in LOOP_FAMILIES:
         for n in LOOP_SIZES:
             h = make_weighted_hankel(HankelSpec(seq, n), derivative_weight)
-            assert_entry_loop(h, n, lambda i, j: (i + j + 1) * seq.value(i + j))
+            assert_entry_loop(h, n, lambda i, j: (i + j + 1) * seq.values_at(i + j))
 
 
 def test_non_sequence_coefficients_are_refused():
@@ -76,7 +77,7 @@ def test_hilbert_type_section_climbs_toward_pi():
     [1/(i+j+1)] section, whose norms increase to pi with the size."""
     norms = []
     for n in (8, 32, 128, 256):
-        spec = HankelSpec(WeightSequence.power(2.0), n)
+        spec = HankelSpec(family("power", 2.0), n)
         norms.append(op_norm_dense(make_weighted_hankel(spec, derivative_weight)).value)
     assert all(a < b for a, b in zip(norms, norms[1:]))
     assert all(v < np.pi for v in norms)
@@ -91,7 +92,7 @@ def test_defect_detects_a_corrupted_entry():
 
 
 def test_defect_zero_on_every_generated_section():
-    for seq in (WeightSequence.pisier_flat(), WeightSequence.harmonic()):
+    for seq in (family("pisier-flat"), family("harmonic")):
         h = make_hankel(HankelSpec(seq, 6))
         assert hankel_defect(h) == 0.0
 
@@ -109,6 +110,15 @@ def test_defect_refuses_a_bad_block_grid(block_dim):
 # ---- derivation products ----------------------------------------------
 
 
+@pytest.mark.parametrize("build", [
+    lambda: HankelSpec(family("harmonic"), 0),
+    lambda: derivation_matrix(0),
+], ids=["hankel-spec", "derivation-matrix"])
+def test_a_size_below_one_is_refused(build):
+    with pytest.raises(ValidationError, match="size must be >= 1"):
+        build()
+
+
 def test_derivation_matrix_differentiates_monomials():
     d = derivation_matrix(5)
     # column j holds j at row j-1: the image of z^j is j z^(j-1)
@@ -121,7 +131,7 @@ def test_derivation_matrix_differentiates_monomials():
 @pytest.mark.parametrize("kind", ["commutator", "gamma_d", "dstar_gamma"])
 def test_derivation_products_match_literal_matmul(kind):
     """Entry formulas vs. actual matrix products — two independent routes."""
-    spec = HankelSpec(WeightSequence.power(1.5), 9)
+    spec = HankelSpec(family("power", 1.5), 9)
     gamma = make_hankel(spec)
     d = derivation_matrix(9)
     literal = {
@@ -142,7 +152,7 @@ def test_derivation_products_match_the_entry_loop(kind, factor):
         for n in LOOP_SIZES:
             got = derivation_product(HankelSpec(seq, n), kind)
             assert_entry_loop(
-                got, n, lambda i, j: factor(i, j) * (seq.value(i + j - 1) if i + j else 0.0)
+                got, n, lambda i, j: factor(i, j) * (seq.values_at(i + j - 1) if i + j else 0.0)
             )
 
 
@@ -155,7 +165,7 @@ def test_commutator_is_difference_of_the_one_sided_products():
 
 def test_derivation_product_rejects_bad_kinds():
     with pytest.raises(ValidationError):
-        derivation_product(HankelSpec(WeightSequence.constant(), 3), "sideways")
+        derivation_product(HankelSpec(family("constant"), 3), "sideways")
 
 
 # ---- displacement identity --------------------------------------------
@@ -193,7 +203,7 @@ def test_full_window_residual_sees_the_boundary():
     # flat coefficients keep the truncation boundary O(n) instead of
     # letting it decay away with the sequence
     n = 16
-    spec = HankelSpec(WeightSequence.constant(), n)
+    spec = HankelSpec(family("constant"), n)
     y = -derivation_product(spec, "gamma_d")
     gamma = make_hankel(spec)
     s = make_shift(n)
@@ -207,7 +217,7 @@ def test_hankel_perturbations_leave_the_residual_invariant(rng):
     """S* H - H S vanishes on the interior for any Hankel H, so adding one
     to a displacement candidate cannot change the interior residual."""
     n = 24
-    spec = HankelSpec(WeightSequence.power(0.7), n)
+    spec = HankelSpec(family("power", 0.7), n)
     gamma = make_hankel(spec)
     y = -derivation_product(spec, "gamma_d")
     h = make_hankel(HankelSpec(WeightSequence.custom(rng.standard_normal(2 * n - 1)), n))

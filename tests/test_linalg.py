@@ -1,5 +1,6 @@
 """Dense kernel sanity: shapes, norms, and the norm layer's routes."""
 
+import re
 import tracemalloc
 
 import mpmath
@@ -80,7 +81,7 @@ REAL_BUILDERS = {
     "dstar_gamma": lambda: derivation_product(GEOMETRIC, "dstar_gamma"),
     "multiplier": lambda: make_multiplier(MultiplierSpec.difference_quotient(), 5),
     "integer-multiplier": lambda: make_multiplier(MultiplierSpec(entry_fn=lambda i, j: i - j), 5),
-    "car_dense": lambda: build_car(3).generators[1].toarray(),
+    "car_dense": lambda: build_car(3)[1].toarray(),
     "car_pattern_operator": lambda: car_pattern_operator(*GEOMETRIC_PATTERN, 3),
     "car_pattern_matrix": lambda: car_pattern_matrix(*GEOMETRIC_PATTERN, 3),
 }
@@ -532,6 +533,38 @@ def test_power_iteration_rank_one(rng):
     est = op_norm_power(a)
     exact = np.linalg.norm(u) * np.linalg.norm(v)
     assert est.value == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_power_iteration_scales_exactly_with_a_power_of_two(rng, form, power):
+    # unscaled, the loop's norms of 2^600 A overflowed and those of 2^-600 A
+    # underflowed, and the estimate read 0 as converged; scaled first by a
+    # power of two, the iteration is that of A
+    a = _route_inputs(rng)[form]
+    est = op_norm_power(a)
+    scaled = op_norm_power(a * 2.0**power)
+    assert scaled.value == est.value * 2.0**power
+    assert (scaled.iterations, scaled.relative_residual, scaled.converged) == (
+        est.iterations, est.relative_residual, est.converged)
+
+
+def test_op_norm_power_zero_operand():
+    for a in (np.zeros((3, 2)), sp.csr_matrix((4, 4))):
+        assert op_norm_power(a) == NormEstimate(0.0, "power", 0, 0.0, True)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_matrix(np.zeros((0, 3))), "empty matrix shape (0, 3)"),
+    (lambda: op_norm_dense(sp.csr_matrix((3, 0))), "empty matrix shape (3, 0)"),
+    (lambda: op_norm_power(sp.csr_matrix((0, 2))), "empty matrix shape (0, 2)"),
+    (lambda: op_norm_power(np.eye(2), tol=0.0), "tol must be > 0 and max_iter >= 1"),
+    (lambda: op_norm_power(np.eye(2), max_iter=0), "tol must be > 0 and max_iter >= 1"),
+], ids=["as-matrix-empty", "dense-sparse-empty", "power-sparse-empty", "power-tol",
+        "power-max-iter"])
+def test_empty_operands_and_bad_power_settings_are_refused(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 def test_as_matrix_rejects_non_2d():

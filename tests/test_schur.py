@@ -19,6 +19,7 @@ from foguel_lab import (
     antidiagonal_sums,
     bennett_criterion,
     bennett_sums,
+    family,
     iterated_limits,
     make_multiplier,
     multiplier_lower_bound,
@@ -48,9 +49,9 @@ def test_all_ones_is_schur_identity():
 def test_structured_entries_are_antisymmetric(kind, i, j):
     spec = {
         "dq": MultiplierSpec.difference_quotient(),
-        "log": MultiplierSpec.log_damped(0.5),
-        "loglog": MultiplierSpec.loglog_damped(1.0),
-        "seq": MultiplierSpec(WeightSequence.harmonic()),
+        "log": MultiplierSpec(family("log", 0.5)),
+        "loglog": MultiplierSpec(family("loglog", 1.0)),
+        "seq": MultiplierSpec(family("harmonic")),
     }[kind]
     assert spec.entry(i, j) == pytest.approx(-spec.entry(j, i), abs=1e-15)
     assert spec.entry(i, i) == 0.0
@@ -70,9 +71,9 @@ def test_named_kinds_match_their_closed_forms(kind, offset, di, dj, eps):
     literal, spec = {
         "dq": ((j - i) / n, MultiplierSpec.difference_quotient(offset)),
         "log": ((j - i) / (n * math.log(n) ** (1 + eps)),
-                MultiplierSpec.log_damped(eps, offset)),
+                MultiplierSpec(family("log", eps), offset=offset)),
         "loglog": ((j - i) / (n * math.log(n) * math.log(math.log(n)) ** (1 + eps)),
-                   MultiplierSpec.loglog_damped(eps, offset)),
+                   MultiplierSpec(family("loglog", eps), offset=offset)),
     }[kind]
     assert spec.entry(i, j) == pytest.approx(literal, rel=1e-15, abs=0.0)
 
@@ -80,10 +81,10 @@ def test_named_kinds_match_their_closed_forms(kind, offset, di, dj, eps):
 def test_make_multiplier_matches_entry_loop():
     # byte for byte, over sequence specs at several offsets and sizes
     specs = (
-        MultiplierSpec.log_damped(0.5),
+        MultiplierSpec(family("log", 0.5)),
         MultiplierSpec.difference_quotient(),
-        MultiplierSpec.loglog_damped(0.25, offset=2),
-        MultiplierSpec(WeightSequence.harmonic(), offset=3),
+        MultiplierSpec(family("loglog", 0.25), offset=2),
+        MultiplierSpec(family("harmonic"), offset=3),
     )
     for spec in specs:
         for n in (1, 2, 5, 16):
@@ -104,34 +105,48 @@ def test_offset_moves_the_section():
 
 
 def test_from_sequence_uses_the_quotient_profile():
-    spec = MultiplierSpec(WeightSequence.harmonic())
+    spec = MultiplierSpec(family("harmonic"))
     # m(i, j) = (j - i) a_{i+j} / (i + j + 1) with a_n = 1/n
     assert spec.entry(2, 5) == pytest.approx(3.0 / (7.0 * 8.0))
 
 
 def test_damped_kinds_validate_epsilon_and_offset():
     with pytest.raises(ValidationError):
-        MultiplierSpec.log_damped(0.0)
+        MultiplierSpec(family("log", 0.0))
     with pytest.raises(ValidationError):
-        MultiplierSpec.log_damped(1.0, offset=0)
+        MultiplierSpec(family("log", 1.0), offset=0)
     with pytest.raises(ValidationError):
-        MultiplierSpec.loglog_damped(-2.0)
+        MultiplierSpec(family("loglog", -2.0))
 
 
 def test_an_offset_below_the_sequence_start_is_refused():
     # harmonic starts at 1, and an offset-0 section reads a(0) at (0, 0)
     with pytest.raises(ValidationError, match="reads the sequence at 0, below its start index 1"):
-        MultiplierSpec(WeightSequence.harmonic(), offset=0)
+        MultiplierSpec(family("harmonic"), offset=0)
     with pytest.raises(ValidationError, match="reads the sequence at 0, below its start index 2"):
-        MultiplierSpec.loglog_damped(1.0, offset=0)
-    assert MultiplierSpec(WeightSequence.constant(), offset=0).entry(0, 1) == 0.5
+        MultiplierSpec(family("loglog", 1.0), offset=0)
+    assert MultiplierSpec(family("constant"), offset=0).entry(0, 1) == 0.5
 
 
 def test_a_spec_takes_exactly_one_of_sequence_and_entry_fn():
     with pytest.raises(ValidationError):
         MultiplierSpec()
     with pytest.raises(ValidationError):
-        MultiplierSpec(WeightSequence.harmonic(), entry_fn=lambda i, j: 1.0)
+        MultiplierSpec(family("harmonic"), entry_fn=lambda i, j: 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MultiplierSpec(family("constant"), offset=-1), "offset must be >= 0"),
+    (lambda: MultiplierSpec(entry_fn=lambda i, j: 1.0).g_values([2, 3]),
+     "an entry-callable multiplier has no radial factor"),
+    (lambda: make_multiplier(MultiplierSpec.difference_quotient(), 0),
+     "section size must be >= 1"),
+    (lambda: multiplier_lower_bound(MultiplierSpec.difference_quotient(), 4, witnesses=0),
+     "need at least one witness"),
+], ids=["offset-negative", "entry-fn-radial-factor", "size-zero", "witnesses-zero"])
+def test_bad_spec_arguments_are_refused(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 # ---- second-difference summability criterion ---------------------------
@@ -187,7 +202,7 @@ def test_difference_quotient_fails_the_criterion():
 
 
 def test_log_damped_passes_the_criterion():
-    rep = bennett_criterion(MultiplierSpec.log_damped(1.0), 10_000)
+    rep = bennett_criterion(MultiplierSpec(family("log", 1.0)), 10_000)
     assert rep.verdict is True
     assert rep.row_tail < 1e-2
     assert rep.col_tail < 1e-2
@@ -212,7 +227,7 @@ def test_difference_quotient_iterated_limits_split():
 
 
 def test_log_damped_iterated_limits_agree():
-    c, r = iterated_limits(MultiplierSpec.log_damped(1.0), 100_000, 100_000)
+    c, r = iterated_limits(MultiplierSpec(family("log", 1.0)), 100_000, 100_000)
     assert abs(c) < 0.01
     assert abs(r) < 0.01
 
@@ -242,7 +257,7 @@ def test_probe_monotone_in_witness_count():
 
 
 def test_probe_deterministic_for_fixed_seed():
-    spec = MultiplierSpec.log_damped(1.0)
+    spec = MultiplierSpec(family("log", 1.0))
     a = multiplier_lower_bound(spec, 16, witnesses=5, seed=42)
     b = multiplier_lower_bound(spec, 16, witnesses=5, seed=42)
     assert a == b
@@ -261,7 +276,7 @@ def test_probe_records_every_ratio():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
     "spec",
-    [MultiplierSpec.difference_quotient(), MultiplierSpec.log_damped(1.0)],
+    [MultiplierSpec.difference_quotient(), MultiplierSpec(family("log", 1.0))],
     ids=["dq", "log1"],
 )
 def test_probe_below_brute_force_norm_at_tiny_size(spec, n):
@@ -307,7 +322,7 @@ def test_difference_quotient_probe_grows():
 
 
 def test_log_damped_probe_stays_flat():
-    spec = MultiplierSpec.log_damped(1.0)
+    spec = MultiplierSpec(family("log", 1.0))
     p32 = multiplier_lower_bound(spec, 32, witnesses=3, seed=0).lower_bound
     p128 = multiplier_lower_bound(spec, 128, witnesses=3, seed=0).lower_bound
     assert p128 - p32 < 0.10 * p32  # no growth worth the name

@@ -28,23 +28,23 @@ from foguel_lab.sequences import FAMILIES, FAMILY_HELP, family
 
 
 def test_family_point_values():
-    assert WeightSequence.power(2.0).value(3) == 1.0 / 16.0
-    assert WeightSequence.geometric(0.5).value(4) == 0.5**4
-    assert WeightSequence.harmonic().value(5) == pytest.approx(0.2)
-    assert WeightSequence.harmonic().value(0) == 0.0  # below the start
-    assert WeightSequence.constant().value(123) == 1.0
+    assert family("power", 2.0).values_at(3) == 1.0 / 16.0
+    assert WeightSequence.geometric(0.5).values_at(4) == 0.5**4
+    assert family("harmonic").values_at(5) == pytest.approx(0.2)
+    assert family("harmonic").values_at(0) == 0.0  # below the start
+    assert family("constant").values_at(123) == 1.0
 
 
 def test_pisier_supports():
-    flat = WeightSequence.pisier_flat()
-    hits = [k for k in range(70) if flat.value(k) != 0.0]
+    flat = family("pisier-flat")
+    hits = [k for k in range(70) if flat.values_at(k) != 0.0]
     assert hits == [0, 1, 3, 7, 15, 31, 63]  # k = 2^j - 1
-    assert all(flat.value(k) == 1.0 for k in hits)
+    assert all(flat.values_at(k) == 1.0 for k in hits)
 
-    geo = WeightSequence.pisier_geometric()
-    assert [k for k in range(70) if geo.value(k) != 0.0] == hits
+    geo = family("pisier-geometric")
+    assert [k for k in range(70) if geo.values_at(k) != 0.0] == hits
     # geometric profile on the sparse support, halving per level
-    v = np.array([geo.value(k) for k in hits])
+    v = np.array([geo.values_at(k) for k in hits])
     assert np.allclose(v[1:] / v[:-1], 0.5)
 
 
@@ -53,8 +53,8 @@ def test_log_families_start_where_defined():
     f = family("loglog", 1.0)
     assert e.start_index == 1
     assert f.start_index == 2
-    assert e.value(0) == 0.0 and e.value(1) > 0.0
-    assert f.value(1) == 0.0 and f.value(2) > 0.0
+    assert e.values_at(0) == 0.0 and e.values_at(1) > 0.0
+    assert f.values_at(1) == 0.0 and f.values_at(2) > 0.0
 
 
 def _lacunary(k):
@@ -89,7 +89,7 @@ def test_each_family_matches_its_formula_and_is_zero_below_its_start(name):
 
 def test_custom_sequence_roundtrip():
     seq = WeightSequence.custom([3.0, 1.0, 4.0])
-    assert [seq.value(k) for k in range(4)] == [3.0, 1.0, 4.0, 0.0]
+    assert [seq.values_at(k) for k in range(4)] == [3.0, 1.0, 4.0, 0.0]
 
 
 @given(st.sampled_from(list(FAMILIES)))
@@ -98,11 +98,11 @@ def test_values_at_matches_scalar_loop(name):
     ks = np.arange(0, 30)
     vec = seq.values_at(ks)
     assert vec.shape == ks.shape
-    assert all(vec[i] == seq.value(int(ks[i])) for i in range(len(ks)))
+    assert all(vec[i] == seq.values_at(int(ks[i])) for i in range(len(ks)))
 
 
 def test_describe_is_stable():
-    assert WeightSequence.harmonic().describe() == "harmonic"
+    assert family("harmonic").describe() == "harmonic"
     assert WeightSequence.geometric(0.5).describe() == "geometric:0.5"
     assert WeightSequence.custom([1.0, 2.0]).describe() == "custom[2]"
 
@@ -126,7 +126,7 @@ def test_diff_rejects_short_input():
 def test_weighted_square_sum_hits_basel_constant():
     # sum (k+1)^2 |1/(k+1)^2|^2 = sum 1/(k+1)^2 -> pi^2/6
     ks = np.arange(10**6)
-    val = exact_sum((ks + 1.0) ** 2 * WeightSequence.power(2.0).values_at(ks) ** 2)
+    val = exact_sum((ks + 1.0) ** 2 * family("power", 2.0).values_at(ks) ** 2)
     assert val == pytest.approx(math.pi**2 / 6, abs=2e-6)
 
 
@@ -136,10 +136,10 @@ def test_weighted_square_sum_hits_basel_constant():
 def _brute_sums(seq: WeightSequence, terms: int):
     """Direct per-term loop used as an independent oracle (small T only)."""
     n0 = max(1, seq.start_index)
-    sa = [abs(seq.value(n)) / n for n in range(n0, terms + 1)]
-    sb = [abs(seq.value(n) - seq.value(n + 1)) for n in range(n0, terms + 1)]
+    sa = [abs(seq.values_at(n)) / n for n in range(n0, terms + 1)]
+    sb = [abs(seq.values_at(n) - seq.values_at(n + 1)) for n in range(n0, terms + 1)]
     sc = [
-        n * abs(seq.value(n) - 2 * seq.value(n + 1) + seq.value(n + 2))
+        n * abs(seq.values_at(n) - 2 * seq.values_at(n + 1) + seq.values_at(n + 2))
         for n in range(n0, terms + 1)
     ]
     return math.fsum(sa), math.fsum(sb), math.fsum(sc)
@@ -148,7 +148,7 @@ def _brute_sums(seq: WeightSequence, terms: int):
 @pytest.mark.parametrize(
     "seq",
     [
-        WeightSequence.harmonic(),
+        family("harmonic"),
         family("log", 1.0),
         WeightSequence.geometric(0.5),
     ],
@@ -160,7 +160,7 @@ def test_bennett_sums_match_direct_loop(seq):
     assert rep.sum_a_over_n == pytest.approx(sa, rel=1e-13)
     assert rep.sum_abs_diff1 == pytest.approx(sb, rel=1e-13)
     assert rep.sum_weighted_diff2 == pytest.approx(sc, rel=1e-13)
-    a = seq.value
+    a = seq.values_at
     chain = [
         n * abs(a(n) - 2 * a(n + 1) + a(n + 2))
         + abs(a(n) - a(n + 1))
@@ -176,13 +176,13 @@ def test_bennett_sums_match_direct_loop(seq):
 def test_harmonic_first_difference_telescopes_exactly():
     # |1/n - 1/(n+1)| sums to 1 - 1/(T+1): pure telescoping
     t = 10_000
-    rep = bennett_sums(WeightSequence.harmonic(), t)
+    rep = bennett_sums(family("harmonic"), t)
     assert rep.sum_abs_diff1 == pytest.approx(1.0 - 1.0 / (t + 1), abs=1e-14)
     assert rep.verdicts == (True, True, True)
 
 
 def test_constant_sequence_flags_divergence():
-    rep = bennett_sums(WeightSequence.constant(), 10_000)
+    rep = bennett_sums(family("constant"), 10_000)
     assert rep.sum_abs_diff1 == 0.0
     assert rep.sum_weighted_diff2 == 0.0
     # sum 1/n keeps adding ~ln(10) per decade: never strictly decreasing
@@ -192,13 +192,13 @@ def test_constant_sequence_flags_divergence():
 @pytest.mark.parametrize(
     "spec, terms",
     [
-        (MultiplierSpec(WeightSequence.harmonic()), 10_000),
-        (MultiplierSpec(WeightSequence.constant()), 10_000),  # exactly zero totals
-        (MultiplierSpec.log_damped(1.0), 10_000),
-        (MultiplierSpec.loglog_damped(1.0), 10_000),
+        (MultiplierSpec(family("harmonic")), 10_000),
+        (MultiplierSpec(family("constant")), 10_000),  # exactly zero totals
+        (MultiplierSpec(family("log", 1.0)), 10_000),
+        (MultiplierSpec(family("loglog", 1.0)), 10_000),
         # their first blocks span every binade down to the subnormals
         (MultiplierSpec(WeightSequence.geometric(0.5)), 10_000),
-        (MultiplierSpec(WeightSequence.pisier_geometric()), 10_000),
+        (MultiplierSpec(family("pisier-geometric")), 10_000),
         (MultiplierSpec(entry_fn=lambda i, j: (j - i) / (i + j + 1.0)), 300),
     ],
     ids=["harmonic", "constant", "log-eps1", "loglog-eps1", "geometric-0.5",
@@ -220,7 +220,7 @@ def test_streamed_blocks_give_the_whole_array_reports(spec, terms):
 
 def test_summability_memory_does_not_grow_with_the_series_length():
     """The series are streamed in blocks, so the traced peak stays flat."""
-    seq = WeightSequence.harmonic()
+    seq = family("harmonic")
 
     def peak(terms):
         tracemalloc.start()
@@ -238,20 +238,28 @@ def test_summability_memory_does_not_grow_with_the_series_length():
 
 def test_bennett_sums_rejects_tiny_range():
     with pytest.raises(ValidationError):
-        bennett_sums(WeightSequence.harmonic(), 5)
+        bennett_sums(family("harmonic"), 5)
+
+
+def test_bennett_sums_refuses_terms_at_or_below_the_series_start(monkeypatch):
+    # every family starts at index 2 or below, under the least terms (10),
+    # so a later start is patched in to reach the rule
+    monkeypatch.setitem(FAMILIES, "harmonic", (12, None, FAMILIES["harmonic"][2]))
+    with pytest.raises(ValidationError, match="terms must exceed the series start 12"):
+        bennett_sums(family("harmonic"), 12)
 
 
 def test_decade_windows_cover_range():
-    seq = WeightSequence.harmonic()
+    seq = family("harmonic")
     rep = bennett_sums(seq, 2_000)
     # windows are (10^(d-1), 10^d], so they start at n = 2 and the n = 1
     # term sits in front of every window
     assert rep.decades[0] == (2, 10)
     assert rep.decades[-1][1] == 2_000
     heads = (
-        abs(seq.value(1)),
-        abs(seq.value(1) - seq.value(2)),
-        abs(seq.value(1) - 2 * seq.value(2) + seq.value(3)),
+        abs(seq.values_at(1)),
+        abs(seq.values_at(1) - seq.values_at(2)),
+        abs(seq.values_at(1) - 2 * seq.values_at(2) + seq.values_at(3)),
     )
     for inc, total, head in zip(
         rep.decade_increments,
@@ -262,7 +270,7 @@ def test_decade_windows_cover_range():
 
 
 def test_report_is_frozen():
-    rep = bennett_sums(WeightSequence.harmonic(), 100)
+    rep = bennett_sums(family("harmonic"), 100)
     assert isinstance(rep, BennettReport)
     with pytest.raises(Exception):
         rep.terms = 1  # type: ignore[misc]
@@ -271,14 +279,14 @@ def test_report_is_frozen():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: WeightSequence.power(np.nan),
-        lambda: WeightSequence.power(np.inf),
+        lambda: family("power", np.nan),
+        lambda: family("power", np.inf),
         lambda: WeightSequence.geometric(np.nan),
         lambda: family("log", np.inf),
         lambda: family("loglog", np.nan),
         lambda: WeightSequence.custom([1.0, np.nan]),
         lambda: WeightSequence.custom([np.inf]),
-        lambda: MultiplierSpec.log_damped(np.inf),
+        lambda: MultiplierSpec(family("log", np.inf)),
     ],
     ids=["power-nan", "power-inf", "geometric-nan", "log-inf", "loglog-nan",
          "custom-nan", "custom-inf", "log-damped-inf"],
@@ -286,6 +294,12 @@ def test_report_is_frozen():
 def test_non_finite_parameters_are_refused(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, 1.5])
+def test_a_geometric_ratio_outside_the_unit_interval_is_refused(ratio):
+    with pytest.raises(ValidationError, match=re.escape("geometric ratio must lie in (0, 1)")):
+        WeightSequence.geometric(ratio)
 
 
 #: The arguments each sequence kind takes: a family's one parameter, if it
