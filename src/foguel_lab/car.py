@@ -9,7 +9,10 @@ is realized on (C^2)^(tensor m) by the usual spin-chain construction:
 C_k is a parity string of Z factors, then a single lowering matrix
 [[0, 1], [0, 0]], then identities.  All entries are 0 or +-1, so sparse
 products are computed exactly in floating point and the relation
-residuals vanish exactly, not merely to rounding.
+residuals vanish exactly, not merely to rounding.  :func:`build_car`
+writes them by bit arithmetic: mode k is bit 2^(m-1-k) of a basis state
+b, and C_k has entry (b, b + 2^(m-1-k)) for each b with that bit clear,
+-1 when an odd number of the k leading bits of b are set, else +1.
 
 The matrices of interest here have block entries which are scalar
 multiples of these generators, with the generator index constant along
@@ -73,14 +76,13 @@ those on number L + 1 - s.  The norm routes do not use this yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .hankel import HankelSpec, derivation_product, hankel_windows
+from .hankel import HankelSpec, derivation_product
 from .hankel import make_weighted_hankel, unit_weight
 from .linalg import as_matrix, check_dense_cap, op_norm, safe_scale
 from .sequences import WeightSequence
@@ -88,28 +90,27 @@ from .summation import exact_sums
 
 _MAX_MODES = 14
 
-_Z = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-_LOWER = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-_I2 = sp.identity(2, format="csr")
-
 
 def build_car(modes: int) -> tuple[sp.csr_matrix, ...]:
     """The generators C_0..C_{modes-1}: a tuple of CSR matrices of size 2^modes."""
     if not (1 <= modes <= _MAX_MODES):
         raise ValidationError(f"modes must lie in [1, {_MAX_MODES}]")
+    states = np.arange(1 << modes)
+    odd = np.zeros(len(states), dtype=bool)  # parity of the modes before k
     gens = []
     for k in range(modes):
-        factors = [_Z] * k + [_LOWER] + [_I2] * (modes - k - 1)
-        mat = reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-        mat.eliminate_zeros()
-        gens.append(mat)
+        bit = 1 << (modes - 1 - k)
+        occupied = (states & bit) != 0
+        rows = np.flatnonzero(~occupied)
+        indptr = np.concatenate(([0], np.cumsum(~occupied)))
+        data = np.where(odd[rows], -1.0, 1.0)
+        gens.append(sp.csr_matrix((data, rows | bit, indptr), shape=(len(states),) * 2))
+        odd ^= occupied
     return tuple(gens)
 
 
 def _residual_norm(r) -> float:
-    r = sp.csr_matrix(r)
-    r.eliminate_zeros()
-    return op_norm(r).value if r.nnz else 0.0
+    return op_norm(r).value if r.count_nonzero() else 0.0
 
 
 def car_check(gens: tuple) -> tuple[float, float]:
@@ -118,13 +119,15 @@ def car_check(gens: tuple) -> tuple[float, float]:
     ``gens`` is a tuple of square sparse matrices of one size, such as
     :func:`build_car` returns.  Returns (dev_anti, dev_mixed): the largest
     operator norm of C_j C_k + C_k C_j and of C_j C_k* + C_k* C_j - delta_{jk} I.
+    Only pairs j <= k are formed: for any matrices the first sum is the
+    same for (k, j), and the second is the adjoint of that for (j, k).
     """
     dev_anti = 0.0
     dev_mixed = 0.0
     adjs = [g.conj().T.tocsr() for g in gens]
     ident = sp.identity(gens[0].shape[0], format="csr")
     for j in range(len(gens)):
-        for k in range(len(gens)):
+        for k in range(j, len(gens)):
             anti = gens[j] @ gens[k] + gens[k] @ gens[j]
             dev_anti = max(dev_anti, _residual_norm(anti))
             mixed = gens[j] @ adjs[k] + adjs[k] @ gens[j]
@@ -176,9 +179,9 @@ def car_pattern_operator(
     section with more live antidiagonals than :func:`build_car` has modes.
     """
     coeffs = _scalar_section(section, size)
-    anti = hankel_windows(np.arange(2 * size - 1), size)
-    live = np.unique(anti[coeffs != 0.0]).tolist()
-    if live and live[0] < lag:
+    i, j = np.nonzero(coeffs)
+    live, mode = np.unique(i + j, return_inverse=True)  # mode r: the r-th live antidiagonal
+    if len(live) and live[0] < lag:
         raise ValidationError(f"antidiagonal {live[0]} is live below the lag {lag}")
     if len(live) > _MAX_MODES:
         raise ValidationError(
@@ -186,11 +189,17 @@ def car_pattern_operator(
             f"at most {_MAX_MODES} take a generator mode"
         )
     gens = build_car(max(len(live), 1))
-    dim = size * gens[0].shape[0]
-    out = sp.csr_matrix((dim, dim), dtype=coeffs.dtype)
-    for t, gen in zip(live, gens):
-        out = out + sp.kron(np.where(anti == t, coeffs, 0.0), gen, format="csr")
-    return out
+    d = gens[0].shape[0]
+    # entry (p, q, s) of C_r gives entry (i d + p, j d + q) = c s for each
+    # coefficient c at (i, j) on antidiagonal t_r; every generator has d/2
+    # entries, and distinct antidiagonals share no position
+    p = np.stack([np.flatnonzero(np.diff(g.indptr)) for g in gens])
+    q = np.stack([g.indices for g in gens])
+    s = np.stack([g.data for g in gens])
+    rows = (i * d)[:, None] + p[mode]
+    cols = (j * d)[:, None] + q[mode]
+    return sp.csr_matrix(((coeffs[i, j, None] * s[mode]).ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(size * d,) * 2)
 
 
 def car_pattern_matrix(

@@ -197,8 +197,11 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
 def _pattern_blocks(a):
     """Dense blocks of the sparse ``a``, one per component of its pattern.
 
-    ``a`` is not modified; its empty rows and columns belong to no block,
-    and a non-finite entry, being nonzero, belongs to one.
+    ``a`` is not modified; duplicate entries are summed, its empty rows and
+    columns belong to no block, and a non-finite entry, being nonzero,
+    belongs to one.  Rows and columns are stable-sorted by component label
+    once, so each block is a contiguous range of rows and of columns, and
+    its entries a contiguous run of the permuted CSR arrays.
     """
     # imported on first use: csgraph loads scipy.linalg and
     # scipy.sparse.linalg, which a bare ``import foguel_lab`` never needs
@@ -207,13 +210,25 @@ def _pattern_blocks(a):
     if min(a.shape) < 1:
         raise ValidationError(f"empty matrix shape {a.shape}")
     p = sp.csr_matrix(a, copy=True)
+    p.sum_duplicates()
     p.eliminate_zeros()
     edges = p.astype(bool)
     _, labels = connected_components(sp.bmat([[None, edges], [edges.T, None]]),
                                      directed=False)
     row_labels, col_labels = labels[:p.shape[0]], labels[p.shape[0]:]
-    for k in np.unique(row_labels[np.diff(p.indptr) > 0]):
-        yield as_matrix(p[row_labels == k][:, col_labels == k].toarray())
+    row_order = np.argsort(row_labels, kind="stable")
+    col_order = np.argsort(col_labels, kind="stable")
+    p = p[row_order][:, col_order]
+    row_labels, col_labels = row_labels[row_order], col_labels[col_order]
+    entry_rows = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
+    # in ascending label order; a component of label k spans [k, k + 1)
+    ks = np.unique(row_labels[np.diff(p.indptr) > 0])
+    rows, cols = np.searchsorted(row_labels, [ks, ks + 1]), np.searchsorted(col_labels, [ks, ks + 1])
+    for r0, r1, c0, c1 in zip(*rows, *cols):
+        run = slice(p.indptr[r0], p.indptr[r1])
+        block = np.zeros((r1 - r0, c1 - c0), dtype=p.dtype)
+        block[entry_rows[run] - r0, p.indices[run] - c0] = p.data[run]
+        yield as_matrix(block)
 
 
 def safe_scale(peak: float) -> float:
@@ -318,7 +333,8 @@ def op_norm_power(
     once the relative change of the estimate stays below ``tol`` for five
     consecutive iterations; failing that, the best estimate is still
     returned with ``converged=False`` (no exception).  Deterministic for a
-    fixed seed.  A zero operand has norm 0 after no iteration.  As on the
+    fixed seed.  A zero operand has norm 0 after no iteration, and one
+    with an inf or nan entry is refused, dense or sparse.  As on the
     dense route, an operand with extreme entries is first scaled by a power
     of two, ``safe_scale`` of its largest modulus, so that no norm in the
     loop overflows or underflows; the estimate is scaled back.
@@ -326,6 +342,8 @@ def op_norm_power(
     a = a.tocsr() if sp.issparse(a) else as_matrix(a)
     if min(a.shape) < 1:
         raise ValidationError(f"empty matrix shape {a.shape}")
+    if sp.issparse(a) and not np.isfinite(a.data).all():
+        raise ValidationError("matrix entries must be finite")
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be > 0 and max_iter >= 1")
     peak = float(abs(a).max())

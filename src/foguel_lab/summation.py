@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-_CHUNK = 1 << 16  # terms per numpy pass; keeps each temporary at 512 KiB
+_CHUNK = 1 << 14  # terms per numpy pass; keeps each temporary at 128 KiB
 _SCALE = 1 << 1074  # the window totals count units of 2^-1074
 
 

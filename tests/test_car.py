@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from foguel_lab import (
     car_pattern_matrix,
     car_pattern_operator,
     commutator_pattern,
+    derivative_weight,
     family,
     hankel_defect,
     hankel_pattern,
@@ -38,6 +40,64 @@ from foguel_lab.cli import NORM_TARGETS, parse_alpha
 from conftest import generator_section
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+Z = sp.csr_matrix(np.diag([1.0, -1.0]))
+LOWER = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+I2 = sp.identity(2, format="csr")
+
+PATTERNS = {
+    "car-hankel": hankel_pattern,
+    "car-hankel-deriv": lambda alpha: hankel_pattern(alpha, derivative_weight),
+    "car-commutator": commutator_pattern,
+}
+
+
+def kron_chain(factors):
+    mat = reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+    mat.eliminate_zeros()
+    return mat
+
+
+def assert_same_csr(got, want):
+    """The same shape and the same CSR arrays, dtypes included."""
+    assert got.format == want.format == "csr" and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def sign_tampered():
+    # negating a single entry of one generator
+    gens = build_car(3)
+    bad = gens[1].toarray()
+    idx = np.argwhere(bad != 0)[0]
+    bad[idx[0], idx[1]] *= -1.0
+    return (gens[0], sp.csr_matrix(bad), gens[2])
+
+
+def parity_tampered():
+    # C_2 built with an identity where a sign flip belongs
+    good = build_car(3)
+    return (good[0], good[1], kron_chain([I2, Z, LOWER]))
+
+
+def scale_tampered():
+    # C_1 doubled: only its own mixed relation fails, 4 I - I = 3 I
+    gens = build_car(3)
+    return (gens[0], 2.0 * gens[1], gens[2])
+
+
+def ordered_pair_residuals(gens):
+    """car_check's two maxima, taken over every ordered pair (j, k)."""
+    dev_anti = dev_mixed = 0.0
+    ident = sp.identity(gens[0].shape[0], format="csr")
+    for j, cj in enumerate(gens):
+        for k, ck in enumerate(gens):
+            anti = cj @ ck + ck @ cj
+            mixed = cj @ ck.conj().T + ck.conj().T @ cj - float(j == k) * ident
+            dev_anti = max(dev_anti, op_norm_dense(sp.csr_matrix(anti)).value)
+            dev_mixed = max(dev_mixed, op_norm_dense(sp.csr_matrix(mixed)).value)
+    return dev_anti, dev_mixed
 
 
 # ---- generator relations ----------------------------------------------
@@ -77,26 +137,30 @@ def test_modes_bounds_enforced():
 def test_sign_corruption_is_loud():
     # negating a single entry of one generator breaks the relations by a
     # full unit, not by round-off
-    gens = build_car(3)
-    bad = gens[1].toarray()
-    idx = np.argwhere(bad != 0)[0]
-    bad[idx[0], idx[1]] *= -1.0
-    dev_anti, dev_mixed = car_check((gens[0], sp.csr_matrix(bad), gens[2]))
+    dev_anti, dev_mixed = car_check(sign_tampered())
     assert max(dev_anti, dev_mixed) >= 1.0
 
 
 def test_parity_factor_corruption_is_loud():
     # same with a wrong parity factor: build C_2 with an identity where a
     # sign flip belongs and the cross relations with C_0 fail by >= 1
-    from functools import reduce
-
-    z = sp.csr_matrix(np.diag([1.0, -1.0]))
-    low = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    i2 = sp.identity(2, format="csr")
-    good = build_car(3)
-    bad_c2 = reduce(lambda a, b: sp.kron(a, b, format="csr"), [i2, z, low])
-    dev_anti, dev_mixed = car_check((good[0], good[1], bad_c2))
+    dev_anti, dev_mixed = car_check(parity_tampered())
     assert max(dev_anti, dev_mixed) >= 1.0
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_generators_equal_the_kron_chain(m):
+    """C_k = Z^(x k) (x) L (x) I^(x (m-k-1)), multiplied out by sp.kron."""
+    gens = build_car(m)
+    assert len(gens) == m
+    for k, gen in enumerate(gens):
+        assert_same_csr(gen, kron_chain([Z] * k + [LOWER] + [I2] * (m - k - 1)))
+
+
+@pytest.mark.parametrize("gens", [sign_tampered(), parity_tampered(), scale_tampered()],
+                         ids=["sign", "parity", "scale"])
+def test_car_check_over_pairs_equals_the_ordered_pair_maximum(gens):
+    assert car_check(gens) == ordered_pair_residuals(gens)
 
 
 # ---- pattern sections --------------------------------------------------
@@ -184,6 +248,22 @@ def test_matrix_free_oracles_agree_with_dense():
         assert op.shape == (size * 2**modes,) * 2
         est = op_norm_power(op, tol=1e-12, max_iter=3000)
         assert est.value == pytest.approx(dense, abs=1e-8)
+
+
+@pytest.mark.parametrize("target", sorted(PATTERNS))
+@pytest.mark.parametrize("alpha", ["geometric:0.5", "power:1.5", "pisier-flat", "pisier-geometric"])
+def test_pattern_operator_equals_the_kron_sum(target, alpha):
+    """The operator has the CSR arrays of sum_r B_{t_r} (x) C_r summed by
+    sp.kron, with the r-th live antidiagonal on mode r."""
+    section, lag = PATTERNS[target](parse_alpha(alpha))
+    for size in range(1, 7):
+        idx = np.arange(size)
+        live = np.unique(np.add.outer(idx, idx)[section(size) != 0.0]).tolist()
+        op = car_pattern_operator(section, lag, size)
+        if not live:  # the commutator of size 1 is zero, on one mode
+            assert op.shape == (2, 2) and op.nnz == 0
+            continue
+        assert_same_csr(op, generator_section(section, size, live.index))
 
 
 @pytest.mark.parametrize("target", ["car-hankel", "car-hankel-deriv", "car-commutator"])

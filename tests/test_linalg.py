@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from foguel_lab import (
     DENSE_SIZE_CAP,
@@ -34,6 +35,7 @@ from foguel_lab import (
     op_norm_power,
 )
 from foguel_lab.cli import NORM_TARGETS, parse_alpha
+from foguel_lab.linalg import _pattern_blocks
 from conftest import random_complex
 
 
@@ -471,6 +473,58 @@ def test_sparse_non_finite_entry_is_refused(bad):
     a = sp.csr_matrix(np.array([[1.0, 0.0], [bad, 2.0]], dtype=np.complex128))
     with pytest.raises(ValidationError):
         op_norm_dense(a)
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_power_route_refuses_a_non_finite_entry(bad, form):
+    a = np.array([[1.0, 0.0], [bad, 2.0]], dtype=np.complex128)
+    if np.isreal(bad):
+        a = a.real
+    a = sp.csr_matrix(a) if form == "sparse" else a
+    with np.errstate(all="raise"):
+        with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+            op_norm_power(a)
+
+
+def sliced_blocks(a):
+    """The pattern blocks of the sparse ``a`` as per-label slices of it."""
+    p = sp.csr_matrix(a, copy=True)
+    p.eliminate_zeros()
+    edges = p.astype(bool)
+    _, labels = connected_components(sp.bmat([[None, edges], [edges.T, None]]),
+                                     directed=False)
+    row_labels, col_labels = labels[:p.shape[0]], labels[p.shape[0]:]
+    return [as_matrix(p[row_labels == k][:, col_labels == k].toarray())
+            for k in np.unique(row_labels[np.diff(p.indptr) > 0])]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_sort_once_split_equals_per_label_slicing(seed, real):
+    r = np.random.default_rng(seed)
+    blocks = [random_complex(r, *shape) * (r.random(shape) < 0.7)
+              for shape in r.integers(1, 6, size=(r.integers(1, 8), 2))]
+    a, _ = _permuted_direct_sum(r, blocks, *r.integers(0, 4, size=2))
+    a = a.real if real else a
+    # explicit zeros anywhere, between blocks too, where they must not join
+    # them, and entries split into two halves stored as duplicates
+    zr, zc = r.integers(0, a.shape[0], 6), r.integers(0, a.shape[1], 6)
+    free = a[zr, zc] == 0
+    coo = sp.coo_matrix(a)
+    half = r.random(coo.nnz) < 0.3
+    data = np.concatenate([np.where(half, coo.data / 2, coo.data), coo.data[half] / 2,
+                           np.zeros(free.sum(), dtype=a.dtype)])
+    row = np.concatenate([coo.row, coo.row[half], zr[free]])
+    col = np.concatenate([coo.col, coo.col[half], zc[free]])
+    order = np.argsort(row, kind="stable")
+    indptr = np.searchsorted(row[order], np.arange(a.shape[0] + 1))
+    op = sp.csr_matrix((data[order], col[order], indptr), shape=a.shape)
+    data, indices = op.data.copy(), op.indices.copy()
+    got, want = list(_pattern_blocks(op)), sliced_blocks(op)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+    assert np.array_equal(op.data, data) and np.array_equal(op.indices, indices)
 
 
 def test_sparse_operand_is_left_as_given():

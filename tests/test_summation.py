@@ -142,7 +142,7 @@ def test_a_chunk_near_overflow_with_subnormals():
     check_one_chunk(xs)
 
 
-@pytest.mark.parametrize("m", [3, 12, 16])
+@pytest.mark.parametrize("m", [3, 12, 14, 16])
 def test_a_chunk_of_two_to_the_m_minus_two_terms(m):
     # the longest chunk with 2^M >= n + 2.  All but one term lie in
     # [7/8, 1) on the grid 2^(M-54) and total an odd multiple of it above
@@ -153,7 +153,9 @@ def test_a_chunk_of_two_to_the_m_minus_two_terms(m):
     k = np.random.default_rng(m).integers(7 * 2 ** (51 - m), 2 ** (54 - m), n - 1)
     k[0] -= (k.sum() - 1) % 4
     assert (n + 1).bit_length() == m and k.sum() % 4 == 1
-    check_one_chunk(np.append(np.ldexp(k.astype(float), m - 54), 2.0**-70))
+    # m = 16 takes a chunk above the default of 2^14 terms
+    with patch.object(summation, "_CHUNK", max(summation._CHUNK, 2**m)):
+        check_one_chunk(np.append(np.ldexp(k.astype(float), m - 54), 2.0**-70))
 
 
 @settings(max_examples=200)
