@@ -221,9 +221,9 @@ def _pattern_blocks(a):
     p = p[row_order][:, col_order]
     row_labels, col_labels = row_labels[row_order], col_labels[col_order]
     entry_rows = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
-    # in ascending label order; a component of label k spans [k, k + 1)
-    ks = np.unique(row_labels[np.diff(p.indptr) > 0])
-    rows, cols = np.searchsorted(row_labels, [ks, ks + 1]), np.searchsorted(col_labels, [ks, ks + 1])
+    ks = np.unique(row_labels[np.diff(p.indptr) > 0])  # the labels with an edge, ascending
+    spans = [ks, ks + 1]  # label k spans [k, k + 1) of the sorted labels
+    rows, cols = np.searchsorted(row_labels, spans), np.searchsorted(col_labels, spans)
     for r0, r1, c0, c1 in zip(*rows, *cols):
         run = slice(p.indptr[r0], p.indptr[r1])
         block = np.zeros((r1 - r0, c1 - c0), dtype=p.dtype)
