@@ -116,16 +116,21 @@ def _residual_norm(r) -> float:
 def car_check(gens: tuple) -> tuple[float, float]:
     """Worst-case relation residuals over all ordered pairs of ``gens``.
 
-    ``gens`` is a tuple of square sparse matrices of one size, such as
-    :func:`build_car` returns.  Returns (dev_anti, dev_mixed): the largest
-    operator norm of C_j C_k + C_k C_j and of C_j C_k* + C_k* C_j - delta_{jk} I.
+    ``gens`` is a non-empty tuple of square sparse matrices of one size,
+    such as :func:`build_car` returns; any other tuple is refused.
+    Returns (dev_anti, dev_mixed): the largest operator norm of
+    C_j C_k + C_k C_j and of C_j C_k* + C_k* C_j - delta_{jk} I.
     Only pairs j <= k are formed: for any matrices the first sum is the
     same for (k, j), and the second is the adjoint of that for (j, k).
     """
+    if not gens:
+        raise ValidationError("car_check needs at least one generator")
+    ident = sp.identity(gens[0].shape[0], format="csr")
+    if any(g.shape != ident.shape for g in gens):
+        raise ValidationError("generators must be square matrices of one size")
     dev_anti = 0.0
     dev_mixed = 0.0
     adjs = [g.conj().T.tocsr() for g in gens]
-    ident = sp.identity(gens[0].shape[0], format="csr")
     for j in range(len(gens)):
         for k in range(j, len(gens)):
             anti = gens[j] @ gens[k] + gens[k] @ gens[j]

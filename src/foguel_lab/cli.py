@@ -72,7 +72,9 @@ from .hankel import (
     unit_weight,
 )
 from .linalg import make_shift, op_norm, op_norm_dense
-from .schur import MULTIPLIER_KINDS, MultiplierSpec, bennett_criterion, multiplier_lower_bound
+from .schur import (
+    MULTIPLIER_KINDS, MultiplierSpec, bennett_criterion, make_multiplier, multiplier_lower_bound,
+)
 from .sequences import FAMILIES, FAMILY_HELP, WeightSequence, bennett_sums, family
 
 DEFAULT_SEED = 2002
@@ -307,7 +309,7 @@ def _run_multiplier(p: dict, seed: int):
     rows = []
     probes = {}
     for n in p["sizes"]:
-        probe = multiplier_lower_bound(spec, n, witnesses=p["witnesses"], seed=seed)
+        probe = multiplier_lower_bound(make_multiplier(spec, n), p["witnesses"], seed)
         rows.append(
             {
                 "kind": p["kind"],

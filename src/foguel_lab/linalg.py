@@ -119,6 +119,12 @@ def check_dense_cap(shape) -> None:
         )
 
 
+def _check_tol(tol) -> None:
+    """Refuse a norm tolerance that is not finite and > 0, on either route."""
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def op_norm(a, method: str = "auto", tol: float = 1e-10, max_iter: int = 1000,
             seed: int = 0) -> NormEstimate:
     """Operator norm of a dense array or ``scipy.sparse`` matrix ``a``.
@@ -127,7 +133,7 @@ def op_norm(a, method: str = "auto", tol: float = 1e-10, max_iter: int = 1000,
     (:func:`op_norm_power`, the only route that uses ``max_iter`` and
     ``seed``) or ``auto``: dense, except that a sparse operator whose Gram
     dimension min(shape) exceeds ``DENSE_SIZE_CAP`` takes power and is
-    never densified.  Both routes take ``tol``.
+    never densified.  Both routes take ``tol``, which must be finite and > 0.
     """
     if method == "auto":
         big = sp.issparse(a) and min(a.shape) > DENSE_SIZE_CAP
@@ -187,6 +193,7 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     whole Gram A*A = -A^2 applied as two products with A when A* = -A, so
     the dropped coupling counts in the certificate.
     """
+    _check_tol(tol)
     check_dense_cap(np.shape(a))
     if not sp.issparse(a):
         return _dense_block_norm(as_matrix(a), tol)
@@ -344,8 +351,9 @@ def op_norm_power(
         raise ValidationError(f"empty matrix shape {a.shape}")
     if sp.issparse(a) and not np.isfinite(a.data).all():
         raise ValidationError("matrix entries must be finite")
-    if tol <= 0 or max_iter < 1:
-        raise ValidationError("tol must be > 0 and max_iter >= 1")
+    _check_tol(tol)
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
     peak = float(abs(a).max())
     if peak == 0.0:
         return NormEstimate(0.0, "power", 0, 0.0, True)

@@ -21,14 +21,15 @@ coefficient family in :data:`foguel_lab.sequences.FAMILIES`:
 Each formula is therefore written once, in :mod:`foguel_lab.sequences`,
 which ties the matrix diagnostics to the scalar series diagnostics there;
 a section is the commutator factor j - i times a Hankel window over g.
-In place of a sequence a spec may take an arbitrary entry callable (used
-for reference cases such as constant arrays and literal closed forms).
+The witness ladder :func:`multiplier_lower_bound` takes any matrix: a
+section that :func:`make_multiplier` builds, or a reference array such as
+a circulant, a positive semidefinite or a rank-one u v^T matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -47,22 +48,21 @@ MULTIPLIER_KINDS = {
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """The quotient array of ``sequence``, or ``entry_fn(i, j)``, for i, j >= offset.
+    """The quotient array of ``sequence`` for i, j >= offset.
 
-    Exactly one of the two is given.  A section reads a(n) from n = 2 * offset
-    on, so an offset that reaches below the sequence's start index is refused.
+    A section reads a(n) from n = 2 * offset on, so an offset that reaches
+    below the sequence's start index is refused.
     """
 
-    sequence: WeightSequence | None = None
-    entry_fn: Callable | None = field(default=None, compare=False)
+    sequence: WeightSequence
     offset: int = 1
 
     def __post_init__(self):
-        if (self.sequence is None) == (self.entry_fn is None):
-            raise ValidationError("give exactly one of a sequence or an entry callable")
+        if not isinstance(self.sequence, WeightSequence):
+            raise ValidationError("multiplier sequence must be a WeightSequence")
         if self.offset < 0:
             raise ValidationError("offset must be >= 0")
-        if self.sequence is not None and 2 * self.offset < self.sequence.start_index:
+        if 2 * self.offset < self.sequence.start_index:
             raise ValidationError(
                 f"offset {self.offset} reads the sequence at {2 * self.offset}, "
                 f"below its start index {self.sequence.start_index}"
@@ -78,8 +78,6 @@ class MultiplierSpec:
 
     def g_values(self, ns) -> np.ndarray:
         """The radial factor g(n) = a(n)/(n+1) with m(i,j) = (j-i) g(i+j)."""
-        if self.sequence is None:
-            raise ValidationError("an entry-callable multiplier has no radial factor")
         ns = np.asarray(ns, dtype=np.int64)
         return self.sequence.values_at(ns) / (ns + 1.0)
 
@@ -88,8 +86,6 @@ class MultiplierSpec:
             raise ValidationError(
                 f"entry ({i},{j}) below the section offset {self.offset}"
             )
-        if self.entry_fn is not None:
-            return float(self.entry_fn(i, j))
         return float((j - i) * self.g_values(i + j))
 
 
@@ -98,9 +94,6 @@ def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
     if size < 1:
         raise ValidationError("section size must be >= 1")
     check_dense_cap((size, size))
-    if spec.entry_fn is not None:
-        ks = range(spec.offset, spec.offset + size)
-        return as_matrix([[spec.entry_fn(i, j) for j in ks] for i in ks])
     g = finite_block(spec.g_values(np.arange(2 * spec.offset, 2 * (spec.offset + size) - 1)))
     return _factor_section("commutator", g, size)
 
@@ -128,22 +121,19 @@ def antidiagonal_sums(spec: MultiplierSpec, start: int, stop: int) -> np.ndarray
     equals (j - i) * (g(n) - 2 g(n+1) + g(n+2)), so each antidiagonal
     contributes |g(n) - 2g(n+1) + g(n+2)| times the closed-form coefficient
     :func:`antidiag_abs_coeff` — the same grouping as direct summation but
-    O(stop - start) instead of O(stop^2).  Entry-callable arrays are
-    summed directly.
+    O(stop - start) instead of O(stop^2).  A range that is empty or starts
+    below the section's first antidiagonal, 2 * offset, is refused.
     """
+    if start < 2 * spec.offset:
+        raise ValidationError(f"start {start} is below 2 * offset = {2 * spec.offset}")
+    if stop <= start:
+        raise ValidationError(f"stop {stop} must be > start {start}")
     check_terms_cap(stop - 1)
-    if spec.sequence is not None:
-        g = finite_block(spec.g_values(np.arange(start, stop + 2)))
-        ns = np.arange(start, stop, dtype=np.int64)
-        # an overflow leaves inf or nan masses, which the summation refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            return antidiag_abs_coeff(ns, spec.offset) * np.abs(diff2(g))
-    f = spec.entry_fn
-    return np.array([
-        sum(abs(f(i, n - i) - f(i, n - i + 1) - f(i + 1, n - i) + f(i + 1, n - i + 1))
-            for i in range(spec.offset, n - spec.offset + 1))
-        for n in range(start, stop)
-    ])
+    g = finite_block(spec.g_values(np.arange(start, stop + 2)))
+    ns = np.arange(start, stop, dtype=np.int64)
+    # an overflow leaves inf or nan masses, which the summation refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return antidiag_abs_coeff(ns, spec.offset) * np.abs(diff2(g))
 
 
 @dataclass(frozen=True)
@@ -218,37 +208,30 @@ class MultiplierProbe:
     ratios: tuple[tuple[str, float], ...]
 
 
-def _witness_iter(size: int, rng: np.random.Generator):
-    yield "identity", np.eye(size)
-    yield "ones", np.ones((size, size))
-    col = np.zeros((size, size))
+def _witness_iter(shape: tuple[int, int], rng: np.random.Generator):
+    yield "identity", np.eye(*shape)
+    yield "ones", np.ones(shape)
+    col = np.zeros(shape)
     col[:, 0] = 1.0
     yield "ones-column", col
-    k = 0
-    while True:
-        yield f"sign-{k}", rng.choice([-1.0, 1.0], size=(size, size))
-        k += 1
+    for k in count():
+        yield f"sign-{k}", rng.choice([-1.0, 1.0], size=shape)
 
 
-def multiplier_lower_bound(
-    spec: MultiplierSpec, size: int, witnesses: int = 4, seed: int = 0
-) -> MultiplierProbe:
+def multiplier_lower_bound(m, witnesses: int = 4, seed: int = 0) -> MultiplierProbe:
     """max over a witness ladder of ||M * A|| / ||A|| (entrywise product).
 
-    Witnesses come in a fixed order — identity, all-ones, the rank-one
-    ones-column, then seeded random sign matrices — so the bound is
-    monotone in ``witnesses`` and deterministic for a fixed seed.  Always
-    a valid lower bound for the multiplier norm of the section.
+    ``m`` is the section as a matrix, such as :func:`make_multiplier`
+    builds.  Witnesses of its shape come in a fixed order — identity,
+    all-ones, the rank-one ones-column, then seeded random sign matrices —
+    so the bound is monotone in ``witnesses`` and deterministic for a fixed
+    seed.  Always a valid lower bound for the multiplier norm of ``m``.
     """
     if witnesses < 1:
         raise ValidationError("need at least one witness")
-    m = make_multiplier(spec, size)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    it = _witness_iter(size, rng)
-    for _ in range(witnesses):
-        name, a = next(it)
-        ratio = op_norm_dense(m * a).value / op_norm_dense(a).value
-        ratios.append((name, float(ratio)))
+    m = as_matrix(m)
+    ladder = islice(_witness_iter(m.shape, np.random.default_rng(seed)), witnesses)
+    ratios = [(name, float(op_norm_dense(m * a).value / op_norm_dense(a).value))
+              for name, a in ladder]
     best = max(ratios, key=lambda t: t[1])
     return MultiplierProbe(lower_bound=best[1], best_witness=best[0], ratios=tuple(ratios))

@@ -50,6 +50,7 @@ from foguel_lab import (
     intertwiner_partial,
     iterated_limits,
     make_hankel,
+    make_multiplier,
     make_shift,
     multiplier_lower_bound,
     op_norm_dense,
@@ -212,7 +213,7 @@ def test_c06_quotient_array_obstruction():
     spec = MultiplierSpec.difference_quotient()
     c, r = iterated_limits(spec, 10**4, 10**4)
     ladder = [
-        multiplier_lower_bound(spec, n, witnesses=3, seed=0).lower_bound
+        multiplier_lower_bound(make_multiplier(spec, n), witnesses=3, seed=0).lower_bound
         for n in (16, 32, 64, 128)
     ]
     ok = (

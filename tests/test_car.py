@@ -163,6 +163,16 @@ def test_car_check_over_pairs_equals_the_ordered_pair_maximum(gens):
     assert car_check(gens) == ordered_pair_residuals(gens)
 
 
+@pytest.mark.parametrize("gens, message", [
+    ((), "car_check needs at least one generator"),
+    ((build_car(2)[0], build_car(3)[0]), "generators must be square matrices of one size"),
+    ((sp.csr_matrix(np.ones((2, 4))),), "generators must be square matrices of one size"),
+], ids=["empty", "sizes-4-and-8", "not-square"])
+def test_car_check_refuses_a_bad_tuple(gens, message):
+    with pytest.raises(ValidationError, match=message):
+        car_check(gens)
+
+
 # ---- pattern sections --------------------------------------------------
 
 

@@ -29,7 +29,6 @@ from foguel_lab import (
     make_multiplier,
     op_norm_dense,
     rc_bounds,
-    schur,
 )
 from foguel_lab.cli import (
     COMMANDS,
@@ -115,7 +114,7 @@ def test_each_multiplier_kind_builds_its_classmethod_section(tmp_path, monkeypat
         sections.append(make_multiplier(spec, size))
         return sections[-1]
 
-    monkeypatch.setattr(schur, "make_multiplier", record)
+    monkeypatch.setattr("foguel_lab.cli.make_multiplier", record)
     argv = ["multiplier", "--kind", kind, "--sizes", "5,9", "--witnesses", "1"]
     eps = None if kind == "difference-quotient" else 0.75
     if eps is not None:

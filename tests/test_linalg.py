@@ -82,7 +82,6 @@ REAL_BUILDERS = {
     "gamma_d": lambda: derivation_product(GEOMETRIC, "gamma_d"),
     "dstar_gamma": lambda: derivation_product(GEOMETRIC, "dstar_gamma"),
     "multiplier": lambda: make_multiplier(MultiplierSpec.difference_quotient(), 5),
-    "integer-multiplier": lambda: make_multiplier(MultiplierSpec(entry_fn=lambda i, j: i - j), 5),
     "car_dense": lambda: build_car(3)[1].toarray(),
     "car_pattern_operator": lambda: car_pattern_operator(*GEOMETRIC_PATTERN, 3),
     "car_pattern_matrix": lambda: car_pattern_matrix(*GEOMETRIC_PATTERN, 3),
@@ -612,13 +611,28 @@ def test_op_norm_power_zero_operand():
     (lambda: as_matrix(np.zeros((0, 3))), "empty matrix shape (0, 3)"),
     (lambda: op_norm_dense(sp.csr_matrix((3, 0))), "empty matrix shape (3, 0)"),
     (lambda: op_norm_power(sp.csr_matrix((0, 2))), "empty matrix shape (0, 2)"),
-    (lambda: op_norm_power(np.eye(2), tol=0.0), "tol must be > 0 and max_iter >= 1"),
-    (lambda: op_norm_power(np.eye(2), max_iter=0), "tol must be > 0 and max_iter >= 1"),
+    (lambda: op_norm_power(np.eye(2), tol=0.0), "tol must be finite and > 0, got 0.0"),
+    (lambda: op_norm_power(np.eye(2), max_iter=0), "max_iter must be >= 1"),
 ], ids=["as-matrix-empty", "dense-sparse-empty", "power-sparse-empty", "power-tol",
         "power-max-iter"])
 def test_empty_operands_and_bad_power_settings_are_refused(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", [
+    lambda a, tol: op_norm_dense(a, tol=tol),
+    lambda a, tol: op_norm_dense(sp.csr_matrix(a), tol=tol),
+    lambda a, tol: op_norm_power(a, tol=tol),
+    lambda a, tol: op_norm(a, "auto", tol=tol),
+    lambda a, tol: op_norm(a, "power", tol=tol),
+], ids=["dense", "dense-sparse", "power", "op-norm-auto", "op-norm-power"])
+def test_a_tol_that_is_not_finite_and_positive_is_refused(route, tol):
+    # at nan the power route ran every iteration and read a residual of 0;
+    # at 0 or -1 the dense route never converged, at inf it always did
+    with pytest.raises(ValidationError, match=re.escape(f"tol must be finite and > 0, got {tol!r}")):
+        route(np.array([[1.0, 2.0], [3.0, 4.0]]), tol)
 
 
 def test_as_matrix_rejects_non_2d():

@@ -7,6 +7,7 @@ supremum of ||M * A|| over the whole unit ball is attained on unitaries.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from foguel_lab import (
     antidiagonal_sums,
     bennett_criterion,
     bennett_sums,
+    exact_sum,
     family,
     iterated_limits,
     make_multiplier,
     multiplier_lower_bound,
     op_norm_dense,
 )
+from foguel_lab.schur import MULTIPLIER_KINDS
 
 
 def haar_unitary(n, rng):
@@ -37,7 +40,7 @@ def haar_unitary(n, rng):
 
 
 def test_all_ones_is_schur_identity():
-    probe = multiplier_lower_bound(MultiplierSpec(entry_fn=lambda i, j: 1.0), 4, witnesses=6)
+    probe = multiplier_lower_bound(np.ones((4, 4)), witnesses=6)
     assert [r for _, r in probe.ratios] == [1.0] * 6
 
 
@@ -128,24 +131,33 @@ def test_an_offset_below_the_sequence_start_is_refused():
     assert MultiplierSpec(family("constant"), offset=0).entry(0, 1) == 0.5
 
 
-def test_a_spec_takes_exactly_one_of_sequence_and_entry_fn():
-    with pytest.raises(ValidationError):
-        MultiplierSpec()
-    with pytest.raises(ValidationError):
-        MultiplierSpec(family("harmonic"), entry_fn=lambda i, j: 1.0)
+def test_a_spec_refuses_a_sequence_that_is_not_a_weight_sequence():
+    for sequence in (None, lambda n: 1.0, np.ones(8), "harmonic"):
+        with pytest.raises(ValidationError, match="multiplier sequence must be a WeightSequence"):
+            MultiplierSpec(sequence)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: MultiplierSpec(family("constant"), offset=-1), "offset must be >= 0"),
-    (lambda: MultiplierSpec(entry_fn=lambda i, j: 1.0).g_values([2, 3]),
-     "an entry-callable multiplier has no radial factor"),
     (lambda: make_multiplier(MultiplierSpec.difference_quotient(), 0),
      "section size must be >= 1"),
-    (lambda: multiplier_lower_bound(MultiplierSpec.difference_quotient(), 4, witnesses=0),
+    (lambda: multiplier_lower_bound(make_multiplier(MultiplierSpec.difference_quotient(), 4),
+                                    witnesses=0),
      "need at least one witness"),
-], ids=["offset-negative", "entry-fn-radial-factor", "size-zero", "witnesses-zero"])
+    (lambda: multiplier_lower_bound(np.ones(4)), "expected a 2-D array, got ndim=1"),
+    (lambda: antidiagonal_sums(MultiplierSpec.difference_quotient(), -5, 5),
+     "start -5 is below 2 * offset = 2"),
+    (lambda: antidiagonal_sums(MultiplierSpec.difference_quotient(offset=3), 5, 9),
+     "start 5 is below 2 * offset = 6"),
+    (lambda: antidiagonal_sums(MultiplierSpec.difference_quotient(), 10, 5),
+     "stop 5 must be > start 10"),
+    (lambda: antidiagonal_sums(MultiplierSpec.difference_quotient(), 10, 10),
+     "stop 10 must be > start 10"),
+], ids=["offset-negative", "size-zero", "witnesses-zero", "ladder-not-a-matrix",
+        "sums-start-negative", "sums-start-below-offset", "sums-stop-before-start",
+        "sums-empty-range"])
 def test_bad_spec_arguments_are_refused(call, message):
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         call()
 
 
@@ -164,33 +176,31 @@ def test_antidiag_coefficient_closed_form(n, offset):
     assert antidiag_abs_coeff(np.array([n]), offset)[0] == brute
 
 
+def direct_antidiagonal_sums(spec, start, stop):
+    """Reference for :func:`antidiagonal_sums`: the four-corner second
+    difference |m(i,j) - m(i,j+1) - m(i+1,j) + m(i+1,j+1)| of each entry
+    read with ``spec.entry``, summed over the antidiagonal i + j = n."""
+    m = spec.entry
+    return np.array([
+        sum(abs(m(i, n - i) - m(i, n - i + 1) - m(i + 1, n - i) + m(i + 1, n - i + 1))
+            for i in range(spec.offset, n - spec.offset + 1))
+        for n in range(start, stop)
+    ])
+
+
 def test_criterion_closed_form_matches_direct_summation():
-    # same array fed through the structured O(T) route and the generic
-    # entry-by-entry route; the two summations are independent code paths
-    structured = MultiplierSpec.difference_quotient()
-    literal = MultiplierSpec(entry_fn=lambda i, j: (j - i) / (i + j + 1.0))
-    rs = bennett_criterion(structured, 80)
-    rl = bennett_criterion(literal, 80)
-    sums_s = antidiagonal_sums(structured, 2, 81)
-    assert np.abs(sums_s - antidiagonal_sums(literal, 2, 81)).max() < 1e-12
-    assert rs.total == pytest.approx(rl.total, rel=1e-12)
-
-
-def test_constant_array_has_no_second_difference_mass():
-    rep = bennett_criterion(MultiplierSpec(entry_fn=lambda i, j: 3.0), 60)
-    assert rep.total == 0.0
-    assert rep.row_tail == 3.0  # rows do not vanish: criterion inapplicable
-
-
-def test_alternating_array_diverges_linearly():
-    spec = MultiplierSpec(entry_fn=lambda i, j: (-1.0) ** (i + j))
-    rep = bennett_criterion(spec, 60)
-    sums = antidiagonal_sums(spec, 2, 61)
-    # every second difference has modulus 4, so antidiagonal sums grow
-    # with the antidiagonal length and the partial sums diverge
-    assert sums[0] == 4.0
-    assert all(np.diff(sums) > 0)
-    assert rep.verdict is False
+    # the collapsed O(T) route against entry-by-entry summation of the
+    # same array, for every named kind and harmonic coefficients; the two
+    # summations are independent code paths
+    for name in (*MULTIPLIER_KINDS.values(), "harmonic"):
+        for offset in (1, 2, 3):
+            eps = None if name in ("constant", "harmonic") else 1.0
+            spec = MultiplierSpec(family(name, eps), offset=offset)
+            n_lo = 2 * offset
+            direct = direct_antidiagonal_sums(spec, n_lo, 81)
+            assert np.abs(antidiagonal_sums(spec, n_lo, 81) - direct).max() < 1e-12, (name, offset)
+            total = bennett_criterion(spec, 80).total
+            assert total == pytest.approx(exact_sum(direct), rel=1e-12), (name, offset)
 
 
 def test_difference_quotient_fails_the_criterion():
@@ -241,16 +251,37 @@ def test_iterated_limits_rejects_small_indices():
 
 
 def test_all_ones_spec_probe_is_exactly_one():
-    probe = multiplier_lower_bound(
-        MultiplierSpec(entry_fn=lambda i, j: 1.0), 8, witnesses=5, seed=0
-    )
+    probe = multiplier_lower_bound(np.ones((8, 8)), witnesses=5, seed=0)
     assert probe.lower_bound == 1.0
+
+
+def test_psd_matrix_probe_is_its_largest_diagonal_entry():
+    # a positive semidefinite M multiplies with norm max M_ii (Schur
+    # product theorem), which the identity witness already attains
+    b = np.random.default_rng(5).standard_normal((6, 9))
+    m = b @ b.T
+    probe = multiplier_lower_bound(m, witnesses=6, seed=0)
+    assert probe.ratios[0][0] == "identity"
+    assert probe.ratios[0][1] == pytest.approx(m.diagonal().max(), rel=1e-12)
+    assert probe.lower_bound == pytest.approx(m.diagonal().max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (5, 5)], ids=["3x7", "7x3", "5x5"])
+def test_rank_one_probe_stays_below_its_multiplier_norm(shape):
+    # u v^T multiplies with norm max|u_i| max|v_j|; the witnesses take the
+    # matrix's shape, rectangular ones included
+    rng = np.random.default_rng(9)
+    u, v = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+    probe = multiplier_lower_bound(np.outer(u, v), witnesses=8, seed=1)
+    assert len(probe.ratios) == 8
+    assert 0.0 < probe.lower_bound <= np.abs(u).max() * np.abs(v).max() * (1 + 1e-12)
+    assert multiplier_lower_bound(np.ones(shape), witnesses=8).lower_bound == 1.0
 
 
 def test_probe_monotone_in_witness_count():
     spec = MultiplierSpec.difference_quotient()
     vals = [
-        multiplier_lower_bound(spec, 12, witnesses=w, seed=3).lower_bound
+        multiplier_lower_bound(make_multiplier(spec, 12), witnesses=w, seed=3).lower_bound
         for w in (1, 2, 4, 6)
     ]
     assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
@@ -258,14 +289,14 @@ def test_probe_monotone_in_witness_count():
 
 def test_probe_deterministic_for_fixed_seed():
     spec = MultiplierSpec(family("log", 1.0))
-    a = multiplier_lower_bound(spec, 16, witnesses=5, seed=42)
-    b = multiplier_lower_bound(spec, 16, witnesses=5, seed=42)
+    a = multiplier_lower_bound(make_multiplier(spec, 16), witnesses=5, seed=42)
+    b = multiplier_lower_bound(make_multiplier(spec, 16), witnesses=5, seed=42)
     assert a == b
 
 
 def test_probe_records_every_ratio():
     probe = multiplier_lower_bound(
-        MultiplierSpec.difference_quotient(), 8, witnesses=4, seed=0
+        make_multiplier(MultiplierSpec.difference_quotient(), 8), witnesses=4, seed=0
     )
     assert len(probe.ratios) == 4
     assert probe.lower_bound == max(v for _, v in probe.ratios)
@@ -291,7 +322,7 @@ def test_probe_below_brute_force_norm_at_tiny_size(spec, n):
     brute = max(
         op_norm_dense(m * haar_unitary(n, rng)).value for _ in range(1500)
     )
-    probe = multiplier_lower_bound(spec, n, witnesses=6, seed=0)
+    probe = multiplier_lower_bound(m, witnesses=6, seed=0)
     assert probe.lower_bound <= brute + 1e-9
     # row/column factorization bound caps everything from above
     cap = min(
@@ -315,7 +346,7 @@ def test_two_by_two_multiplier_norm_is_the_corner_entry():
 def test_difference_quotient_probe_grows():
     spec = MultiplierSpec.difference_quotient()
     vals = [
-        multiplier_lower_bound(spec, n, witnesses=3, seed=0).lower_bound
+        multiplier_lower_bound(make_multiplier(spec, n), witnesses=3, seed=0).lower_bound
         for n in (8, 16, 32)
     ]
     assert vals[0] < vals[1] < vals[2]
@@ -323,6 +354,6 @@ def test_difference_quotient_probe_grows():
 
 def test_log_damped_probe_stays_flat():
     spec = MultiplierSpec(family("log", 1.0))
-    p32 = multiplier_lower_bound(spec, 32, witnesses=3, seed=0).lower_bound
-    p128 = multiplier_lower_bound(spec, 128, witnesses=3, seed=0).lower_bound
+    p32 = multiplier_lower_bound(make_multiplier(spec, 32), witnesses=3, seed=0).lower_bound
+    p128 = multiplier_lower_bound(make_multiplier(spec, 128), witnesses=3, seed=0).lower_bound
     assert p128 - p32 < 0.10 * p32  # no growth worth the name

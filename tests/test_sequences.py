@@ -199,18 +199,16 @@ def test_constant_sequence_flags_divergence():
         # their first blocks span every binade down to the subnormals
         (MultiplierSpec(WeightSequence.geometric(0.5)), 10_000),
         (MultiplierSpec(family("pisier-geometric")), 10_000),
-        (MultiplierSpec(entry_fn=lambda i, j: (j - i) / (i + j + 1.0)), 300),
     ],
     ids=["harmonic", "constant", "log-eps1", "loglog-eps1", "geometric-0.5",
-         "pisier-geometric", "entry-callable"],
+         "pisier-geometric"],
 )
 def test_streamed_blocks_give_the_whole_array_reports(spec, terms):
     """Blocks of 97 terms against one block of the whole
     range: every report field is bit-identical.  The decade cuts at n = 11,
     101 and 1001 fall inside blocks."""
     def reports():
-        sums = () if spec.sequence is None else (bennett_sums(spec.sequence, terms),)
-        return repr((*sums, bennett_criterion(spec, terms)))
+        return repr((bennett_sums(spec.sequence, terms), bennett_criterion(spec, terms)))
 
     assert terms < summation._CHUNK
     whole = reports()
