@@ -15,7 +15,6 @@ from .car import (
     car_hankel,
     car_pattern_matrix,
     car_pattern_operator,
-    commutator_pattern,
     hankel_pattern,
     rc_bounds,
 )
@@ -37,6 +36,7 @@ from .foguel import (
     von_neumann_probe,
 )
 from .hankel import (
+    SECTIONS,
     HankelSpec,
     derivation_matrix,
     derivation_product,
@@ -45,7 +45,6 @@ from .hankel import (
     make_hankel,
     make_weighted_hankel,
     sylvester_residual,
-    unit_weight,
 )
 from .linalg import (
     DENSE_SIZE_CAP,

@@ -35,10 +35,12 @@ profile at size 3 has norm equal to the golden ratio, against sqrt(2).
 
 A pattern is a pair (section, lag): ``section(size)`` is the scalar
 size x size coefficient matrix and antidiagonal t carries the generator
-C_{t-lag}, so block (i, j) is section(size)[i, j] C_{i+j-lag}.  The
-Hankel pattern is the weighted Hankel section of :mod:`foguel_lab.hankel`
-with lag 0; the commutator pattern is its derivation commutator with
-lag 1.  The norm does not depend on which distinct generators the
+C_{t-lag}, so block (i, j) is section(size)[i, j] C_{i+j-lag}.
+:func:`hankel_pattern` pairs a section kind of
+:data:`foguel_lab.hankel.SECTIONS` with that row's lag: 0 for the
+weighted Hankel sections, 1 for the derivation commutator, whose
+generator index trails the antidiagonal by one as in Gamma D - D Gamma.
+The norm does not depend on which distinct generators the
 antidiagonals carry: any L operators that satisfy the CAR relations
 generate a copy of M_{2^L}, so sending one such family to another
 extends to a *-isomorphism, which stays isometric when tensored with the
@@ -66,11 +68,12 @@ each factor) and P be the parity of the odd modes (Z on the factors of
 odd r): U C_r U* = (-1)^r C_r* and P C_r P* = (-1)^r C_r, so V = I (x) PU
 sends B (x) C_r to B (x) C_r*.  Mode r is the rank of t_r, not t_r - lag,
 so D = diag((-1)^i), which turns B_t into (-1)^t B_t, cannot remove the
-sign.  Every section here is real and symmetric (Hankel) or antisymmetric
-(commutator), so V Gamma V* = +-Gamma*.  Gamma lowers the fermion number
-by one, U sends number s to L - s (L modes), P keeps it, and V is a signed
-permutation; so the blocks on column states of number s have the norms of
-those on number L + 1 - s.  The norm routes do not use this yet.
+sign.  The sections of the ``norm`` targets are real and symmetric
+(Hankel) or antisymmetric (commutator), so V Gamma V* = +-Gamma*.  Gamma
+lowers the fermion number by one, U sends number s to L - s (L modes),
+P keeps it, and V is a signed permutation; so the blocks on column
+states of number s have the norms of those on number L + 1 - s.  The
+norm routes do not use this yet.
 """
 
 from __future__ import annotations
@@ -82,8 +85,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .hankel import HankelSpec, derivation_product
-from .hankel import make_weighted_hankel, unit_weight
+from .hankel import HankelSpec, _section_row, make_weighted_hankel
 from .linalg import as_matrix, check_dense_cap, op_norm, safe_scale
 from .sequences import WeightSequence
 from .summation import exact_sums
@@ -125,6 +127,8 @@ def car_check(gens: tuple) -> tuple[float, float]:
     """
     if not gens:
         raise ValidationError("car_check needs at least one generator")
+    if not all(sp.issparse(g) for g in gens):
+        raise ValidationError("generators must be scipy.sparse matrices")
     ident = sp.identity(gens[0].shape[0], format="csr")
     if any(g.shape != ident.shape for g in gens):
         raise ValidationError("generators must be square matrices of one size")
@@ -145,20 +149,13 @@ def car_check(gens: tuple) -> tuple[float, float]:
 # ---- generator-valued sections ----------------------------------------
 
 
-def hankel_pattern(alpha: WeightSequence, weight: Callable[[int], float] | None = None):
-    """(section, lag 0) for entries weight(i+j) a_{i+j} C_{i+j}."""
-    w = unit_weight if weight is None else weight
-    return (lambda n: make_weighted_hankel(HankelSpec(alpha, n), w)), 0
-
-
-def commutator_pattern(alpha: WeightSequence):
-    """(section, lag 1) for entries (j - i) a_{i+j-1} C_{i+j-1}.
-
-    This is the coefficient pattern of Gamma D - D Gamma when Gamma has
-    generator-valued antidiagonals; the generator index lags the
-    antidiagonal by one.
-    """
-    return (lambda n: derivation_product(HankelSpec(alpha, n), "commutator")), 1
+def hankel_pattern(alpha: WeightSequence, kind: str | None = None):
+    """(section, lag) of the :data:`~foguel_lab.hankel.SECTIONS` row ``kind``
+    (``"hankel"`` if None): block (i, j) is the section's entry times
+    C_{i+j-lag}, e.g. (j - i) a_{i+j-1} C_{i+j-1} for ``"commutator"``."""
+    kind = "hankel" if kind is None else kind
+    lag = _section_row(kind)[3]
+    return (lambda n: make_weighted_hankel(HankelSpec(alpha, n), kind)), lag
 
 
 def _scalar_section(section: Callable[[int], np.ndarray], size: int) -> np.ndarray:
@@ -216,9 +213,9 @@ def car_pattern_matrix(
     return op.toarray()
 
 
-def car_hankel(alpha, weight: Callable[[int], float] | None, size: int) -> np.ndarray:
-    """Dense generator-valued Hankel section [w(i+j) a_{i+j} C_{i+j}]."""
-    return car_pattern_matrix(*hankel_pattern(alpha, weight), size)
+def car_hankel(alpha, kind: str | None, size: int) -> np.ndarray:
+    """Dense generator-valued section of :func:`hankel_pattern` (alpha, kind)."""
+    return car_pattern_matrix(*hankel_pattern(alpha, kind), size)
 
 
 # ---- scalar-profile norm bounds ---------------------------------------

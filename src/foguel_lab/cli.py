@@ -59,18 +59,10 @@ from typing import Callable
 
 import numpy as np
 
-from .car import (
-    _MAX_MODES, build_car, car_check, car_pattern_operator, commutator_pattern, hankel_pattern,
-)
+from .car import _MAX_MODES, build_car, car_check, car_pattern_operator, hankel_pattern
 from .errors import ValidationError
 from .foguel import assemble_foguel, intertwiner_partial, similarity_check
-from .hankel import (
-    HankelSpec,
-    derivation_product,
-    derivative_weight,
-    make_weighted_hankel,
-    unit_weight,
-)
+from .hankel import HankelSpec, make_weighted_hankel
 from .linalg import make_shift, op_norm, op_norm_dense
 from .schur import (
     MULTIPLIER_KINDS, MultiplierSpec, bennett_criterion, make_multiplier, multiplier_lower_bound,
@@ -85,19 +77,18 @@ SEED_ENV_VAR = "FOGUEL_LAB_SEED"
 #: ``seq``, a dense section or, for the generator-valued targets, sparse.
 NORM_TARGETS = {
     "shift": lambda seq, n: make_shift(n),
-    "hankel": lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), unit_weight),
-    "hankel-deriv":
-        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), derivative_weight),
+    "hankel": lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "hankel"),
+    "hankel-deriv": lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "hankel-deriv"),
     "derivation-commutator":
-        lambda seq, n: derivation_product(HankelSpec(seq, n), "commutator"),
-    "derivation-gamma-d":
-        lambda seq, n: derivation_product(HankelSpec(seq, n), "gamma_d"),
+        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "commutator"),
+    "derivation-gamma-d": lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "gamma_d"),
     "derivation-dstar-gamma":
-        lambda seq, n: derivation_product(HankelSpec(seq, n), "dstar_gamma"),
-    "car-hankel": lambda seq, n: car_pattern_operator(*hankel_pattern(seq), n),
+        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "dstar_gamma"),
+    "car-hankel": lambda seq, n: car_pattern_operator(*hankel_pattern(seq, "hankel"), n),
     "car-hankel-deriv":
-        lambda seq, n: car_pattern_operator(*hankel_pattern(seq, derivative_weight), n),
-    "car-commutator": lambda seq, n: car_pattern_operator(*commutator_pattern(seq), n),
+        lambda seq, n: car_pattern_operator(*hankel_pattern(seq, "hankel-deriv"), n),
+    "car-commutator":
+        lambda seq, n: car_pattern_operator(*hankel_pattern(seq, "commutator"), n),
 }
 _ALPHA_TARGETS = tuple(t for t in NORM_TARGETS if t != "shift")
 
@@ -237,16 +228,10 @@ def normalize_params(command: str, params: dict) -> dict:
 
 def _run_car_check(p: dict, seed: int):
     rows = []
-    worst_anti = 0.0
-    worst_mixed = 0.0
     for m in range(1, p["modes"] + 1):
         dev_anti, dev_mixed = car_check(build_car(m))
-        rows.append(
-            {"modes": m, "dev_anti": float(dev_anti), "dev_mixed": float(dev_mixed)}
-        )
-        worst_anti = max(worst_anti, dev_anti)
-        worst_mixed = max(worst_mixed, dev_mixed)
-    diag = {"max_dev_anti": float(worst_anti), "max_dev_mixed": float(worst_mixed)}
+        rows.append({"modes": m, "dev_anti": float(dev_anti), "dev_mixed": float(dev_mixed)})
+    diag = {f"max_{dev}": max(row[dev] for row in rows) for dev in ("dev_anti", "dev_mixed")}
     return rows, diag, 0
 
 

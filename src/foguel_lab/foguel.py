@@ -80,11 +80,12 @@ def power_offdiag(block: FoguelBlock, n: int) -> np.ndarray:
     dim = block.t1.shape[0]
     acc = x.copy()
     b_pow = b
-    for _ in range(n - 1):
-        acc = a @ acc + x @ b_pow
-        b_pow = b_pow @ b
-    direct = np.linalg.matrix_power(block.matrix, n)[:dim, dim:]
-    gap = op_norm_dense(acc - direct).value
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: refused below
+        for _ in range(n - 1):
+            acc = a @ acc + x @ b_pow
+            b_pow = b_pow @ b
+        direct = np.linalg.matrix_power(block.matrix, n)[:dim, dim:]
+        gap = op_norm_dense(acc - direct).value
     # Tolerance is absolute at unit scale; for larger inputs the float
     # error in matrix_power itself grows with the data, so compare
     # relative to the magnitude actually reached.
@@ -191,27 +192,22 @@ def intertwiner_partial(
     partial_norms = np.empty(n_terms, dtype=float)
     stabilized_at = None
     run = 0
-    for j in range(n_terms):
-        term = t2 @ term @ t1 if j else t2 @ x
-        z += term
-        if term.any():
-            term_norms[j] = op_norm_dense(term).value
-            partial_norms[j] = op_norm_dense(z).value
-        else:
-            # an exactly zero increment leaves Z, hence its norm, unchanged
-            term_norms[j] = 0.0
-            partial_norms[j] = partial_norms[j - 1] if j else 0.0
-        if stab_tol is not None:
-            run = run + 1 if term_norms[j] < stab_tol else 0
-            if run >= stab_run and stabilized_at is None:
-                stabilized_at = j
-    return IntertwinerResult(
-        z=z,
-        n_terms=n_terms,
-        term_norms=term_norms,
-        partial_norms=partial_norms,
-        stabilized_at=stabilized_at,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: op_norm_dense refuses
+        for j in range(n_terms):
+            term = t2 @ term @ t1 if j else t2 @ x
+            z += term
+            if term.any():
+                term_norms[j] = op_norm_dense(term).value
+                partial_norms[j] = op_norm_dense(z).value
+            else:
+                # an exactly zero increment leaves Z, hence its norm, unchanged
+                term_norms[j] = 0.0
+                partial_norms[j] = partial_norms[j - 1] if j else 0.0
+            if stab_tol is not None:
+                run = run + 1 if term_norms[j] < stab_tol else 0
+                if run >= stab_run and stabilized_at is None:
+                    stabilized_at = j
+    return IntertwinerResult(z, n_terms, term_norms, partial_norms, stabilized_at)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,14 +257,22 @@ def similarity_check(block: FoguelBlock, z, window: int) -> SimilarityReport:
 # ---- polynomial calculus probes ---------------------------------------
 
 
+def _poly_coeffs(coeffs) -> np.ndarray:
+    """``coeffs`` as a flat complex array, refused if empty or not finite."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
+    if coeffs.size == 0:
+        raise ValidationError("empty coefficient list")
+    if not np.isfinite(coeffs).all():
+        raise ValidationError("polynomial coefficients must be finite")
+    return coeffs
+
+
 def poly_eval_matrix(coeffs, c) -> np.ndarray:
     """p(C) by Horner's rule; ``coeffs`` ascending (c_0 + c_1 z + ...)."""
     c = as_matrix(c)
     if c.shape[0] != c.shape[1]:
         raise ValidationError("expected a square matrix")
-    coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
-    if coeffs.size == 0:
-        raise ValidationError("empty coefficient list")
+    coeffs = _poly_coeffs(coeffs)
     n = c.shape[0]
     acc = coeffs[-1] * np.eye(n)
     for k in range(coeffs.size - 2, -1, -1):
@@ -277,11 +281,17 @@ def poly_eval_matrix(coeffs, c) -> np.ndarray:
 
 
 def circle_sup(coeffs, grid_points: int) -> float:
-    """max |p(z)| over a uniform grid on the unit circle."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
+    """max |p(z)| over a uniform grid of ``grid_points`` >= 1 on the unit circle;
+    a sup beyond the float range is refused."""
+    coeffs = _poly_coeffs(coeffs)
+    if grid_points < 1:
+        raise ValidationError("grid_points must be >= 1")
     theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
-    vals = np.polynomial.polynomial.polyval(np.exp(1j * theta), coeffs)
-    return float(np.abs(vals).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = float(np.abs(np.polynomial.polynomial.polyval(np.exp(1j * theta), coeffs)).max())
+    if not np.isfinite(sup):
+        raise ValidationError("circle sup lies beyond the float range")
+    return sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +316,7 @@ def von_neumann_probe(c, polys, grid_points: int) -> VonNeumannReport:
     ratio.
     """
     c = as_matrix(c)
-    poly_list = [np.asarray(p, dtype=np.complex128).ravel() for p in polys]
+    poly_list = [_poly_coeffs(p) for p in polys]
     if not poly_list:
         raise ValidationError("need at least one polynomial")
     max_deg = max(p.size - 1 for p in poly_list)
@@ -316,25 +326,18 @@ def von_neumann_probe(c, polys, grid_points: int) -> VonNeumannReport:
         )
     op_norm = op_norm_dense(c).value
     results = []
-    violations = 0
-    max_excess = -np.inf
-    ratios = []
-    for p in poly_list:
-        mat_norm = op_norm_dense(poly_eval_matrix(p, c)).value
-        sup = circle_sup(p, grid_points)
-        excess = mat_norm - sup
-        if excess > VON_NEUMANN_TOL:
-            violations += 1
-        max_excess = max(max_excess, excess)
-        if sup > 0.0:
-            ratios.append(mat_norm / sup)
-        results.append((int(p.size - 1), float(mat_norm), float(sup), float(excess)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: op_norm_dense refuses
+        for p in poly_list:
+            mat_norm = op_norm_dense(poly_eval_matrix(p, c)).value
+            sup = circle_sup(p, grid_points)
+            results.append((p.size - 1, mat_norm, sup, mat_norm - sup))
+    excess = [r[3] for r in results]
     return VonNeumannReport(
         operator_norm=op_norm,
         is_contraction=bool(op_norm <= 1.0 + 1e-12),
         grid_points=grid_points,
         results=tuple(results),
-        violations=violations,
-        max_excess=float(max_excess),
-        k_estimate=float(max(ratios)) if ratios else float("nan"),
+        violations=sum(e > VON_NEUMANN_TOL for e in excess),
+        max_excess=max(excess),
+        k_estimate=max((r[1] / r[2] for r in results if r[2] > 0.0), default=float("nan")),
     )

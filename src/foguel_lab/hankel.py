@@ -5,24 +5,25 @@ sequence (a :class:`~foguel_lab.sequences.WeightSequence`); the
 derivation-weighted variant carries entries (i+j+1) a_{i+j}.  Each copies
 a window over one table, :func:`hankel_windows`, the only place i + j is
 formed.  The differentiation matrix D (the weighted shift D e_j = j e_{j-1},
-see :func:`derivation_matrix`) gives three products, each a factor from
-:data:`DERIVATION_FACTORS` times the window over 0, a_0, .., a_{2N-3}:
+see :func:`derivation_matrix`) gives three products, each a factor times
+the window over 0, a_0, .., a_{2N-3}:
 
     commutator   (Gamma D - D* Gamma)[i,j] = (j - i) a_{i+j-1}
     gamma_d      (Gamma D)[i,j]            = j a_{i+j-1}
     dstar_gamma  (D* Gamma)[i,j]           = i a_{i+j-1}
 
-Whatever the coefficients, the gamma_d product with a minus sign solves
-the displacement equation S* Y - Y S = Gamma away from the truncation
-boundary; :func:`sylvester_residual` quantifies this on an interior
-window.  Sections with generator-valued entries live in
-:mod:`foguel_lab.car`.
+All five are (c_i i + c_j j + c_0) a_{i+j-lag} with a_t = 0 for t < 0,
+one row of :data:`SECTIONS` each, and :func:`make_weighted_hankel` builds
+them all.  Whatever the coefficients, the gamma_d product with a minus
+sign solves the displacement equation S* Y - Y S = Gamma away from the
+truncation boundary; :func:`sylvester_residual` quantifies this on an
+interior window.  Sections with generator-valued entries live in
+:mod:`foguel_lab.car`; their generator C_{i+j-lag} trails by the lag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -50,17 +51,27 @@ class HankelSpec:
         return self.coefficients.values_at(np.arange(count))
 
 
-def unit_weight(k: int) -> float:
-    return 1.0
+#: Section kind -> (c_i, c_j, c_0, lag): entry (i, j) is
+#: (c_i i + c_j j + c_0) a_{i+j-lag}, with a_t = 0 for t < 0.
+SECTIONS = {
+    "hankel": (0, 0, 1, 0),
+    "hankel-deriv": (1, 1, 1, 0),
+    "commutator": (-1, 1, 0, 1),
+    "gamma_d": (0, 1, 0, 1),
+    "dstar_gamma": (1, 0, 0, 1),
+}
+
+derivative_weight = "hankel-deriv"  #: the kind [(i+j+1) a_{i+j}]
 
 
-def derivative_weight(k: int) -> float:
-    """The weight (k+1) that turns [a_{i+j}] into [(i+j+1) a_{i+j}]."""
-    return float(k + 1)
+def _section_row(kind: str) -> tuple:
+    if kind not in SECTIONS:
+        raise ValidationError(f"kind must be one of {tuple(SECTIONS)}")
+    return SECTIONS[kind]
 
 
 def make_hankel(spec: HankelSpec) -> np.ndarray:
-    return make_weighted_hankel(spec, unit_weight)
+    return make_weighted_hankel(spec, "hankel")
 
 
 def hankel_windows(table, n: int) -> np.ndarray:
@@ -68,32 +79,27 @@ def hankel_windows(table, n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(table[: 2 * n - 1], n)
 
 
-def make_weighted_hankel(spec: HankelSpec, weight: Callable) -> np.ndarray:
-    """Section with (i, j) entry weight(i+j) a_{i+j}, copied from its window.
+def make_weighted_hankel(spec: HankelSpec, kind: str = "hankel") -> np.ndarray:
+    """The :data:`SECTIONS` section of ``kind``, (c_i i + c_j j + c_0) a_{i+j-lag}.
 
-    A product that overflows is left as inf or nan for ``as_matrix`` to
-    refuse, without numpy's warning.
+    Its window runs over lag zeros and then a_0, a_1, ...  A product
+    that overflows is left as inf or nan for ``as_matrix`` to refuse,
+    without numpy's warning.
     """
+    lag = _section_row(kind)[3]
     n = spec.size
     check_dense_cap((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = spec.coeff_table(2 * n - 1) * [weight(k) for k in range(2 * n - 1)]
-    return hankel_windows(table, n).copy()
+    table = np.concatenate([np.zeros(lag), spec.coeff_table(2 * n - 1 - lag)])
+    return _factor_section(kind, table, n)
 
 
 def hankel_defect(a, block_dim: int = 1) -> float:
     """max block-norm discrepancy along antidiagonals (0 for true Hankel)."""
     grid, n = _block_grid(a, block_dim)
-    worst = 0.0
-    for s in range(2 * n - 1):
-        ref = None
-        for i in range(max(0, s - n + 1), min(n, s + 1)):
-            blk = grid[i, :, s - i, :]
-            if ref is None:
-                ref = blk
-            else:
-                worst = max(worst, float(np.abs(blk - ref).max()))
-    return worst
+    blocks = grid.transpose(0, 2, 1, 3)  # blocks[i, j] is block (i, j)
+    i, j = np.indices((n, n))
+    first = np.maximum(0, i + j - n + 1)  # the smallest row on antidiagonal i + j
+    return float(np.abs(blocks[i, j] - blocks[first, i + j - first]).max())
 
 
 def derivation_matrix(n: int) -> np.ndarray:
@@ -103,21 +109,21 @@ def derivation_matrix(n: int) -> np.ndarray:
     return np.diag(np.arange(1.0, n), 1)
 
 
-DERIVATION_FACTORS = {  # (c_i, c_j): the factor c_i i + c_j j
-    "commutator": (-1, 1),
-    "gamma_d": (0, 1),
-    "dstar_gamma": (1, 0),
-}
-
-
 def _factor_section(kind: str, table, n: int) -> np.ndarray:
-    """(c_i i + c_j j) table[i+j]: the exact float64 factor takes the window
-    in place, so the build holds one n x n array and no integer factor.
-    An overflowing product (or 0 * inf) is left for ``as_matrix`` to refuse."""
-    c_i, c_j = DERIVATION_FACTORS[kind]
-    k = np.arange(n, dtype=np.float64)
-    section = np.add.outer(c_i * k, c_j * k)
+    """(c_i i + c_j j + c_0) table[i+j] for the :data:`SECTIONS` row of ``kind``.
+
+    A factor of i + j alone (c_i == c_j) weights the table before its
+    window is copied; any other exact float64 factor takes the window in
+    place, so the build holds one n x n array and no integer factor.  An
+    overflowing product (or 0 * inf) is left for ``as_matrix`` to refuse.
+    """
+    c_i, c_j, c_0, _ = SECTIONS[kind]
     with np.errstate(over="ignore", invalid="ignore"):
+        if c_i == c_j:
+            t = np.arange(2 * n - 1, dtype=np.float64)
+            return hankel_windows(table[: 2 * n - 1] * (c_i * t + c_0), n).copy()
+        k = np.arange(n, dtype=np.float64)
+        section = np.add.outer(c_i * k, c_j * k + c_0)
         section *= hankel_windows(table, n)
     return section
 
@@ -130,12 +136,10 @@ def derivation_product(spec: HankelSpec, kind: str) -> np.ndarray:
     multiplying matrices; at finite size these agree exactly with the
     truncated products because the weighted shift D stays in the section.
     """
-    if kind not in DERIVATION_FACTORS:
-        raise ValidationError(f"kind must be one of {tuple(DERIVATION_FACTORS)}")
-    n = spec.size
-    check_dense_cap((n, n))
-    table = np.concatenate([[0.0], spec.coeff_table(2 * n - 2)])
-    return _factor_section(kind, table, n)
+    kinds = tuple(k for k, row in SECTIONS.items() if row[3] == 1)
+    if kind not in kinds:
+        raise ValidationError(f"kind must be one of {kinds}")
+    return make_weighted_hankel(spec, kind)
 
 
 def sylvester_residual(y, gamma, window: int | None = None) -> float:

@@ -78,8 +78,8 @@ class MultiplierSpec:
 
     def g_values(self, ns) -> np.ndarray:
         """The radial factor g(n) = a(n)/(n+1) with m(i,j) = (j-i) g(i+j)."""
-        ns = np.asarray(ns, dtype=np.int64)
-        return self.sequence.values_at(ns) / (ns + 1.0)
+        values = self.sequence.values_at(ns)  # refuses an index beyond int64 first
+        return values / (np.asarray(ns, dtype=np.int64) + 1.0)
 
     def entry(self, i: int, j: int) -> float:
         if i < self.offset or j < self.offset:

@@ -105,8 +105,16 @@ class WeightSequence:
         return 0 if self.kind == "custom" else FAMILIES[self.kind][0]
 
     def values_at(self, indices) -> np.ndarray:
-        """Vectorized evaluation; indices below start_index give 0."""
-        ks = np.asarray(indices, dtype=np.int64)
+        """Vectorized evaluation; indices below start_index give 0.
+
+        An index outside [-2^63, 2^63 - 2] is refused, not wrapped: the
+        formulas read k + 1 in int64.
+        """
+        ks = np.asarray(indices)
+        for k in (ks.min(), ks.max()) if ks.size else ():
+            if not -(2**63) <= k <= 2**63 - 2:
+                raise ValidationError(f"sequence index {k} lies outside [{-(2**63)}, {2**63 - 2}]")
+        ks = ks.astype(np.int64, copy=False)
         scalar = ks.ndim == 0
         ks = np.atleast_1d(ks)
         with np.errstate(over="ignore", divide="ignore"):  # inf, which finite checks refuse

@@ -42,7 +42,6 @@ from foguel_lab import (
     car_check,
     car_hankel,
     car_pattern_matrix,
-    commutator_pattern,
     derivation_product,
     derivative_weight,
     family,
@@ -96,8 +95,9 @@ WEIGHT_CASES = [("unit", None), ("derivative", derivative_weight)]
 
 
 def _profile_l2(alpha, weight, stop):
-    """l^2 norm of the weighted profile w(t) a_t over t in [0, stop)."""
-    w = (lambda k: 1.0) if weight is None else weight
+    """l^2 norm of the weighted profile w(t) a_t over t in [0, stop), with
+    w(t) = t + 1 for the derivative weight and 1 otherwise."""
+    w = (lambda t: t + 1.0) if weight == derivative_weight else (lambda t: 1.0)
     return float(np.sqrt(sum(abs(w(t) * alpha.values_at(t)) ** 2 for t in range(stop))))
 
 
@@ -147,7 +147,7 @@ def test_c03_commutator_pattern_sandwich():
     ratios = []
     ok = True
     for aname, alpha in PROFILE_CASES:
-        section, lag = commutator_pattern(alpha)
+        section, lag = hankel_pattern(alpha, "commutator")
         for n in (2, 3, 4):
             dense = op_norm_dense(car_pattern_matrix(section, lag, n)).value
             b = rc_bounds(section, n)

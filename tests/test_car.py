@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from foguel_lab import (
+    SECTIONS,
     SizeCapExceededError,
     ValidationError,
     WeightSequence,
@@ -26,7 +27,6 @@ from foguel_lab import (
     car_hankel,
     car_pattern_matrix,
     car_pattern_operator,
-    commutator_pattern,
     derivative_weight,
     family,
     hankel_defect,
@@ -34,7 +34,6 @@ from foguel_lab import (
     op_norm_dense,
     op_norm_power,
     rc_bounds,
-    unit_weight,
 )
 from foguel_lab.cli import NORM_TARGETS, parse_alpha
 from conftest import generator_section
@@ -48,7 +47,7 @@ I2 = sp.identity(2, format="csr")
 PATTERNS = {
     "car-hankel": hankel_pattern,
     "car-hankel-deriv": lambda alpha: hankel_pattern(alpha, derivative_weight),
-    "car-commutator": commutator_pattern,
+    "car-commutator": lambda alpha: hankel_pattern(alpha, "commutator"),
 }
 
 
@@ -167,7 +166,9 @@ def test_car_check_over_pairs_equals_the_ordered_pair_maximum(gens):
     ((), "car_check needs at least one generator"),
     ((build_car(2)[0], build_car(3)[0]), "generators must be square matrices of one size"),
     ((sp.csr_matrix(np.ones((2, 4))),), "generators must be square matrices of one size"),
-], ids=["empty", "sizes-4-and-8", "not-square"])
+    ((np.eye(2),), "generators must be scipy.sparse matrices"),
+    ((build_car(1)[0], build_car(1)[0].toarray()), "generators must be scipy.sparse matrices"),
+], ids=["empty", "sizes-4-and-8", "not-square", "dense", "dense-second"])
 def test_car_check_refuses_a_bad_tuple(gens, message):
     with pytest.raises(ValidationError, match=message):
         car_check(gens)
@@ -192,18 +193,36 @@ def test_tiny_section_assembled_by_hand():
 
 def test_section_blocks_are_hankel():
     alpha = family("pisier-geometric")
-    m = car_hankel(alpha, unit_weight, 3)
+    m = car_hankel(alpha, None, 3)
     # live antidiagonals 0, 1, 3: one mode each
     assert hankel_defect(m, block_dim=2**3) == 0.0
 
 
 def test_commutator_pattern_coefficients():
-    section, lag = commutator_pattern(WeightSequence.geometric(0.5))
+    section, lag = hankel_pattern(WeightSequence.geometric(0.5), "commutator")
     c = section(4)
     assert c[2, 2] == 0.0  # diagonal vanishes
     assert c[1, 3] == (3 - 1) * 0.5**3
     assert c[3, 1] == -c[1, 3]
     assert lag == 1  # generator index lags the antidiagonal
+
+
+@pytest.mark.parametrize("kind", SECTIONS)
+def test_every_section_kind_is_a_pattern_with_its_lag(kind):
+    alpha = WeightSequence.geometric(0.5)
+    section, lag = hankel_pattern(alpha, kind)
+    assert lag == SECTIONS[kind][3]
+    for size in (1, 2, 3):
+        # a live antidiagonal below the lag would be refused here
+        value = op_norm_dense(car_hankel(alpha, kind, size)).value
+        b = rc_bounds(section, size)
+        assert b.lower - 1e-12 <= value <= b.upper + 1e-12
+
+
+def test_an_unknown_pattern_kind_is_refused():
+    message = re.escape(f"kind must be one of {tuple(SECTIONS)}")
+    with pytest.raises(ValidationError, match=message):
+        hankel_pattern(WeightSequence.geometric(0.5), "sideways")
 
 
 def test_pattern_lag_and_section_shape_are_checked():
@@ -291,7 +310,7 @@ def test_block_norm_equals_the_densified_norm(target, alpha):
 
 @pytest.mark.parametrize("pattern", [
     hankel_pattern(WeightSequence.geometric(0.5)),
-    commutator_pattern(family("power", 2.0)),
+    hankel_pattern(family("power", 2.0), "commutator"),
     hankel_pattern(family("pisier-flat")),
 ], ids=["lag0", "lag1", "lacunary"])
 def test_pattern_conserves_number_and_weight(pattern):
@@ -429,7 +448,7 @@ def test_three_mode_section_norm_exceeds_the_row_sup():
 
 def test_weighted_profile_feeds_the_bounds():
     alpha = WeightSequence.geometric(0.5)
-    section, _ = hankel_pattern(alpha, lambda k: float(k + 1))
+    section, _ = hankel_pattern(alpha, derivative_weight)
     b = rc_bounds(section, 2)
     # row 0 profile: (1*1, 2*0.5) -> l2 = sqrt(2)
     assert b.row_sup == pytest.approx(np.sqrt(2.0))

@@ -23,7 +23,6 @@ from foguel_lab import (
     antidiagonal_sums,
     bennett_criterion,
     bennett_sums,
-    commutator_pattern,
     derivative_weight,
     hankel_pattern,
     make_multiplier,
@@ -237,7 +236,7 @@ def test_car_commutator_above_the_dense_cap_runs_matrix_free(tmp_path, method):
 CAR_PATTERNS = {
     "car-hankel": hankel_pattern,
     "car-hankel-deriv": lambda seq: hankel_pattern(seq, derivative_weight),
-    "car-commutator": commutator_pattern,
+    "car-commutator": lambda seq: hankel_pattern(seq, "commutator"),
 }
 LACUNARY = ["pisier-flat", "pisier-geometric"]
 

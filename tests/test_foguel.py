@@ -118,11 +118,36 @@ def _tampered_block():
     (lambda: poly_eval_matrix([], np.eye(2)), ValidationError, "empty coefficient list"),
     (lambda: von_neumann_probe(np.eye(2), [], 8), ValidationError,
      "need at least one polynomial"),
+    (lambda: poly_eval_matrix([np.nan], np.eye(2)), ValidationError,
+     "polynomial coefficients must be finite"),
+    (lambda: circle_sup([1.0], 0), ValidationError, "grid_points must be >= 1"),
+    (lambda: circle_sup([], 8), ValidationError, "empty coefficient list"),
+    (lambda: circle_sup([1.0, np.inf], 8), ValidationError,
+     "polynomial coefficients must be finite"),
+    (lambda: von_neumann_probe(np.eye(2), [[np.nan]], 8), ValidationError,
+     "polynomial coefficients must be finite"),
+    (lambda: circle_sup([1e308, 1e308], 8), ValidationError,
+     "circle sup lies beyond the float range"),
+    (lambda: von_neumann_probe(np.zeros((2, 2)), [[1e308, 1e308]], 8), ValidationError,
+     "circle sup lies beyond the float range"),
 ], ids=["tampered-power", "partial-sum-no-term", "shift-form-no-term", "series-no-term",
         "z-shape", "window-high", "window-zero", "poly-not-square", "poly-no-coeffs",
-        "probe-no-polys"])
+        "probe-no-polys", "poly-nan", "circle-no-grid", "circle-no-coeffs", "circle-inf",
+        "probe-nan", "circle-overflow", "probe-circle-overflow"])
 def test_bad_operands_are_refused(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: power_offdiag(assemble_foguel(2 * np.eye(2), 2 * np.eye(2), np.eye(2)), 2000),
+    lambda: intertwiner_partial(2 * np.eye(2), 2 * np.eye(2), np.eye(2), 600),
+    lambda: von_neumann_probe(1e200 * np.eye(2), [[1.0, 1.0, 1.0]], 16),
+], ids=["power-offdiag", "intertwiner", "von-neumann"])
+def test_an_overflow_is_refused_without_a_numpy_warning(call):
+    # every warning is an error in this suite, so a matmul RuntimeWarning
+    # would surface here in place of the refusal
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
         call()
 
 

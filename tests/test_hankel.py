@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foguel_lab import (
+    SECTIONS,
     HankelSpec,
     ValidationError,
     WeightSequence,
@@ -20,7 +21,6 @@ from foguel_lab import (
     make_weighted_hankel,
     op_norm_dense,
     sylvester_residual,
-    unit_weight,
 )
 
 
@@ -65,6 +65,37 @@ def test_weighted_hankel_carries_the_derivative_weight():
         for n in LOOP_SIZES:
             h = make_weighted_hankel(HankelSpec(seq, n), derivative_weight)
             assert_entry_loop(h, n, lambda i, j: (i + j + 1) * seq.values_at(i + j))
+
+
+#: the literal entry of each SECTIONS kind, given a(t) = 0 for t < 0; a row
+#: added to SECTIONS without an entry here fails its test
+SECTION_ENTRIES = {
+    "hankel": lambda i, j, a: a(i + j),
+    "hankel-deriv": lambda i, j, a: (i + j + 1) * a(i + j),
+    "commutator": lambda i, j, a: (j - i) * a(i + j - 1),
+    "gamma_d": lambda i, j, a: j * a(i + j - 1),
+    "dstar_gamma": lambda i, j, a: i * a(i + j - 1),
+}
+
+
+@pytest.mark.parametrize("kind", SECTIONS)
+def test_each_section_kind_matches_its_entry_loop(kind):
+    for seq in LOOP_FAMILIES:
+        def a(t):
+            return seq.values_at(t) if t >= 0 else 0.0
+
+        for n in LOOP_SIZES:
+            got = make_weighted_hankel(HankelSpec(seq, n), kind)
+            assert_entry_loop(got, n, lambda i, j: SECTION_ENTRIES[kind](i, j, a))
+
+
+def test_an_unknown_section_kind_is_refused():
+    spec = HankelSpec(family("constant"), 3)
+    message = re.escape(f"kind must be one of {tuple(SECTIONS)}")
+    with pytest.raises(ValidationError, match=message):
+        make_weighted_hankel(spec, "sideways")
+    with pytest.raises(ValidationError, match=message):
+        make_weighted_hankel(spec, lambda k: 1.0)
 
 
 def test_non_sequence_coefficients_are_refused():
@@ -164,8 +195,10 @@ def test_commutator_is_difference_of_the_one_sided_products():
 
 
 def test_derivation_product_rejects_bad_kinds():
-    with pytest.raises(ValidationError):
-        derivation_product(HankelSpec(family("constant"), 3), "sideways")
+    message = re.escape("kind must be one of ('commutator', 'gamma_d', 'dstar_gamma')")
+    for kind in ("sideways", "hankel", "hankel-deriv"):
+        with pytest.raises(ValidationError, match=message):
+            derivation_product(HankelSpec(family("constant"), 3), kind)
 
 
 # ---- displacement identity --------------------------------------------

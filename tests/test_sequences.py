@@ -101,6 +101,30 @@ def test_values_at_matches_scalar_loop(name):
     assert all(vec[i] == seq.values_at(int(ks[i])) for i in range(len(ks)))
 
 
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("call, index", [
+    (lambda: family("log", 1.0).values_at(INT64_MAX), INT64_MAX),
+    (lambda: family("log", 1.0).values_at(INT64_MAX + 1), INT64_MAX + 1),
+    (lambda: family("constant").values_at([3, 2**70]), 2**70),
+    (lambda: family("constant").values_at([-(2**70), 3]), -(2**70)),
+    (lambda: MultiplierSpec.difference_quotient().g_values([1, INT64_MAX]), INT64_MAX),
+    (lambda: MultiplierSpec.difference_quotient().entry(2**62, 2**62), 2**63),
+], ids=["k-plus-one-wraps", "beyond-int64", "beyond-int64-in-array", "below-int64",
+        "g-values", "entry"])
+def test_an_index_beyond_int64_is_refused_by_name(call, index):
+    # k + 1 wraps for k = 2^63 - 1, so the log family read log of a negative
+    message = f"sequence index {index} lies outside [{-(2**63)}, {INT64_MAX - 1}]"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
+
+
+def test_the_largest_accepted_index_is_evaluated():
+    assert family("log", 1.0).values_at(INT64_MAX - 1) == 1.0 / math.log(2.0**63) ** 2
+    assert family("harmonic").values_at(-(2**63)) == 0.0
+
+
 def test_describe_is_stable():
     assert family("harmonic").describe() == "harmonic"
     assert WeightSequence.geometric(0.5).describe() == "geometric:0.5"
