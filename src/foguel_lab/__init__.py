@@ -38,6 +38,7 @@ from .foguel import (
 from .hankel import (
     SECTIONS,
     HankelSpec,
+    Section,
     derivation_matrix,
     derivation_product,
     derivative_weight,

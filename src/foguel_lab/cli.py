@@ -19,9 +19,9 @@ the sweep parameter of the same name (``-`` read as ``_``) have one
 default and one validator: argparse only names the flags and splits argv,
 and a parameter's ``read`` is its value's one validator, so a bad value
 gets the same message from a flag and from a sweep job.  ``NORM_TARGETS``
-likewise gives each ``norm`` target the operator it norms: a dense
-section, or for the generator-valued targets one sparse operator;
-``linalg.op_norm`` picks the route.  ``--alpha`` and ``bennett
+likewise gives each ``norm`` target the operator it norms: the shift, a
+scalar ``hankel.Section`` held as its table, or for the generator-valued
+targets one sparse operator; ``linalg.op_norm`` picks the route.  ``--alpha`` and ``bennett
 --sequence`` name a family of ``sequences.FAMILIES``; ``multiplier
 --kind`` names a ``schur.MULTIPLIER_KINDS``.
 
@@ -62,7 +62,7 @@ import numpy as np
 from .car import _MAX_MODES, build_car, car_check, car_pattern_operator, hankel_pattern
 from .errors import ValidationError
 from .foguel import assemble_foguel, intertwiner_partial, similarity_check
-from .hankel import HankelSpec, make_weighted_hankel
+from .hankel import HankelSpec, Section
 from .linalg import make_shift, op_norm, op_norm_dense
 from .schur import (
     MULTIPLIER_KINDS, MultiplierSpec, bennett_criterion, make_multiplier, multiplier_lower_bound,
@@ -74,16 +74,14 @@ SEED_ENV_VAR = "FOGUEL_LAB_SEED"
 
 
 #: ``norm`` targets: the operator of size n built from the coefficients
-#: ``seq``, a dense section or, for the generator-valued targets, sparse.
+#: ``seq``, a scalar Section or, for the generator-valued targets, sparse.
 NORM_TARGETS = {
     "shift": lambda seq, n: make_shift(n),
-    "hankel": lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "hankel"),
-    "hankel-deriv": lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "hankel-deriv"),
-    "derivation-commutator":
-        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "commutator"),
-    "derivation-gamma-d": lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "gamma_d"),
-    "derivation-dstar-gamma":
-        lambda seq, n: make_weighted_hankel(HankelSpec(seq, n), "dstar_gamma"),
+    "hankel": lambda seq, n: Section.of(HankelSpec(seq, n), "hankel"),
+    "hankel-deriv": lambda seq, n: Section.of(HankelSpec(seq, n), "hankel-deriv"),
+    "derivation-commutator": lambda seq, n: Section.of(HankelSpec(seq, n), "commutator"),
+    "derivation-gamma-d": lambda seq, n: Section.of(HankelSpec(seq, n), "gamma_d"),
+    "derivation-dstar-gamma": lambda seq, n: Section.of(HankelSpec(seq, n), "dstar_gamma"),
     "car-hankel": lambda seq, n: car_pattern_operator(*hankel_pattern(seq, "hankel"), n),
     "car-hankel-deriv":
         lambda seq, n: car_pattern_operator(*hankel_pattern(seq, "hankel-deriv"), n),

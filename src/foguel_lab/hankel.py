@@ -2,9 +2,9 @@
 
 A Hankel section is the N x N matrix [a_{i+j}] built from a coefficient
 sequence (a :class:`~foguel_lab.sequences.WeightSequence`); the
-derivation-weighted variant carries entries (i+j+1) a_{i+j}.  Each copies
-a window over one table, :func:`hankel_windows`, the only place i + j is
-formed.  The differentiation matrix D (the weighted shift D e_j = j e_{j-1},
+derivation-weighted variant carries entries (i+j+1) a_{i+j}.  Each reads
+a window over one table in ``Section.__getitem__``, the only place i + j
+is formed.  The differentiation matrix D (the weighted shift D e_j = j e_{j-1},
 see :func:`derivation_matrix`) gives three products, each a factor times
 the window over 0, a_0, .., a_{2N-3}:
 
@@ -13,23 +13,27 @@ the window over 0, a_0, .., a_{2N-3}:
     dstar_gamma  (D* Gamma)[i,j]           = i a_{i+j-1}
 
 All five are (c_i i + c_j j + c_0) a_{i+j-lag} with a_t = 0 for t < 0,
-one row of :data:`SECTIONS` each, and :func:`make_weighted_hankel` builds
-them all.  Whatever the coefficients, the gamma_d product with a minus
-sign solves the displacement equation S* Y - Y S = Gamma away from the
-truncation boundary; :func:`sylvester_residual` quantifies this on an
-interior window.  Sections with generator-valued entries live in
+one row of :data:`SECTIONS` each, and a :class:`Section` holds one as its
+table: :func:`make_weighted_hankel` is its ``dense()`` array, and
+``linalg.op_norm`` takes the Section itself, with its row peaks from a
+sliding-window maximum of the table, its sign A* = +-A from the factor
+and only its kept block and kept columns built.  Whatever the
+coefficients, the gamma_d product with a minus sign solves the
+displacement equation S* Y - Y S = Gamma away from the truncation
+boundary; :func:`sylvester_residual` quantifies this on an interior
+window, by index shifts.  Sections with generator-valued entries live in
 :mod:`foguel_lab.car`; their generator C_{i+j-lag} trails by the lag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .foguel import _block_grid
-from .linalg import as_matrix, check_dense_cap, make_shift, op_norm_dense
+from .linalg import _row_peaks, _symmetry, as_matrix, check_dense_cap, op_norm_dense
 from .sequences import WeightSequence
 
 
@@ -74,23 +78,106 @@ def make_hankel(spec: HankelSpec) -> np.ndarray:
     return make_weighted_hankel(spec, "hankel")
 
 
-def hankel_windows(table, n: int) -> np.ndarray:
-    """The read-only n x n view [table[i+j]] of table[0 .. 2n-2]."""
-    return np.lib.stride_tricks.sliding_window_view(table[: 2 * n - 1], n)
-
-
 def make_weighted_hankel(spec: HankelSpec, kind: str = "hankel") -> np.ndarray:
-    """The :data:`SECTIONS` section of ``kind``, (c_i i + c_j j + c_0) a_{i+j-lag}.
+    """``Section.of(spec, kind).dense()``: an overflowing product is left as
+    inf or nan for ``as_matrix`` to refuse, without numpy's warning."""
+    return Section.of(spec, kind).dense()
 
-    Its window runs over lag zeros and then a_0, a_1, ...  A product
-    that overflows is left as inf or nan for ``as_matrix`` to refuse,
-    without numpy's warning.
+
+@dataclass(frozen=True, eq=False)
+class Section:
+    """The :data:`SECTIONS` section of ``kind`` held as its table.
+
+    Entry (i, j) is (c_i i + c_j j + c_0) table[i+j] / scale, over ``table``
+    [0 .. 2n-2].  It is read as its n x n array is, by ``section[key]``,
+    ``section @ x``, ``section / s`` and :meth:`dense`, with the same bits;
+    only :meth:`dense` (or ``np.asarray``) is n x n.
     """
-    lag = _section_row(kind)[3]
-    n = spec.size
-    check_dense_cap((n, n))
-    table = np.concatenate([np.zeros(lag), spec.coeff_table(2 * n - 1 - lag)])
-    return _factor_section(kind, table, n)
+
+    table: np.ndarray
+    kind: str = "hankel"
+    scale: float = 1.0
+    dtype = np.dtype(np.float64)  # np.iscomplexobj reads it without building the array
+
+    def __post_init__(self):
+        _section_row(self.kind)
+        if np.ndim(self.table) != 1 or len(self.table) % 2 == 0:
+            raise ValidationError("a section table holds 2n - 1 entries, n >= 1")
+        check_dense_cap(self.shape)
+
+    @classmethod
+    def of(cls, spec: HankelSpec, kind: str = "hankel") -> "Section":
+        """The section of ``kind`` of ``spec``: its table is lag zeros, then a_0, a_1, .."""
+        lag = _section_row(kind)[3]
+        check_dense_cap((spec.size, spec.size))  # before the table is built
+        return cls(np.concatenate([np.zeros(lag), spec.coeff_table(2 * spec.size - 1 - lag)]), kind)
+
+    @property
+    def shape(self) -> tuple:
+        return ((len(self.table) + 1) // 2,) * 2
+
+    def dense(self) -> np.ndarray:
+        return self[:]
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+    def __truediv__(self, scale: float) -> "Section":
+        return replace(self, scale=self.scale * scale)
+
+    def __getitem__(self, key) -> np.ndarray:
+        """The entries under the numpy index ``key``, as a new array.
+
+        A factor of i + j alone (c_i == c_j) weights the table before its
+        window is indexed; any other is indexed from its two broadcast terms,
+        so a read holds no integer factor and nothing larger than itself.
+        An overflowing product (or 0 * inf) is left for the norm to refuse.
+        """
+        c_i, c_j, c_0, _ = SECTIONS[self.kind]
+        n = self.shape[0]
+        table = self._weighted() if c_i == c_j else self.table
+        window = np.lib.stride_tricks.sliding_window_view(table, n)[key]  # [table[i+j]]
+        if c_i == c_j:
+            return window if window.flags.writeable else window.copy()
+        k = np.arange(n, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (np.broadcast_to((c_i * k)[:, None], (n, n))[key]
+                   + np.broadcast_to(c_j * k + c_0, (n, n))[key])
+            out *= window
+            out /= self.scale
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        """A x from the columns where x is nonzero, 256 rows at a time."""
+        cols = np.flatnonzero(x)
+        return np.concatenate([self[i:i + 256, cols] @ x[cols]
+                               for i in range(0, self.shape[0], 256)])
+
+    def row_peaks(self) -> np.ndarray:
+        """The largest modulus in each row.  When c_i == c_j row i is the
+        table on [i, i + n), which holds n - 1, so its peak is the larger of
+        the suffix maximum from i and the prefix maximum from n - 1."""
+        c_i, c_j, _, _ = SECTIONS[self.kind]
+        if c_i != c_j:
+            return _row_peaks(self)
+        n, w = self.shape[0], np.abs(self._weighted())
+        return np.maximum(np.maximum.accumulate(w[n - 1::-1])[::-1],
+                          np.maximum.accumulate(w[n - 1:]))
+
+    def sign(self) -> int:
+        """+1 if A* = A, -1 if A* = -A, else 0, for a nonzero section: from
+        a factor symmetric or antisymmetric in i and j, else by the tiles."""
+        c_i, c_j, c_0, _ = SECTIONS[self.kind]
+        if c_i == c_j:
+            return 1
+        return -1 if c_i == -c_j and c_0 == 0 else _symmetry(self)
+
+    def _weighted(self) -> np.ndarray:
+        """(c_i t + c_0) table[t] / scale: the entries when c_i == c_j."""
+        c_i, _, c_0, _ = SECTIONS[self.kind]
+        t = np.arange(len(self.table), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.table * (c_i * t + c_0) / self.scale
 
 
 def hankel_defect(a, block_dim: int = 1) -> float:
@@ -107,25 +194,6 @@ def derivation_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValidationError("size must be >= 1")
     return np.diag(np.arange(1.0, n), 1)
-
-
-def _factor_section(kind: str, table, n: int) -> np.ndarray:
-    """(c_i i + c_j j + c_0) table[i+j] for the :data:`SECTIONS` row of ``kind``.
-
-    A factor of i + j alone (c_i == c_j) weights the table before its
-    window is copied; any other exact float64 factor takes the window in
-    place, so the build holds one n x n array and no integer factor.  An
-    overflowing product (or 0 * inf) is left for ``as_matrix`` to refuse.
-    """
-    c_i, c_j, c_0, _ = SECTIONS[kind]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if c_i == c_j:
-            t = np.arange(2 * n - 1, dtype=np.float64)
-            return hankel_windows(table[: 2 * n - 1] * (c_i * t + c_0), n).copy()
-        k = np.arange(n, dtype=np.float64)
-        section = np.add.outer(c_i * k, c_j * k + c_0)
-        section *= hankel_windows(table, n)
-    return section
 
 
 def derivation_product(spec: HankelSpec, kind: str) -> np.ndarray:
@@ -158,7 +226,6 @@ def sylvester_residual(y, gamma, window: int | None = None) -> float:
     w = n - 1 if window is None else window
     if not (1 <= w <= n - 1):
         raise ValidationError(f"window must lie in [1, {n - 1}]")
-    s = make_shift(n)
-    r = s.conj().T @ y - y @ s - gamma
-    return op_norm_dense(r[:w, :w]).value
+    # S* Y and Y S on the window are Y shifted up one row and left one column
+    return op_norm_dense(y[1:w + 1, :w] - y[:w, 1:w + 1] - gamma[:w, :w]).value
 

@@ -3,8 +3,9 @@
 Operators live as plain ``numpy.ndarray`` values, complex128 if their data
 is complex and float64 otherwise (:func:`as_matrix`); the helpers here add
 shape/finiteness validation, the truncated shift and the one norm layer
-everything else relies on.  :func:`op_norm` takes a dense array or a
-``scipy.sparse`` matrix and is the only place that picks a route:
+everything else relies on.  :func:`op_norm` takes a dense array, a
+``scipy.sparse`` matrix or a :class:`~foguel_lab.hankel.Section` and is
+the only place that picks a route:
 
 * ``op_norm_dense`` — largest singular value from ``eigvalsh`` alone: of
   the operand itself when it is Hermitian, else of the smaller Gram
@@ -19,7 +20,8 @@ everything else relies on.  :func:`op_norm` takes a dense array or a
   sparse operand within the cap is first split into the connected
   components of its nonzero pattern, and each component is densified and
   normed on its own: a permuted direct sum has the largest norm of its
-  blocks;
+  blocks.  A Section is read as an array is, but gives its row peaks and
+  sign from its coefficient table; a trimmed one is never n x n;
 * ``op_norm_power`` — seeded power iteration on A*A through the products
   of the matrix and its adjoint, usable on a sparse operator too large to
   hold densely.
@@ -127,7 +129,7 @@ def _check_tol(tol) -> None:
 
 def op_norm(a, method: str = "auto", tol: float = 1e-10, max_iter: int = 1000,
             seed: int = 0) -> NormEstimate:
-    """Operator norm of a dense array or ``scipy.sparse`` matrix ``a``.
+    """Operator norm of a dense array, ``scipy.sparse`` matrix or Section ``a``.
 
     ``method`` is ``dense`` (:func:`op_norm_dense`), ``power``
     (:func:`op_norm_power`, the only route that uses ``max_iter`` and
@@ -183,6 +185,10 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     the residual of the block that attains it.  A dense operand is one
     block.
 
+    A :class:`~foguel_lab.hankel.Section` is one block, read as an array
+    is but for its row peaks and sign, which its table gives; only an
+    untrimmed section is ever built whole.
+
     The certificate: two inverse-iteration solves, from a fixed seeded
     start and shifted just outside the extreme eigenvalue mu of the matrix
     B that was eigensolved, give a unit v; ``relative_residual`` is
@@ -191,10 +197,13 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     is within ``tol`` relative.  For a trimmed operand v is padded with
     zeros and the defect is taken with the whole operand as B, or its
     whole Gram A*A = -A^2 applied as two products with A when A* = -A, so
-    the dropped coupling counts in the certificate.
+    the dropped coupling counts in the certificate.  B is shifted in place
+    and its diagonal restored, unless it is the caller's array.
     """
     _check_tol(tol)
     check_dense_cap(np.shape(a))
+    if hasattr(a, "row_peaks"):  # a Section
+        return _dense_block_norm(a, tol)
     if not sp.issparse(a):
         return _dense_block_norm(as_matrix(a), tol)
     return max((_dense_block_norm(block, tol) for block in _pattern_blocks(a)),
@@ -252,19 +261,26 @@ def _divide(a, scale: float):
     return a.real / scale + 1j * (a.imag / scale) if np.iscomplexobj(a) else a / scale
 
 
-def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
-    """:func:`op_norm_dense` of one validated dense array of either dtype."""
+def _row_peaks(a) -> np.ndarray:
+    """The largest modulus in each row, 256 rows at a time: no n x n temporary."""
+    return np.concatenate([np.abs(a[i:i + 256]).max(axis=1) for i in range(0, a.shape[0], 256)])
+
+
+def _dense_block_norm(a, tol: float) -> NormEstimate:
+    """:func:`op_norm_dense` of one validated dense array of either dtype, or a Section."""
     if np.iscomplexobj(a) and not a.imag.any():
         a = np.ascontiguousarray(a.real)
-    # the largest modulus in each row, 256 rows at a time: no n x n temporary
-    rows = np.concatenate([np.abs(a[i:i + 256]).max(axis=1) for i in range(0, len(a), 256)])
+    section = hasattr(a, "row_peaks")
+    rows = a.row_peaks() if section else _row_peaks(a)
     peak = float(rows.max())
+    if not np.isfinite(peak):  # a Section's inf or nan entry reaches its row peak
+        raise ValidationError("matrix entries must be finite")
     if peak == 0.0:
         return NormEstimate(0.0, "dense", 0, 0.0, True)
     scale = safe_scale(peak)
     if scale != 1.0:
         a = _divide(a, scale)
-    sign = _symmetry(a)  # +1: A* = A, -1: A* = -A, 0: neither
+    sign = a.sign() if section else _symmetry(a)  # +1: A* = A, -1: A* = -A, 0: neither
     hermitian = sign == 1
     keep = None  # the indices of a trimmed Hermitian or skew-Hermitian operand
     if sign:
@@ -272,7 +288,7 @@ def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
         # its eps * ||A|| bound does not depend on the scale
         live = np.flatnonzero(rows > np.finfo(float).eps * peak / len(rows))
         keep = live if len(live) < len(rows) else None
-    kept = a if keep is None else a[np.ix_(keep, keep)]
+    kept = np.asarray(a) if keep is None else a[np.ix_(keep, keep)]
     if hermitian:
         b = kept
     elif kept.shape[0] < kept.shape[1]:
@@ -283,18 +299,20 @@ def _dense_block_norm(a: np.ndarray, tol: float) -> NormEstimate:
     # the eigenvalue of largest modulus; a Gram matrix has no negative one
     mu = float(w[0] if hermitian and -w[0] > w[-1] else w[-1])
     value = scale * (abs(mu) if hermitian else float(np.sqrt(mu)))
-    shifted = b.copy()
-    np.fill_diagonal(shifted, b.diagonal() - (mu + _SHIFT * mu))
+    # shift in place unless b is the caller's array; the residual reads b
+    shifted, diagonal = b if b is not a else b.copy(), b.diagonal().copy()
+    np.fill_diagonal(shifted, diagonal - (mu + _SHIFT * mu))
     v = np.random.default_rng(0).standard_normal(b.shape[0])
     for _ in range(2):
         v = np.linalg.solve(shifted, v)
         v /= np.linalg.norm(v)
+    np.fill_diagonal(shifted, diagonal)
     if keep is None:
         bv = b @ v
     else:
         # the residual is taken on the whole operand, dropped coupling
         # included: Av, or A*Av = -A(Av) when A* = -A
-        v_kept, v = v, np.zeros(len(a), dtype=v.dtype)
+        v_kept, v = v, np.zeros(len(rows), dtype=v.dtype)
         v[keep] = v_kept
         bv = a @ v if hermitian else -(a @ (a @ v))
     defect = float(np.linalg.norm(bv - mu * v)) / abs(mu)
@@ -318,8 +336,8 @@ def _symmetry(a: np.ndarray) -> int:
     if a.shape[0] != a.shape[1]:
         return 0
     hermitian = skew = True
-    for i in range(0, len(a), _TILE):
-        for j in range(i, len(a), _TILE):
+    for i in range(0, a.shape[0], _TILE):
+        for j in range(i, a.shape[0], _TILE):
             mirror = a[j:j + _TILE, i:i + _TILE].T.conj()
             tile = a[i:i + _TILE, j:j + _TILE]
             hermitian = hermitian and np.array_equal(tile, mirror)

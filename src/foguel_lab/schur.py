@@ -34,7 +34,7 @@ from itertools import count, islice
 import numpy as np
 
 from .errors import ValidationError
-from .hankel import _factor_section
+from .hankel import Section
 from .linalg import as_matrix, check_dense_cap, op_norm_dense
 from .sequences import WeightSequence, check_terms_cap, decade_sums, diff2, family, finite_block
 
@@ -95,7 +95,7 @@ def make_multiplier(spec: MultiplierSpec, size: int) -> np.ndarray:
         raise ValidationError("section size must be >= 1")
     check_dense_cap((size, size))
     g = finite_block(spec.g_values(np.arange(2 * spec.offset, 2 * (spec.offset + size) - 1)))
-    return _factor_section("commutator", g, size)
+    return Section(g, "commutator").dense()
 
 
 # ---- second-difference summability ------------------------------------

@@ -108,9 +108,15 @@ class WeightSequence:
         """Vectorized evaluation; indices below start_index give 0.
 
         An index outside [-2^63, 2^63 - 2] is refused, not wrapped: the
-        formulas read k + 1 in int64.
+        formulas read k + 1 in int64.  So is an index that is not an
+        integer (a float or a bool included), not truncated.
         """
         ks = np.asarray(indices)
+        # Python ints beyond 64 bits make an object array
+        whole = ks.dtype.kind in "iu" or ks.dtype.kind == "O" and all(
+            isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in ks.flat)
+        if ks.size and not whole:
+            raise ValidationError(f"sequence indices must be integers, got dtype {ks.dtype}")
         for k in (ks.min(), ks.max()) if ks.size else ():
             if not -(2**63) <= k <= 2**63 - 2:
                 raise ValidationError(f"sequence index {k} lies outside [{-(2**63)}, {2**63 - 2}]")

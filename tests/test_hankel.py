@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from foguel_lab import (
     SECTIONS,
     HankelSpec,
+    Section,
     ValidationError,
     WeightSequence,
     derivation_matrix,
@@ -87,6 +88,42 @@ def test_each_section_kind_matches_its_entry_loop(kind):
         for n in LOOP_SIZES:
             got = make_weighted_hankel(HankelSpec(seq, n), kind)
             assert_entry_loop(got, n, lambda i, j: SECTION_ENTRIES[kind](i, j, a))
+
+
+@pytest.mark.parametrize("kind", SECTIONS)
+def test_a_section_reads_its_table_as_the_array_is_read(kind):
+    # every read the dense norm takes of a Section has the bits of the same
+    # read of its dense() array: rows 256 at a time, tiles, np.ix_ blocks,
+    # row peaks and sign, under the power-of-two scales the norm divides
+    # extreme entries by; its products agree to rounding
+    rng = np.random.default_rng(11)
+    for seq in LOOP_FAMILIES:
+        for n in (1, 2, 5, 300):
+            for scale in (1.0, 2.0**300, 2.0**-300):
+                section = Section.of(HankelSpec(seq, n), kind) / scale
+                a = section.dense()
+                built = make_weighted_hankel(HankelSpec(seq, n), kind)
+                assert a.tobytes() == (built / scale).tobytes()
+                assert np.asarray(section).tobytes() == a.tobytes()
+                for key in (slice(256, None), (slice(1, 3), slice(0, 2))):
+                    assert section[key].tobytes() == a[key].tobytes()
+                assert section.row_peaks().tobytes() == np.abs(a).max(axis=1).tobytes()
+                if a.any():
+                    sign = 1 if np.array_equal(a, a.T) else -1 if np.array_equal(a, -a.T) else 0
+                    assert section.sign() == sign
+                keep = np.sort(rng.choice(n, max(1, n // 3), replace=False))
+                assert section[np.ix_(keep, keep)].tobytes() == a[np.ix_(keep, keep)].tobytes()
+                for x in (np.zeros(n), rng.standard_normal(n)):
+                    x[keep] = rng.standard_normal(len(keep))
+                    bound = 1e-13 * np.abs(a).max() * np.abs(x).sum()
+                    assert np.abs(section @ x - a @ x).max() <= bound
+
+
+def test_a_section_table_of_even_length_is_refused():
+    with pytest.raises(ValidationError, match=re.escape("a section table holds 2n - 1 entries")):
+        Section(np.ones(4), "hankel")
+    with pytest.raises(ValidationError, match=re.escape(f"kind must be one of {tuple(SECTIONS)}")):
+        Section(np.ones(3), "sideways")
 
 
 def test_an_unknown_section_kind_is_refused():
@@ -265,6 +302,21 @@ def test_displacement_kernel_contains_hankel_matrices(rng):
     s = make_shift(n)
     moved = s.conj().T @ h - h @ s
     assert np.abs(moved[: n - 1, : n - 1]).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+@pytest.mark.parametrize("real", [True, False])
+def test_sylvester_residual_equals_the_literal_shift_products(n, real):
+    # on the window S* Y - Y S is Y shifted by one row and by one column;
+    # for finite operands the shift products only copy entries, so the
+    # index shifts give the residual of the literal products bit for bit
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+    gamma = make_hankel(HankelSpec(WeightSequence.custom(rng.standard_normal(2 * n - 1)), n))
+    s = make_shift(n)
+    for w in sorted({1, n // 2 or 1, n - 1}):
+        literal = (s.conj().T @ y - y @ s - gamma)[:w, :w]
+        assert sylvester_residual(y, gamma, w) == op_norm_dense(literal).value
 
 
 def test_sylvester_residual_validates_window():

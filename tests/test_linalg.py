@@ -15,6 +15,8 @@ from foguel_lab import (
     HankelSpec,
     MultiplierSpec,
     NormEstimate,
+    SECTIONS,
+    Section,
     SizeCapExceededError,
     ValidationError,
     WeightSequence,
@@ -260,14 +262,19 @@ def test_op_norm_dense_rank_one_geometric_hankel():
             assert est.converged
 
 
-def test_geometric_section_is_eigensolved_on_its_leading_rows(spy):
+def test_geometric_section_is_eigensolved_on_its_leading_rows():
     # row i of [2^-(i+j)] peaks at 2^-i, and eps * peak / n = 2^-52 / 2^11:
-    # exactly rows 0..62 stay above it
-    a = make_hankel(HankelSpec(WeightSequence.geometric(0.5), 2048))
-    est = op_norm_dense(a)
-    assert [b.shape for b in spy.eigvalsh_args] == [(63, 63)]
-    assert np.array_equal(spy.eigvalsh_args[0], a.real[:63, :63])
-    assert est.converged
+    # exactly rows 0..62 stay above it, whether the section is an array or
+    # is read from its table
+    spec = HankelSpec(WeightSequence.geometric(0.5), 2048)
+    a = make_hankel(spec)
+    for operand in (a, Section.of(spec, "hankel")):
+        with pytest.MonkeyPatch.context() as mp:
+            spy = _Spy(mp)
+            est = op_norm_dense(operand)
+        assert [b.shape for b in spy.eigvalsh_args] == [(63, 63)]
+        assert np.array_equal(spy.eigvalsh_args[0], a.real[:63, :63])
+        assert est.converged
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1, -1]))
@@ -358,17 +365,54 @@ def test_the_tiled_symmetry_test_routes_as_the_full_comparison(seed, n, real, si
 
 
 @pytest.mark.parametrize("n, kept", [(64, 64), (512, 69), (2048, 71)])
-def test_plateau_commutator_is_normed_on_the_gram_of_its_kept_rows(spy, n, kept):
+def test_plateau_commutator_is_normed_on_the_gram_of_its_kept_rows(n, kept):
     # the C10 plateau commutator [(j - i) 2^-(i+j-1)] is real skew-symmetric;
     # it is trimmed as i A would be, and its Gram eigensolved on the leading
-    # kept rows (all 64 at n = 64), with the value of the untrimmed Gram
-    a = derivation_product(HankelSpec(WeightSequence.geometric(0.5), n), "commutator")
-    est = op_norm_dense(a)
-    assert est.value == 1.7777777777777777
+    # kept rows (all 64 at n = 64), with the value of the untrimmed Gram,
+    # whether it is an array or is read from its table
+    spec = HankelSpec(WeightSequence.geometric(0.5), n)
+    a = derivation_product(spec, "commutator")
+    for operand in (a, Section.of(spec, "commutator")):
+        with pytest.MonkeyPatch.context() as mp:
+            spy = _Spy(mp)
+            est = op_norm_dense(operand)
+        assert est.value == 1.7777777777777777
+        assert est.converged
+        [b] = spy.eigvalsh_args
+        block = np.ascontiguousarray(a[:kept, :kept])
+        assert np.array_equal(b, block.T @ block)
+
+
+def test_a_trimmed_section_is_normed_without_its_array():
+    # the float64 array of the N = 4096 geometric section alone is 128 MiB;
+    # read from its table, the norm holds the table, its row peaks, the
+    # 64 x 64 kept block and 256 x 64 row blocks of the kept columns
+    section = Section.of(HankelSpec(WeightSequence.geometric(0.5), 4096), "hankel")
+    tracemalloc.start()
+    try:
+        est = op_norm(section)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert est.converged
-    [b] = spy.eigvalsh_args
-    block = np.ascontiguousarray(a[:kept, :kept])
-    assert np.array_equal(b, block.T @ block)
+    assert peak < 8 * 2**20
+
+
+SECTION_FAMILIES = ("pisier-flat", "pisier-geometric", "harmonic", "constant", "power:2",
+                    "geometric:0.5", "log:1", "loglog:1")
+
+
+@pytest.mark.parametrize("kind", SECTIONS)
+def test_a_section_norms_as_its_array(kind):
+    # the reads of a Section give the norm of its dense() array bit for
+    # bit: the same value and the same converged flag
+    cases = [(alpha, n) for alpha in SECTION_FAMILIES for n in (1, 2, 3, 7, 64, 257, 1024)]
+    if kind in ("hankel", "commutator"):
+        cases += [("geometric:0.5", 2048), ("geometric:0.5", 4096)]
+    for alpha, n in cases:
+        section = Section.of(HankelSpec(parse_alpha(alpha), n), kind)
+        est, ref = op_norm(section), op_norm_dense(section.dense())
+        assert (est.value, est.converged) == (ref.value, ref.converged), (alpha, n)
 
 
 @pytest.mark.parametrize("target, alpha, n", [
@@ -384,7 +428,7 @@ def test_op_norm_dense_certificate_on_sections(target, alpha, n):
 def test_op_norm_dense_against_mpmath():
     # 40-digit eigenvalues of the float64 entries of the ill-conditioned
     # Hilbert section [1/(i+j+1)], so float64 is not checked against itself
-    h = NORM_TARGETS["hankel-deriv"](parse_alpha("power:2"), 32)
+    h = NORM_TARGETS["hankel-deriv"](parse_alpha("power:2"), 32).dense()
     with mpmath.workdps(40):
         ev = mpmath.eigsy(mpmath.matrix(h.real.tolist()), eigvals_only=True)
         exact = float(max(abs(x) for x in ev))

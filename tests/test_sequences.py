@@ -120,6 +120,17 @@ def test_an_index_beyond_int64_is_refused_by_name(call, index):
         call()
 
 
+@pytest.mark.parametrize("indices", [
+    2.5, -0.5, 3.0, [1, 2.5], np.float32(2.0), True, np.array([1, 0], dtype=bool), [3, 2.0**70],
+    np.array([3, 0.5], dtype=object),
+])
+def test_a_non_integer_index_is_refused_not_truncated(indices):
+    # truncated, 2.5 read the value at 2 and -0.5 the value at 0
+    with pytest.raises(ValidationError, match="^sequence indices must be integers"):
+        family("harmonic").values_at(indices)
+    assert family("harmonic").values_at([]).shape == (0,)
+
+
 def test_the_largest_accepted_index_is_evaluated():
     assert family("log", 1.0).values_at(INT64_MAX - 1) == 1.0 / math.log(2.0**63) ** 2
     assert family("harmonic").values_at(-(2**63)) == 0.0
