@@ -101,6 +101,8 @@ class Section:
 
     def __post_init__(self):
         _section_row(self.kind)
+        if (got := np.asarray(self.table).dtype).kind not in "biuf":
+            raise ValidationError(f"a section table must be real, got dtype {got}")
         if np.ndim(self.table) != 1 or len(self.table) % 2 == 0:
             raise ValidationError("a section table holds 2n - 1 entries, n >= 1")
         check_dense_cap(self.shape)

@@ -217,10 +217,11 @@ def decade_sums(n_start: int, terms: int, count: int, block_series):
     """(windows, increments, totals, verdicts) of ``count`` series over n in [n_start, terms].
 
     ``block_series(s, e)`` gives each series' terms at n = s..e-1 for each
-    block of :func:`summation.blocks`; they are summed exactly by window,
-    (10^(d-1), 10^d] clipped to [n_start, terms], and dropped.  A verdict is
-    True iff the increments over the last three windows that lie entirely
-    inside the range (so are comparable across runs) strictly decrease.
+    block of :func:`summation.blocks` inside one window, (10^(d-1), 10^d]
+    clipped to [n_start, terms], or before the first; their exact units go
+    to that window's integer.  A verdict is True iff the increments over
+    the last three windows that lie entirely inside the range (so are
+    comparable across runs) strictly decrease.
     """
     check_terms_cap(terms)
     windows, full, lo = [], [], 1
@@ -230,12 +231,14 @@ def decade_sums(n_start: int, terms: int, count: int, block_series):
             windows.append((a, b))
             full.append(lo + 1 >= n_start and 10 * lo <= terms)
         lo *= 10
-    cuts = [windows[0][0] - n_start] + [b + 1 - n_start for _, b in windows]
-    sums = [summation.WindowSums(cuts) for _ in range(count)]
-    for s, e in summation.blocks(n_start, terms + 1):
-        for acc, series in zip(sums, block_series(s, e), strict=True):
-            acc.add(series)
-    increments, totals = zip(*(acc.result() for acc in sums))
+    segments = [(n_start, windows[0][0])] + [(a, b + 1) for a, b in windows]
+    units = [[0] * len(segments) for _ in range(count)]  # [series][segment]
+    for k, (a, b) in enumerate(segments):
+        for s, e in summation.blocks(a, b):
+            for u, series in zip(units, block_series(s, e), strict=True):
+                u[k] += summation.exact_units(series)
+    increments = tuple(tuple(map(summation.from_units, u[1:])) for u in units)
+    totals = tuple(summation.from_units(sum(u)) for u in units)
     tails = [[v for v, f in zip(inc, full) if f][-3:] for inc in increments]
     verdicts = tuple(len(t) == 3 and t[0] > t[1] > t[2] for t in tails)
     return tuple(windows), increments, totals, verdicts

@@ -126,6 +126,19 @@ def test_a_section_table_of_even_length_is_refused():
         Section(np.ones(3), "sideways")
 
 
+@pytest.mark.parametrize(
+    "table", [np.array([1j, 1.0, 1j]), np.array([1.0, 2.0, 3.0], dtype=object)],
+    ids=["complex", "object"],
+)
+def test_a_section_table_that_is_not_real_numeric_is_refused(table):
+    # a complex table would be normed as real (1.0 for this one, whose norm
+    # is sqrt(2)); an object table would fail inside numpy
+    message = f"^a section table must be real, got dtype {table.dtype}$"
+    with pytest.raises(ValidationError, match=message):
+        Section(table)
+    assert Section(np.array([1, 0, 1])).dense().tolist() == [[1, 0], [0, 1]]
+
+
 def test_an_unknown_section_kind_is_refused():
     spec = HankelSpec(family("constant"), 3)
     message = re.escape(f"kind must be one of {tuple(SECTIONS)}")

@@ -21,7 +21,7 @@ from foguel_lab import (
     exact_sum,
     summation,
 )
-from foguel_lab.sequences import FAMILIES, FAMILY_HELP, family
+from foguel_lab.sequences import FAMILIES, FAMILY_HELP, decade_sums, family
 
 
 # ---- point values ------------------------------------------------------
@@ -239,9 +239,8 @@ def test_constant_sequence_flags_divergence():
          "pisier-geometric"],
 )
 def test_streamed_blocks_give_the_whole_array_reports(spec, terms):
-    """Blocks of 97 terms against one block of the whole
-    range: every report field is bit-identical.  The decade cuts at n = 11,
-    101 and 1001 fall inside blocks."""
+    """Blocks of at most 97 terms against one block per decade window:
+    every report field is bit-identical."""
     def reports():
         return repr((bennett_sums(spec.sequence, terms), bennett_criterion(spec, terms)))
 
@@ -249,6 +248,26 @@ def test_streamed_blocks_give_the_whole_array_reports(spec, terms):
     whole = reports()
     with patch.object(summation, "_CHUNK", 97):
         assert reports() == whole
+
+
+@pytest.mark.parametrize("n_start, terms", [(1, 2_000), (2, 1_000), (4, 12_345)])
+def test_no_block_crosses_a_decade_window(n_start, terms):
+    """Every block decade_sums asks for lies before the first window or
+    inside one window, and the blocks tile [n_start, terms] in order."""
+    calls = []
+
+    def spy(s, e):
+        calls.append((s, e))
+        return (np.ones(e - s),)
+
+    with patch.object(summation, "_CHUNK", 97):
+        windows, (increments,), (total,), _ = decade_sums(n_start, terms, 1, spy)
+    edges = {a for a, _ in windows} | {b + 1 for _, b in windows}
+    assert not [(s, e) for s, e in calls for c in edges if s < c < e]
+    assert [e for _, e in calls[:-1]] == [s for s, _ in calls[1:]]
+    assert (calls[0][0], calls[-1][1]) == (n_start, terms + 1)
+    assert increments == tuple(float(b + 1 - a) for a, b in windows)
+    assert total == terms + 1 - n_start
 
 
 def test_summability_memory_does_not_grow_with_the_series_length():

@@ -1,9 +1,10 @@
-"""Exact summation: the window accumulator against exact fractions.
+"""Exact summation: the integer units and their sums against exact fractions.
 
 Every property runs twice: at the module's own chunking and at 4-term
 chunks, so that short examples cross the chunk boundaries too.
 """
 
+import bisect
 import math
 from fractions import Fraction
 from unittest.mock import patch
@@ -65,12 +66,15 @@ def clip(raw, n):
 
 
 def streamed(arr, cuts, splits):
-    """exact_sums' outcome from a WindowSums fed ``arr[splits[i]:splits[i + 1]]`` in turn."""
+    """exact_sums' outcome from the units of ``arr``'s pieces between the
+    splits and cuts, each added to its window's integer in stream order."""
     def run():
-        acc = summation.WindowSums(cuts)
-        for a, b in zip(splits, splits[1:]):
-            acc.add(arr[a:b])
-        return acc.result()
+        bounds = sorted({0, *cuts, *splits, len(arr)})
+        units = [0] * (len(cuts) + 1)  # before the first cut, each window, after the last
+        for a, b in zip(bounds, bounds[1:]):
+            units[bisect.bisect_right(cuts, a)] += summation.exact_units(arr[a:b])
+        return (tuple(map(summation.from_units, units[1:-1])),
+                summation.from_units(sum(units)))
 
     return both_chunkings(run)
 
@@ -175,6 +179,26 @@ def test_an_inf_or_nan_term_is_refused_wherever_it_lies(xs, bad, at, raw_cuts, r
     assert streamed(arr, cuts, splits) is ValidationError
     with pytest.raises(ValidationError, match="^series terms must be finite$"):
         exact_sum(arr)
+
+
+@settings(max_examples=200)
+@given(terms, offsets, st.integers(0, 80))
+@example([], [], 0)
+@example([0.0, -0.0, -0.0], [1, 2], 3)
+@example([5e-324, -1.5e-323, 2.0**-1060], [1], 0)
+@example([MAX, 2.0**1020, 2.0 ** (1023 - 3), -(2.0**1021), 5e-324, -0.0], [1, 3, 4], 7)
+def test_the_units_of_any_split_add_up_to_the_units_of_the_whole(xs, raw_splits, shift):
+    """exact_units counts sum(xs) * 2^shift in units of 2^-1074 exactly, so
+    the units of consecutive slices add up to those of the whole array,
+    across the entries at or above 2^(1023-m) folded apart too."""
+    arr = np.array(xs, dtype=float)
+    bounds = [0, *clip(raw_splits, len(xs)), len(xs)]
+    want = sum(map(Fraction, xs), Fraction(0)) * 2 ** (1074 + shift)
+    for chunk in (summation._CHUNK, 4):
+        with patch.object(summation, "_CHUNK", chunk):
+            whole = summation.exact_units(arr, shift)
+            parts = [summation.exact_units(arr[a:b], shift) for a, b in zip(bounds, bounds[1:])]
+        assert whole == sum(parts) == want
 
 
 @settings(max_examples=200)
