@@ -325,8 +325,8 @@ def _run_similarity(p: dict, seed: int):
     block = block / op_norm_dense(block).value
     x = np.zeros((n, n), dtype=np.complex128)
     x[:corner, :corner] = block
+    foguel = assemble_foguel(t2, t1, x)  # refuses a 2N block above the cap before the series
     series = intertwiner_partial(t2, t1, x, p["n_terms"], stab_tol=1e-10)
-    foguel = assemble_foguel(t2, t1, x)
     rep = similarity_check(foguel, series.z, p["window"])
     row = {
         "N": int(n),

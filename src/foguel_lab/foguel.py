@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapExceededError, ValidationError
-from .linalg import as_matrix, make_shift, op_norm_dense
+from .linalg import as_matrix, check_dense_cap, make_shift, op_norm_dense
 
 #: How far power_offdiag's two corner routes may disagree (at unit scale),
 #: and ||p(C)|| exceed the circle sup before von_neumann_probe counts it.
@@ -57,8 +57,10 @@ def _foguel_operands(t2, t1, x):
 
 
 def assemble_foguel(t2, t1, x) -> FoguelBlock:
-    """Build R = [[T2*, X], [0, T1]] from the three ingredients."""
+    """Build R = [[T2*, X], [0, T1]] from the three ingredients; a 2N x 2N
+    block above the dense cap is refused before it is allocated."""
     t2, t1, x = _foguel_operands(t2, t1, x)
+    check_dense_cap((2 * t1.shape[0],) * 2)
     r = np.block([[t2.conj().T, x], [np.zeros(t1.shape), t1]])
     return FoguelBlock(t2=t2, t1=t1, x=x, matrix=r)
 
@@ -169,11 +171,18 @@ def intertwiner_partial(
 ) -> IntertwinerResult:
     """Partial sums Z_n = sum_{j<n} T2^(j+1) X T1^j of the Sylvester series.
 
-    ``term_norms[j]`` records the norm of the j-th increment; when
-    ``stab_tol`` is given, ``stabilized_at`` is the first index at which
-    the latest ``stab_run`` increments all fell below the tolerance
-    (None if that never happens within ``n_terms``).  ``n_terms`` above
+    ``term_norms[j]`` records the norm of the j-th increment and
+    ``partial_norms[j]`` that of Z_{j+1}; when ``stab_tol`` (finite and
+    > 0) is given, ``stabilized_at`` is the first index at which the
+    latest ``stab_run`` increments all fell below the tolerance (None if
+    that never happens within ``n_terms``).  ``n_terms`` above
     ``INTERTWINER_TERMS_CAP`` is refused before anything is allocated.
+
+    T2 and T1 are finite, so once an increment is exactly zero every later
+    one is too: from there on no product is formed, each later term norm
+    is recorded as 0 and each partial norm as the last one.  With X on a
+    k x k corner and T1 = rho S every increment from k on is zero, so at
+    most k + 1 are formed.
     """
     t2, t1, x = _foguel_operands(t2, t1, x)
     # one dtype for all three: a mixed product would cast its real factor every step
@@ -187,20 +196,26 @@ def intertwiner_partial(
         )
     if stab_run < 1:
         raise ValidationError("stab_run must be >= 1")
+    if stab_tol is not None and not 0.0 < stab_tol < np.inf:
+        raise ValidationError(f"stab_tol must be finite and > 0, got {stab_tol!r}")
     z = np.zeros_like(x)
     term_norms = np.empty(n_terms, dtype=float)
     partial_norms = np.empty(n_terms, dtype=float)
     stabilized_at = None
     run = 0
+    live = True
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: op_norm_dense refuses
         for j in range(n_terms):
-            term = t2 @ term @ t1 if j else t2 @ x
-            z += term
-            if term.any():
+            if live:
+                term = t2 @ term @ t1 if j else t2 @ x
+                live = term.any()
+            if live:
+                z += term
                 term_norms[j] = op_norm_dense(term).value
                 partial_norms[j] = op_norm_dense(z).value
             else:
-                # an exactly zero increment leaves Z, hence its norm, unchanged
+                # a zero increment leaves Z, hence its norm, unchanged: Z starts at
+                # +0.0 and no sum turns it to -0.0, so adding it would change no bit
                 term_norms[j] = 0.0
                 partial_norms[j] = partial_norms[j - 1] if j else 0.0
             if stab_tol is not None:
@@ -228,6 +243,11 @@ def similarity_check(block: FoguelBlock, z, window: int) -> SimilarityReport:
     The two residuals describe the same defect through different
     computations and should agree to rounding; cond_l = ||L|| ||L^-1||
     gauges how much the similarity can distort norms.
+
+    The conjugation is the two literal products (L^-1 diag) L, in that
+    order.  Beside R, at most two 2N x 2N arrays are held during a norm:
+    L^-1 is normed first, it and the diagonal block are dropped after the
+    first product, R is subtracted in place, and L is normed last.
     """
     z = as_matrix(z)
     n = block.t1.shape[0]
@@ -240,16 +260,22 @@ def similarity_check(block: FoguelBlock, z, window: int) -> SimilarityReport:
     residual_full = op_norm_dense(r1).value
     residual_interior = op_norm_dense(r1[:window, :window]).value
     ident, zero = np.eye(n), np.zeros((n, n))
-    l_mat = np.block([[ident, z], [zero, ident]])
     l_inv = np.block([[ident, -z], [zero, ident]])
-    diag = np.block([[a, zero], [zero, block.t1]])
-    conj = op_norm_dense(l_inv @ diag @ l_mat - block.matrix).value
-    cond = op_norm_dense(l_mat).value * op_norm_dense(l_inv).value
+    inv_norm = op_norm_dense(l_inv).value
+    conj = l_inv @ np.block([[a, zero], [zero, block.t1]])
+    del l_inv
+    l_mat = np.block([[ident, z], [zero, ident]])
+    conj = conj @ l_mat
+    conj = conj.astype(np.result_type(conj, block.matrix), copy=False)  # real Z, complex R
+    conj -= block.matrix
+    conj_norm = op_norm_dense(conj).value
+    del conj
+    cond = op_norm_dense(l_mat).value * inv_norm
     return SimilarityReport(
         residual_full=residual_full,
         residual_interior=residual_interior,
         window=window,
-        conjugation_residual=conj,
+        conjugation_residual=conj_norm,
         cond_l=cond,
     )
 

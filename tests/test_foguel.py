@@ -2,12 +2,14 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from foguel_lab import (
+    DENSE_SIZE_CAP,
     INTERTWINER_TERMS_CAP,
     FoguelBlock,
     SizeCapExceededError,
@@ -252,6 +254,16 @@ def test_intertwiner_refuses_a_stab_run_below_one(stab_run):
         intertwiner_partial(t2, t1, x, 20, stab_tol=1e-12, stab_run=stab_run)
 
 
+@pytest.mark.parametrize("stab_tol", [np.nan, np.inf, 0.0, -1e-10])
+def test_intertwiner_refuses_a_stab_tol_that_is_not_finite_and_positive(stab_tol):
+    # nan is never met, inf is met by every term, and 0 or less by none
+    n = 8
+    t2, t1, x = make_shift(n), make_shift(n), np.eye(n)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"stab_tol must be finite and > 0, got {stab_tol!r}")):
+        intertwiner_partial(t2, t1, x, 20, stab_tol=stab_tol)
+
+
 def test_a_run_ending_at_the_first_term_stabilizes_at_zero():
     # every term T2^(j+1) X T1^j has norm 1e-12 while the shifts leave it
     # nonzero, so a one-term run ends at j = 0 and a two-term run at j = 1
@@ -263,13 +275,9 @@ def test_a_run_ending_at_the_first_term_stabilizes_at_zero():
     assert intertwiner_partial(t2, t1, x, 3, stab_tol=1e-10, stab_run=2).stabilized_at == 1
 
 
-def test_a_series_above_the_cap_is_refused_before_it_is_allocated(tmp_path, capsys):
-    # 10^12 terms would ask numpy for two 8 TB norm arrays
-    n = 4
-    with pytest.raises(SizeCapExceededError):
-        intertwiner_partial(make_shift(n), make_shift(n), np.eye(n), INTERTWINER_TERMS_CAP + 1)
-    params = {"size": "8", "corner": "2", "window": "4", "n_terms": str(10**12)}
-    message = f"n_terms={10**12} exceeds the series cap {INTERTWINER_TERMS_CAP}"
+def _refused_by_flags_and_sweep(tmp_path, capsys, params, message):
+    """``similarity`` with ``params`` exits 1 with ``message`` and writes no row,
+    from its flags and as a sweep job."""
     argv = ["similarity"]
     for key, value in params.items():
         argv += ["--" + key.replace("_", "-"), value]
@@ -282,6 +290,35 @@ def test_a_series_above_the_cap_is_refused_before_it_is_allocated(tmp_path, caps
     assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 1
     job = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["jobs"][0]
     assert (job["exit_code"], job["error"], job["rows"]) == (1, message, 0)
+    assert len((tmp_path / "sweep" / "similarity.csv").read_text().splitlines()) == 1
+
+
+def test_a_series_above_the_cap_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # 10^12 terms would ask numpy for two 8 TB norm arrays
+    n = 4
+    with pytest.raises(SizeCapExceededError):
+        intertwiner_partial(make_shift(n), make_shift(n), np.eye(n), INTERTWINER_TERMS_CAP + 1)
+    params = {"size": "8", "corner": "2", "window": "4", "n_terms": str(10**12)}
+    message = f"n_terms={10**12} exceeds the series cap {INTERTWINER_TERMS_CAP}"
+    _refused_by_flags_and_sweep(tmp_path, capsys, params, message)
+
+
+def test_a_similarity_block_above_the_cap_is_refused_before_it_is_allocated(
+    tmp_path, monkeypatch, capsys
+):
+    # 2N = 4098 > 4096, while N = 2049 itself passes every size check
+    def no_series(*args, **kwargs):
+        raise AssertionError("series summed for a block above the dense cap")
+
+    monkeypatch.setattr("foguel_lab.cli.intertwiner_partial", no_series)
+    n = DENSE_SIZE_CAP // 2 + 1
+    message = f"min(shape)={2 * n} exceeds dense cap {DENSE_SIZE_CAP}"
+    s = make_shift(n)
+    with pytest.raises(SizeCapExceededError, match=re.escape(message)):
+        assemble_foguel(s, s, s)
+    del s
+    params = {"size": str(n), "corner": "2", "window": "4", "n_terms": "10"}
+    _refused_by_flags_and_sweep(tmp_path, capsys, params, message)
 
 
 def test_running_sup_respects_the_geometric_envelope(rng):
@@ -332,6 +369,125 @@ def test_conjugation_equals_sylvester_for_arbitrary_z(rng):
     blk = assemble_foguel(t2, t1, x)
     rep = similarity_check(blk, z, window=3)
     assert abs(rep.conjugation_residual - rep.residual_full) < 1e-12
+
+
+# Literal references for the series and the conjugation: every product of
+# the series is formed, and L^-1 diag L - R is one expression.  The routes
+# under test skip the exactly-zero tail and hold fewer temporaries, and must
+# give the same bits.
+
+
+def _literal_series(t2, t1, x, n_terms, stab_tol=None, stab_run=10):
+    dtype = np.result_type(t2, t1, x)
+    t2, t1, x = (np.asarray(m, dtype=dtype) for m in (t2, t1, x))
+    z = np.zeros_like(x)
+    term_norms = np.empty(n_terms)
+    partial_norms = np.empty(n_terms)
+    stabilized_at, run = None, 0
+    for j in range(n_terms):
+        term = t2 @ term @ t1 if j else t2 @ x
+        z += term
+        if term.any():
+            term_norms[j] = op_norm_dense(term).value
+            partial_norms[j] = op_norm_dense(z).value
+        else:
+            term_norms[j] = 0.0
+            partial_norms[j] = partial_norms[j - 1] if j else 0.0
+        if stab_tol is not None:
+            run = run + 1 if term_norms[j] < stab_tol else 0
+            if run >= stab_run and stabilized_at is None:
+                stabilized_at = j
+    return z, term_norms, partial_norms, stabilized_at
+
+
+def _literal_similarity(block, z, window):
+    n = block.t1.shape[0]
+    a = block.t2.conj().T
+    r1 = a @ z - z @ block.t1 - block.x
+    ident, zero = np.eye(n), np.zeros((n, n))
+    l_mat = np.block([[ident, z], [zero, ident]])
+    l_inv = np.block([[ident, -z], [zero, ident]])
+    diag = np.block([[a, zero], [zero, block.t1]])
+    conj = op_norm_dense(l_inv @ diag @ l_mat - block.matrix).value
+    cond = op_norm_dense(l_mat).value * op_norm_dense(l_inv).value
+    return (op_norm_dense(r1).value, op_norm_dense(r1[:window, :window]).value, conj, cond)
+
+
+def _series_case(name, is_complex):
+    """(t2, t1, x, n_terms, index of the first zero increment or None)."""
+    r = np.random.default_rng(34)
+
+    def draw(n):
+        m = random_complex(r, n) if is_complex else r.standard_normal((n, n))
+        return m / op_norm_dense(m).value
+
+    if name == "corner":  # C08's shape: T2 = S, T1 = rho S, X on a 16 x 16 corner
+        n = 64
+        x = np.zeros((n, n), dtype=complex if is_complex else float)
+        x[:16, :16] = draw(16)
+        return make_shift(n), 0.9 * make_shift(n), x, 40, 16
+    if name == "nilpotent":  # S^(j+1) vanishes from j = n - 1 on
+        n = 6
+        return make_shift(n), make_shift(n), draw(n), 20, n - 1
+    n = 8  # T1 = rho I and a full X: no increment is ever zero
+    return 0.9 * draw(n), 0.5 * np.eye(n), draw(n), 60, None
+
+
+@pytest.mark.parametrize("stab_tol", [None, 1e-10], ids=["no-tol", "tol"])
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name", ["corner", "nilpotent", "scalar-t1"])
+def test_series_and_conjugation_keep_the_bits_of_the_literal_routes(name, is_complex, stab_tol):
+    t2, t1, x, n_terms, dies_at = _series_case(name, is_complex)
+    res = intertwiner_partial(t2, t1, x, n_terms, stab_tol=stab_tol)
+    z, term_norms, partial_norms, stabilized_at = _literal_series(t2, t1, x, n_terms, stab_tol)
+    assert res.z.dtype == z.dtype and res.z.tobytes() == z.tobytes()
+    assert res.term_norms.tobytes() == term_norms.tobytes()
+    assert res.partial_norms.tobytes() == partial_norms.tobytes()
+    assert res.stabilized_at == stabilized_at
+    if stab_tol is not None:
+        assert stabilized_at is not None
+    if dies_at is None:
+        assert (term_norms > 0.0).all()
+    else:
+        assert term_norms[dies_at - 1] > 0.0 and not term_norms[dies_at:].any()
+    blk = assemble_foguel(t2, t1, x)
+    rep = similarity_check(blk, res.z, window=x.shape[0] // 2)
+    got = (rep.residual_full, rep.residual_interior, rep.conjugation_residual, rep.cond_l)
+    assert np.array(got).tobytes() == np.array(_literal_similarity(blk, z, x.shape[0] // 2)).tobytes()
+
+
+def test_similarity_with_a_real_z_and_a_complex_coupling_keeps_the_literal_bits(rng):
+    t2, t1 = make_shift(5), 0.5 * make_shift(5)
+    blk = assemble_foguel(t2, t1, random_complex(rng, 5))
+    z = rng.standard_normal((5, 5))
+    rep = similarity_check(blk, z, window=3)
+    got = (rep.residual_full, rep.residual_interior, rep.conjugation_residual, rep.cond_l)
+    assert np.array(got).tobytes() == np.array(_literal_similarity(blk, z, 3)).tobytes()
+
+
+def _traced_peak(call):
+    """Bytes traced at the peak of call() above those traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_conjugation_holds_fewer_temporaries_than_the_literal_expression(rng):
+    # in units of one complex 2N x 2N array: the literal expression peaked at
+    # 6.0 above the block and Z, the ordered products at 4.5 (n = 128)
+    n = 128
+    x = np.zeros((n, n), dtype=complex)
+    x[:32, :32] = unit_block(rng, 32)
+    t2, t1 = make_shift(n), 0.9 * make_shift(n)
+    blk = assemble_foguel(t2, t1, x)
+    z = intertwiner_partial(t2, t1, x, 2 * n).z
+    unit = (2 * n) ** 2 * 16
+    assert _traced_peak(lambda: _literal_similarity(blk, z, n // 2)) > 5.25 * unit
+    assert _traced_peak(lambda: similarity_check(blk, z, n // 2)) < 5.25 * unit
 
 
 # ---- polynomial calculus ----------------------------------------------
