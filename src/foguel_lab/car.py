@@ -33,22 +33,21 @@ of w(t) a_t over t < 2*size-1.  A section that cuts live
 antidiagonals can sit strictly above the lower end: the flat lacunary
 profile at size 3 has norm equal to the golden ratio, against sqrt(2).
 
-A pattern is a pair (section, lag): ``section(size)`` is the scalar
-size x size coefficient matrix and antidiagonal t carries the generator
-C_{t-lag}, so block (i, j) is section(size)[i, j] C_{i+j-lag}.
-:func:`hankel_pattern` pairs a section kind of
-:data:`foguel_lab.hankel.SECTIONS` with that row's lag: 0 for the
-weighted Hankel sections, 1 for the derivation commutator, whose
-generator index trails the antidiagonal by one as in Gamma D - D Gamma.
-The norm does not depend on which distinct generators the
-antidiagonals carry: any L operators that satisfy the CAR relations
-generate a copy of M_{2^L}, so sending one such family to another
-extends to a *-isomorphism, which stays isometric when tensored with the
-size x size matrices.  So :func:`car_pattern_operator` realizes the
-r-th live antidiagonal t_r on mode r, one mode per live antidiagonal, as
-the sparse operator sum_r B_{t_r} (x) C_r, B_t the section on
-antidiagonal t of the Hankel window over 0 .. 2*size-2.  ``linalg.op_norm`` norms it as it stands:
-block by block within the dense cap, matrix-free above it.
+A pattern is a :class:`foguel_lab.hankel.Section`, and its kind's
+:data:`foguel_lab.hankel.SECTIONS` row gives the lag: antidiagonal t
+carries the generator C_{t-lag}, so block (i, j) is section[i, j]
+C_{i+j-lag}, with lag 0 for the weighted Hankel sections and 1 for the
+derivation products, whose generator trails the antidiagonal by one as
+in Gamma D - D Gamma.  The norm does not depend on which distinct
+generators the antidiagonals carry: any L operators that satisfy the CAR
+relations generate a copy of M_{2^L}, so sending one such family to
+another extends to a *-isomorphism, which stays isometric when tensored
+with the size x size matrices.  So :func:`car_pattern_operator` realizes
+the r-th live antidiagonal t_r on mode r, one mode per live antidiagonal,
+as the sparse operator sum_r B_{t_r} (x) C_r, B_t the section on
+antidiagonal t read from the Section's table; the lag never enters.
+``linalg.op_norm`` norms it block by block within the dense cap,
+matrix-free above it.
 
 The operator is graded, which is what keeps those blocks small.  Write a
 basis state of block row or column i as (i, S), with S the set of
@@ -79,14 +78,13 @@ norm routes do not use this yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .hankel import HankelSpec, _section_row, make_weighted_hankel
-from .linalg import as_matrix, check_dense_cap, op_norm, safe_scale
+from .hankel import HankelSpec, Section, _section_row
+from .linalg import check_dense_cap, op_norm, safe_scale
 from .sequences import WeightSequence
 from .summation import exact_sums
 
@@ -150,46 +148,40 @@ def car_check(gens: tuple) -> tuple[float, float]:
 
 
 def hankel_pattern(alpha: WeightSequence, kind: str | None = None):
-    """(section, lag) of the :data:`~foguel_lab.hankel.SECTIONS` row ``kind``
-    (``"hankel"`` if None): block (i, j) is the section's entry times
-    C_{i+j-lag}, e.g. (j - i) a_{i+j-1} C_{i+j-1} for ``"commutator"``."""
+    """(n -> Section, lag) of the :data:`~foguel_lab.hankel.SECTIONS` row
+    ``kind`` (``"hankel"`` if None): block (i, j) is the section's entry
+    times C_{i+j-lag}, e.g. (j - i) a_{i+j-1} C_{i+j-1} for ``"commutator"``."""
     kind = "hankel" if kind is None else kind
-    lag = _section_row(kind)[3]
-    return (lambda n: make_weighted_hankel(HankelSpec(alpha, n), kind)), lag
+    return (lambda n: Section.of(HankelSpec(alpha, n), kind)), _section_row(kind)[3]
 
 
-def _scalar_section(section: Callable[[int], np.ndarray], size: int) -> np.ndarray:
-    if size < 1:
-        raise ValidationError("size must be >= 1")
-    coeffs = as_matrix(section(size))
-    if coeffs.shape != (size, size):
-        raise ValidationError(
-            f"section({size}) has shape {coeffs.shape}, expected {(size, size)}"
-        )
-    return coeffs
-
-
-def car_pattern_operator(
-    section: Callable[[int], np.ndarray], lag: int, size: int
-) -> sp.csr_matrix:
+def car_pattern_operator(section: Section) -> sp.csr_matrix:
     """Sparse block matrix sum_r B_{t_r} (x) C_r, t_r the r-th live antidiagonal.
 
     Distinct antidiagonals carry distinct generators, the independence
     that makes the row/column bounds of :func:`rc_bounds` meaningful, so
-    the norm is that of the blocks section(size)[i, j] C_{i+j-lag}.  A live
-    antidiagonal below ``lag`` has no generator and is refused, and so is a
-    section with more live antidiagonals than :func:`build_car` has modes.
+    the norm is that of the blocks section[i, j] C_{i+j-lag}.  Only the
+    ends of the antidiagonals t with table[t] != 0 are read, and then the
+    live ones, row by row; their zero entries are dropped.  A section with
+    more live antidiagonals than :func:`build_car` has modes is refused.
     """
-    coeffs = _scalar_section(section, size)
-    i, j = np.nonzero(coeffs)
-    live, mode = np.unique(i + j, return_inverse=True)  # mode r: the r-th live antidiagonal
-    if len(live) and live[0] < lag:
-        raise ValidationError(f"antidiagonal {live[0]} is live below the lag {lag}")
+    n = section.shape[0]
+    t = np.flatnonzero(section.table)
+    lo = np.maximum(t - n + 1, 0)
+    # entry (i, t - i) is table[t] times a factor linear in i, so antidiagonal t
+    # is live, or has an inf or nan entry, exactly when one of its two ends does
+    ends = np.stack([section[lo, t - lo], section[t - lo, lo]])
+    if not np.isfinite(ends).all():
+        raise ValidationError("matrix entries must be finite")
+    live = t[ends.any(axis=0)]
     if len(live) > _MAX_MODES:
-        raise ValidationError(
-            f"section of size {size} has {len(live)} live antidiagonals; "
-            f"at most {_MAX_MODES} take a generator mode"
-        )
+        raise ValidationError(f"section of size {n} has {len(live)} live antidiagonals; "
+                              f"at most {_MAX_MODES} take a generator mode")
+    k = np.arange(n)[:, None]
+    i, mode = np.nonzero((k <= live) & (live < k + n))  # mode r: the r-th live antidiagonal
+    coeffs = section[i, live[mode] - i]  # column j = t_r - i ascends along each row
+    nz = coeffs != 0
+    i, mode, coeffs = i[nz], mode[nz], coeffs[nz]
     gens = build_car(max(len(live), 1))
     d = gens[0].shape[0]
     # entry (p, q, s) of C_r gives entry (i d + p, j d + q) = c s for each
@@ -199,16 +191,18 @@ def car_pattern_operator(
     q = np.stack([g.indices for g in gens])
     s = np.stack([g.data for g in gens])
     rows = (i * d)[:, None] + p[mode]
-    cols = (j * d)[:, None] + q[mode]
-    return sp.csr_matrix(((coeffs[i, j, None] * s[mode]).ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(size * d,) * 2)
+    cols = ((live[mode] - i) * d)[:, None] + q[mode]
+    return sp.csr_matrix(((coeffs[:, None] * s[mode]).ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n * d,) * 2)
 
 
-def car_pattern_matrix(
-    section: Callable[[int], np.ndarray], lag: int, size: int
-) -> np.ndarray:
-    """Dense form of :func:`car_pattern_operator`, refused above the dense cap."""
-    op = car_pattern_operator(section, lag, size)
+def car_pattern_matrix(sections, lag: int, size: int) -> np.ndarray:
+    """Dense :func:`car_pattern_operator` of ``sections(size)``, refused above
+    the dense cap; ``lag`` must be that of the section's kind."""
+    section = sections(size)
+    if lag != (own := _section_row(section.kind)[3]):
+        raise ValidationError(f"a {section.kind} section has lag {own}, not {lag}")
+    op = car_pattern_operator(section)
     check_dense_cap(op.shape)
     return op.toarray()
 
@@ -229,31 +223,33 @@ class RowColBounds:
     upper: float
 
 
-def rc_bounds(section: Callable[[int], np.ndarray], size: int) -> RowColBounds:
-    """Row/column l^2 bounds for a pattern's generator-valued section.
+def rc_bounds(sections, size: int) -> RowColBounds:
+    """Row/column l^2 bounds for the generator-valued section of ``sections(size)``.
 
-    The bounds read only the scalar section: the lag moves the generators
-    along, not the coefficients, and distinct antidiagonals carry distinct
-    generators whatever it is.  lower = max(row_sup, col_sup) and
-    upper = row_sup + col_sup, where row_sup is the largest l^2 norm of a
-    coefficient row of section(size) (col_sup likewise for columns).  Both
-    bounds are always valid.  For a Hankel pattern the lower one is
-    attained whenever every live antidiagonal lies whole inside the
-    section (it vanishes on antidiagonals size..2*size-2); row 0 then
-    carries the whole profile.  A section that cuts live antidiagonals at
-    different lengths can have its norm strictly between the two
-    (sandwich), approaching the row/column sup only as the section grows.
-    Bounds beyond the float range are refused, as such a sum is.
+    The bounds read only the scalar Section, 256 rows or columns at a
+    time: distinct antidiagonals carry distinct generators whatever the
+    lag.  lower = max(row_sup, col_sup) and upper = row_sup + col_sup,
+    row_sup the largest exact l^2 norm of a coefficient row (col_sup
+    likewise for columns).  Both bounds are always valid.  For a Hankel
+    pattern the lower one is attained whenever every live antidiagonal
+    lies whole inside the section (it vanishes on antidiagonals
+    size..2*size-2); row 0 then carries the whole profile.  A section
+    that cuts live antidiagonals can have its norm strictly between the
+    two.  Bounds beyond the float range are refused, as such a sum is.
     """
-    # scaled by a power of two, as the dense norm route does, so that no
-    # square overflows; an infinite modulus is refused as a series term
-    with np.errstate(over="ignore", invalid="ignore"):
-        mod = np.abs(_scalar_section(section, size))
-    scale = safe_scale(float(mod.max()))
-    sq = (mod / scale) ** 2
-    rows = range(0, size * size + 1, size)
-    row_sup = float(max(np.sqrt(exact_sums(sq.ravel(), rows)[0]))) * scale
-    col_sup = float(max(np.sqrt(exact_sums(sq.T.ravel(), rows)[0]))) * scale
+    n = (section := sections(size)).shape[0]
+    if not np.isfinite(peak := float(section.row_peaks().max())):
+        raise ValidationError("matrix entries must be finite")
+    scale = safe_scale(peak)  # a power of two, as in the dense norm route: no square overflows
+
+    def sup(block) -> float:  # the largest l^2 norm of a row of block, over scale
+        sq = np.abs(block)
+        sq /= scale
+        sq *= sq
+        return np.sqrt(exact_sums(sq, range(0, sq.size + 1, n))[0]).max()
+
+    row_sup = float(max(sup(section[i:i + 256]) for i in range(0, n, 256))) * scale
+    col_sup = float(max(sup(section[:, i:i + 256].T) for i in range(0, n, 256))) * scale
     if not np.isfinite(row_sup + col_sup):
         raise ValidationError("row/column bounds lie beyond the float range")
     return RowColBounds(row_sup, col_sup, lower=max(row_sup, col_sup), upper=row_sup + col_sup)

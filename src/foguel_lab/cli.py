@@ -59,11 +59,11 @@ from typing import Callable
 
 import numpy as np
 
-from .car import _MAX_MODES, build_car, car_check, car_pattern_operator, hankel_pattern
+from .car import _MAX_MODES, build_car, car_check, car_pattern_operator
 from .errors import ValidationError
 from .foguel import assemble_foguel, intertwiner_partial, similarity_check
 from .hankel import HankelSpec, Section
-from .linalg import make_shift, op_norm, op_norm_dense
+from .linalg import check_dense_cap, make_shift, op_norm, op_norm_dense
 from .schur import (
     MULTIPLIER_KINDS, MultiplierSpec, bennett_criterion, make_multiplier, multiplier_lower_bound,
 )
@@ -82,11 +82,11 @@ NORM_TARGETS = {
     "derivation-commutator": lambda seq, n: Section.of(HankelSpec(seq, n), "commutator"),
     "derivation-gamma-d": lambda seq, n: Section.of(HankelSpec(seq, n), "gamma_d"),
     "derivation-dstar-gamma": lambda seq, n: Section.of(HankelSpec(seq, n), "dstar_gamma"),
-    "car-hankel": lambda seq, n: car_pattern_operator(*hankel_pattern(seq, "hankel"), n),
+    "car-hankel": lambda seq, n: car_pattern_operator(Section.of(HankelSpec(seq, n), "hankel")),
     "car-hankel-deriv":
-        lambda seq, n: car_pattern_operator(*hankel_pattern(seq, "hankel-deriv"), n),
+        lambda seq, n: car_pattern_operator(Section.of(HankelSpec(seq, n), "hankel-deriv")),
     "car-commutator":
-        lambda seq, n: car_pattern_operator(*hankel_pattern(seq, "commutator"), n),
+        lambda seq, n: car_pattern_operator(Section.of(HankelSpec(seq, n), "commutator")),
 }
 _ALPHA_TARGETS = tuple(t for t in NORM_TARGETS if t != "shift")
 
@@ -316,6 +316,7 @@ def _run_similarity(p: dict, seed: int):
         raise ValidationError("corner must not exceed size")
     if p["window"] > n:
         raise ValidationError("window must not exceed size")
+    check_dense_cap((2 * n, 2 * n))  # the Foguel block, before its operands are built
     t2 = make_shift(n)
     t1 = p["rho"] * make_shift(n)
     rng = np.random.default_rng(seed)
@@ -325,7 +326,7 @@ def _run_similarity(p: dict, seed: int):
     block = block / op_norm_dense(block).value
     x = np.zeros((n, n), dtype=np.complex128)
     x[:corner, :corner] = block
-    foguel = assemble_foguel(t2, t1, x)  # refuses a 2N block above the cap before the series
+    foguel = assemble_foguel(t2, t1, x)
     series = intertwiner_partial(t2, t1, x, p["n_terms"], stab_tol=1e-10)
     rep = similarity_check(foguel, series.z, p["window"])
     row = {

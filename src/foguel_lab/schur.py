@@ -191,6 +191,7 @@ def iterated_limits(spec: MultiplierSpec, row_index: int, col_index: int) -> tup
     """
     if row_index < 10 or col_index < 10:
         raise ValidationError("limit sample indices must be >= 10")
+    spec.sequence.values_at([row_index, col_index])  # refuses an index beyond int64 first
     j_out = max(spec.offset, min(col_index, round(row_index ** 0.25)))
     i_out = max(spec.offset, min(row_index, round(col_index ** 0.25)))
     lim_rows_first = spec.entry(row_index, j_out)

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from scipy.sparse.csgraph import connected_components
 
 from foguel_lab import (
     SECTIONS,
+    HankelSpec,
+    Section,
     SizeCapExceededError,
     ValidationError,
     WeightSequence,
@@ -28,6 +31,7 @@ from foguel_lab import (
     car_pattern_matrix,
     car_pattern_operator,
     derivative_weight,
+    exact_sums,
     family,
     hankel_defect,
     hankel_pattern,
@@ -35,7 +39,8 @@ from foguel_lab import (
     op_norm_power,
     rc_bounds,
 )
-from foguel_lab.cli import NORM_TARGETS, parse_alpha
+from foguel_lab.cli import NORM_TARGETS, main, parse_alpha
+from foguel_lab.linalg import safe_scale
 from conftest import generator_section
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -213,7 +218,6 @@ def test_every_section_kind_is_a_pattern_with_its_lag(kind):
     section, lag = hankel_pattern(alpha, kind)
     assert lag == SECTIONS[kind][3]
     for size in (1, 2, 3):
-        # a live antidiagonal below the lag would be refused here
         value = op_norm_dense(car_hankel(alpha, kind, size)).value
         b = rc_bounds(section, size)
         assert b.lower - 1e-12 <= value <= b.upper + 1e-12
@@ -225,26 +229,25 @@ def test_an_unknown_pattern_kind_is_refused():
         hankel_pattern(WeightSequence.geometric(0.5), "sideways")
 
 
-def test_pattern_lag_and_section_shape_are_checked():
-    # a section supported on the t = 1 antidiagonal only: lag 1 puts it
-    # on C_0, lag 2 would need the generator C_{-1}
+def test_pattern_lag_is_the_sections_own():
+    # the gamma_d section j a_{i+j-1} of the table (0, 1, 0) is supported on
+    # the t = 1 antidiagonal only, at (0, 1): lag 1 puts it on C_0, and no
+    # other lag is the kind's
     def section(n):
-        i = np.arange(n)
-        return np.where(np.add.outer(i, i) == 1, 1.0, 0.0)
+        return Section(np.array([0.0, 1.0, 0.0]), "gamma_d")
 
     m = car_pattern_matrix(section, 1, 2)
     assert m.shape == (4, 4)
     assert np.array_equal(m[:2, 2:], build_car(1)[0].toarray())
-    with pytest.raises(ValidationError, match="antidiagonal 1 is live below the lag 2"):
-        car_pattern_matrix(section, 2, 2)
-    wrong_shape = re.escape("section(2) has shape (2, 3), expected (2, 2)")
-    with pytest.raises(ValidationError, match=wrong_shape):
-        car_pattern_matrix(lambda n: np.ones((n, n + 1)), 0, 2)
+    assert not m[2:].any() and not m[:, :2].any()
+    for lag in (0, 2):
+        with pytest.raises(ValidationError, match=f"a gamma_d section has lag 1, not {lag}"):
+            car_pattern_matrix(section, lag, 2)
 
 
 def test_a_section_size_below_one_is_refused():
     section, lag = hankel_pattern(WeightSequence.geometric(0.5))
-    for build in (lambda: car_pattern_operator(section, lag, 0), lambda: rc_bounds(section, 0)):
+    for build in (lambda: car_pattern_matrix(section, lag, 0), lambda: rc_bounds(section, 0)):
         with pytest.raises(ValidationError, match="size must be >= 1"):
             build()
 
@@ -273,7 +276,7 @@ def test_matrix_free_oracles_agree_with_dense():
     # live antidiagonals 0, 1 at size 2 and 0, 1, 3 at size 3, one mode each
     for size, modes in ((2, 2), (3, 3)):
         dense = op_norm_dense(car_hankel(alpha, None, size)).value
-        op = car_pattern_operator(*hankel_pattern(alpha, None), size)
+        op = car_pattern_operator(Section.of(HankelSpec(alpha, size)))
         assert op.shape == (size * 2**modes,) * 2
         est = op_norm_power(op, tol=1e-12, max_iter=3000)
         assert est.value == pytest.approx(dense, abs=1e-8)
@@ -284,15 +287,43 @@ def test_matrix_free_oracles_agree_with_dense():
 def test_pattern_operator_equals_the_kron_sum(target, alpha):
     """The operator has the CSR arrays of sum_r B_{t_r} (x) C_r summed by
     sp.kron, with the r-th live antidiagonal on mode r."""
-    section, lag = PATTERNS[target](parse_alpha(alpha))
+    section, _ = PATTERNS[target](parse_alpha(alpha))
     for size in range(1, 7):
         idx = np.arange(size)
-        live = np.unique(np.add.outer(idx, idx)[section(size) != 0.0]).tolist()
-        op = car_pattern_operator(section, lag, size)
+        live = np.unique(np.add.outer(idx, idx)[np.asarray(section(size)) != 0.0]).tolist()
+        op = car_pattern_operator(section(size))
         if not live:  # the commutator of size 1 is zero, on one mode
             assert op.shape == (2, 2) and op.nnz == 0
             continue
         assert_same_csr(op, generator_section(section, size, live.index))
+
+
+def test_live_antidiagonals_and_overflow_are_read_at_their_ends():
+    # the gamma_d entry (i, j) is j table[i+j] / scale: half the least
+    # subnormal rounds to 0 where j = 1 and not where j >= 2, so antidiagonal
+    # 1 is dead though its table entry is not, and 2 .. 6 are live in part
+    tiny = Section(np.full(7, 5e-324), "gamma_d") / 2.0
+    anti = np.add.outer(np.arange(4), np.arange(4))
+    live = np.unique(anti[np.asarray(tiny) != 0.0]).tolist()
+    assert live == [2, 3, 4, 5, 6]
+    assert_same_csr(car_pattern_operator(tiny), generator_section(lambda n: tiny, 4, live.index))
+    # 2 * 1e308 overflows at the end (0, 2) of antidiagonal 2 only
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
+        car_pattern_operator(Section(np.array([0.0, 1e308, 1e308, 0.0, 0.0]), "gamma_d"))
+
+
+def test_too_many_live_antidiagonals_are_refused_from_their_ends():
+    # the constant section of size 2048 has 4095 live antidiagonals and is
+    # 32 MiB as an array; its ends alone decide the refusal
+    section = Section.of(HankelSpec(family("constant"), 2048))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="has 4095 live antidiagonals; at most 14"):
+            car_pattern_operator(section)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("target", ["car-hankel", "car-hankel-deriv", "car-commutator"])
@@ -321,10 +352,10 @@ def test_pattern_conserves_number_and_weight(pattern):
     w(S) - j = w(S') + i.  The lacunary section is live on 0, 1 and 3
     only, so there a live position differs from its mode."""
     size = 4
-    section, lag = pattern
-    op = car_pattern_operator(section, lag, size).tocoo()
+    section, _ = pattern
+    op = car_pattern_operator(section(size)).tocoo()
     idx = np.arange(size)
-    live = np.unique(np.add.outer(idx, idx)[section(size) != 0.0])
+    live = np.unique(np.add.outer(idx, idx)[np.asarray(section(size)) != 0.0])
     modes = len(live)
     assert op.shape[0] == size * 2**modes
     assert op.nnz > 0
@@ -482,3 +513,61 @@ def test_rc_bounds_beyond_the_float_range_are_refused(profile):
     # is already beyond the range for every bound
     with pytest.raises(ValidationError, match="row/column bounds lie beyond the float range"):
         bounds_of(profile, 2)
+
+
+SCALED_PROFILE = [1.5, -1.0, 0.25, 3.0, 0.5 + 1e-9]
+
+#: the families of the bit-level grid, with a profile scaled beyond the
+#: square root of the float range and one whose squares underflow
+GRID_SEQUENCES = {
+    **{name: parse_alpha(name) for name in ["geometric:0.5", "power:1.5", "pisier-flat",
+                                            "pisier-geometric", "constant", "harmonic"]},
+    **{f"2^{p} profile": WeightSequence.custom([x * 2.0**p for x in SCALED_PROFILE])
+       for p in (600, -600)},
+}
+
+
+def dense_rc_bounds(sections, size):
+    """(row_sup, col_sup) summed over the rows and columns of the whole
+    |section|^2, scaled by the same power of two: the n x n reference."""
+    mod = np.abs(np.asarray(sections(size)))
+    scale = safe_scale(float(mod.max()))
+    sq = (mod / scale) ** 2
+    rows = range(0, size * size + 1, size)
+    row_sup = float(max(np.sqrt(exact_sums(sq.ravel(), rows)[0]))) * scale
+    col_sup = float(max(np.sqrt(exact_sums(sq.T.ravel(), rows)[0]))) * scale
+    return row_sup, col_sup
+
+
+@pytest.mark.parametrize("kind", SECTIONS)
+@pytest.mark.parametrize("name", GRID_SEQUENCES)
+def test_rc_bounds_equal_the_dense_sums_to_the_bit(kind, name):
+    section, _ = hankel_pattern(GRID_SEQUENCES[name], kind)
+    for size in [*range(1, 9), 16, 33]:
+        b = rc_bounds(section, size)
+        assert (b.row_sup, b.col_sup) == dense_rc_bounds(section, size), size
+
+
+def test_rc_bounds_form_no_section_sized_array():
+    # the pisier-flat section at N = 4096 is 128 MiB as an array; the
+    # bounds read it 256 rows or columns (8 MiB) at a time
+    section, _ = hankel_pattern(family("pisier-flat"))
+    tracemalloc.start()
+    try:
+        b = rc_bounds(section, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.lower == np.sqrt(13.0)  # live antidiagonals 2^k - 1 <= 4095
+    assert peak < 48 * 2**20
+
+
+def test_a_section_with_an_infinite_entry_is_refused(tmp_path, capsys):
+    # power:-1000 has a_t = (t + 1)^1000, beyond the float range from t = 1 on
+    section, lag = hankel_pattern(parse_alpha("power:-1000"))
+    for build in (lambda: car_pattern_matrix(section, lag, 3), lambda: rc_bounds(section, 3)):
+        with pytest.raises(ValidationError, match="matrix entries must be finite"):
+            build()
+    argv = ["norm", "--target", "car-hankel", "--alpha", "power:-1000", "--N", "3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "matrix entries must be finite" in capsys.readouterr().err

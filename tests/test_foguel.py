@@ -317,8 +317,16 @@ def test_a_similarity_block_above_the_cap_is_refused_before_it_is_allocated(
     with pytest.raises(SizeCapExceededError, match=re.escape(message)):
         assemble_foguel(s, s, s)
     del s
+    # the shifts and the complex X of N = 2049 would be 128 MiB; the command
+    # refuses before it builds any of them
     params = {"size": str(n), "corner": "2", "window": "4", "n_terms": "10"}
-    _refused_by_flags_and_sweep(tmp_path, capsys, params, message)
+    tracemalloc.start()
+    try:
+        _refused_by_flags_and_sweep(tmp_path, capsys, params, message)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_running_sup_respects_the_geometric_envelope(rng):

@@ -247,6 +247,15 @@ def test_iterated_limits_rejects_small_indices():
         iterated_limits(MultiplierSpec.difference_quotient(), 5, 1_000)
 
 
+@pytest.mark.parametrize("indices", [(10**400, 10), (10, 2**63 - 1)])
+def test_iterated_limits_refuse_an_index_beyond_int64(indices):
+    # refused before row_index ** 0.25, which overflows a float from 2^1024 on
+    big = max(indices)
+    message = re.escape(f"sequence index {big} lies outside [{-(2**63)}, {2**63 - 2}]")
+    with pytest.raises(ValidationError, match=message):
+        iterated_limits(MultiplierSpec.difference_quotient(), *indices)
+
+
 # ---- witness probes ----------------------------------------------------
 
 
