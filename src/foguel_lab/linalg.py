@@ -9,7 +9,11 @@ the only place that picks a route:
 
 * ``op_norm_dense`` — largest singular value from ``eigvalsh`` alone: of
   the operand itself when it is Hermitian, else of the smaller Gram
-  matrix; two inverse-iteration solves certify the value with a residual.
+  matrix.  When what it eigensolved is real, symmetric and entrywise
+  nonnegative (a nonnegative operand or kept block, or the Gram of one), a
+  Collatz-Wielandt bracket from a few matvecs certifies the value from
+  both sides; any other value, or one the bracket cannot hold within the
+  tolerance, is certified with a residual by two inverse-iteration solves.
   Whether A* = A or A* = -A is tested in one pass over 64 x 64 tiles,
   which stops at the first tile that rules out both.  A Hermitian or
   skew-Hermitian operand is eigensolved (itself, or the Gram of the kept
@@ -43,6 +47,8 @@ DENSE_SIZE_CAP = 4096
 #: Relative offset of the inverse-iteration shift past the extreme eigenvalue.
 _SHIFT = 1e-12
 
+_EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff
+
 #: The dense route norms an operand whose largest entry lies in
 #: [1/_SAFE_PEAK, _SAFE_PEAK] as given; any other is first scaled by a
 #: power of two, which is exact, to a largest entry in [1, 2).  In that
@@ -54,6 +60,15 @@ _SAFE_PEAK = 2.0**200
 
 #: Side of the square tiles in which the dense route tests A* = +-A.
 _TILE = 64
+
+#: Matvecs the Collatz-Wielandt bracket of the dense route forms at most,
+#: well below the cost of one LU factorisation at the sizes it serves; a
+#: bracket not within ``tol`` by then gives way to the two solves.
+_BRACKET_STEPS = 40
+
+#: Floor of the bracket's positive vector p, whose largest entry is 1.  With
+#: entries at most n * _SAFE_PEAK^2, every ratio (Bp)_i / p_i stays finite.
+_FLOOR = 2.0**-500
 
 #: Consecutive iterations the power route needs below ``tol``.
 _POWER_WINDOW = 5
@@ -95,15 +110,27 @@ class NormEstimate:
     """Result of an operator-norm computation.
 
     ``converged`` means ``relative_residual <=`` the tolerance that was
-    requested.  For the dense route the residual is the relative eigenpair
-    defect ||Bv - mu v|| / |mu| of the Hermitian matrix B it eigensolved
-    (the operand or its Gram matrix), which bounds the distance from mu to
-    the spectrum of B; when only part of a Hermitian or skew-Hermitian
-    operand was eigensolved, B is still the whole operand or its whole
-    Gram matrix, and v the solved vector padded with zeros.  ``iterations``
-    is 0.  For the power route it is the worst relative change of the
+    requested.  ``lower`` <= ||A|| <= ``upper`` is a rigorous bracket of
+    the norm where one was computed, [0, 0] for a zero operand on the
+    dense route, and 0 and inf (no bound) elsewhere.
+    On the dense route ``iterations`` is 0, and the certificate is one of
+    two:
+
+    * the bracket, for a real operand whose eigensolved matrix is
+      nonnegative: ``relative_residual`` is
+      max(value - lower, upper - value) / value, so ``converged`` means
+      the bracket lies within ``tol`` of ``value``;
+    * else the relative eigenpair defect ||Bv - mu v|| / |mu| of the
+      Hermitian matrix B it eigensolved (the operand or its Gram matrix),
+      which bounds the distance from mu to the spectrum of B; when only
+      part of a Hermitian or skew-Hermitian operand was eigensolved, B is
+      still the whole operand or its whole Gram matrix, and v the solved
+      vector padded with zeros.  A nonnegative operand whose bracket was
+      not within ``tol`` takes this certificate, and keeps its bracket.
+
+    For the power route the residual is the worst relative change of the
     Rayleigh estimate over the trailing convergence window: a stall test,
-    not a bound.
+    not a bound, and there is no bracket.
     """
 
     value: float
@@ -111,6 +138,12 @@ class NormEstimate:
     iterations: int
     relative_residual: float
     converged: bool
+    lower: float = 0.0
+    upper: float = float("inf")
+
+
+#: The dense route's answer for a zero operand: its norm is exactly 0.
+_ZERO_NORM = NormEstimate(0.0, "dense", 0, 0.0, True, 0.0, 0.0)
 
 
 def check_dense_cap(shape) -> None:
@@ -189,16 +222,34 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     is but for its row peaks and sign, which its table gives; only an
     untrimmed section is ever built whole.
 
-    The certificate: two inverse-iteration solves, from a fixed seeded
-    start and shifted just outside the extreme eigenvalue mu of the matrix
-    B that was eigensolved, give a unit v; ``relative_residual`` is
-    ||Bv - mu v|| / |mu|.  Some eigenvalue of the Hermitian B lies within
-    ||Bv - mu v|| of mu (Kahan-Parlett), so ``converged`` means that bound
-    is within ``tol`` relative.  For a trimmed operand v is padded with
-    zeros and the defect is taken with the whole operand as B, or its
-    whole Gram A*A = -A^2 applied as two products with A when A* = -A, so
-    the dropped coupling counts in the certificate.  B is shifted in place
-    and its diagonal restored, unless it is the caller's array.
+    The certificate of a real operand whose eigensolved block is entrywise
+    nonnegative (so the matrix B that was eigensolved is nonnegative too,
+    and its Perron root is the norm, or its square) is a Collatz-Wielandt
+    bracket: for any positive p, min_i (Bp)_i / p_i <= rho(B) <=
+    max_i (Bp)_i / p_i.  p comes from at most 40 power steps on B - cI,
+    c = (w[0] + w[-2]) / 2 of the spectrum ``eigvalsh`` gave; nothing
+    cancels in a nonnegative matvec, so widening both ends by gamma_{n+1}
+    (and a Gram matrix's by its own gamma), with an absolute term for
+    products that underflow, and rounding outward makes the bracket
+    rigorous.  A trimmed operand widens the upper end by eps * peak, the
+    bound on the dropped coupling; the kept block is a compression, so the
+    lower end holds as it is.  ``lower`` and ``upper`` report it, scaled
+    back.  When it lies within ``tol`` of ``value`` it is the certificate
+    and no solve is made.
+
+    Any other operand, or a bracket that does not tighten that far (a
+    reducible B, such as the shift's Gram diag(1, .., 1, 0)), takes two
+    inverse-iteration solves, from a fixed seeded start and shifted just
+    outside the extreme eigenvalue mu of B, which give a unit v;
+    ``relative_residual`` is ||Bv - mu v|| / |mu|.  Some eigenvalue of the
+    Hermitian B lies within ||Bv - mu v|| of mu (Kahan-Parlett), so
+    ``converged`` means that bound is within ``tol`` relative.  For a
+    trimmed operand v is padded with zeros and the defect is taken with
+    the whole operand as B, or its whole Gram A*A = -A^2 applied as two
+    products with A when A* = -A, so the dropped coupling counts in the
+    certificate.  B is shifted in place and its diagonal restored, unless
+    it is the caller's array.  Either way ``value`` is the ``eigvalsh``
+    value, and ``iterations`` is 0.
     """
     _check_tol(tol)
     check_dense_cap(np.shape(a))
@@ -207,7 +258,7 @@ def op_norm_dense(a, tol: float = 1e-10) -> NormEstimate:
     if not sp.issparse(a):
         return _dense_block_norm(as_matrix(a), tol)
     return max((_dense_block_norm(block, tol) for block in _pattern_blocks(a)),
-               key=lambda est: est.value, default=NormEstimate(0.0, "dense", 0, 0.0, True))
+               key=lambda est: est.value, default=_ZERO_NORM)
 
 
 def _pattern_blocks(a):
@@ -276,7 +327,7 @@ def _dense_block_norm(a, tol: float) -> NormEstimate:
     if not np.isfinite(peak):  # a Section's inf or nan entry reaches its row peak
         raise ValidationError("matrix entries must be finite")
     if peak == 0.0:
-        return NormEstimate(0.0, "dense", 0, 0.0, True)
+        return _ZERO_NORM
     scale = safe_scale(peak)
     if scale != 1.0:
         a = _divide(a, scale)
@@ -286,7 +337,7 @@ def _dense_block_norm(a, tol: float) -> NormEstimate:
     if sign:
         # the trim of op_norm_dense, tested on the unscaled rows and peak:
         # its eps * ||A|| bound does not depend on the scale
-        live = np.flatnonzero(rows > np.finfo(float).eps * peak / len(rows))
+        live = np.flatnonzero(rows > _EPS * peak / len(rows))
         keep = live if len(live) < len(rows) else None
     kept = np.asarray(a) if keep is None else a[np.ix_(keep, keep)]
     if hermitian:
@@ -299,6 +350,13 @@ def _dense_block_norm(a, tol: float) -> NormEstimate:
     # the eigenvalue of largest modulus; a Gram matrix has no negative one
     mu = float(w[0] if hermitian and -w[0] > w[-1] else w[-1])
     value = scale * (abs(mu) if hermitian else float(np.sqrt(mu)))
+    lower, upper = 0.0, float("inf")
+    if not np.iscomplexobj(kept) and kept.min() >= 0.0:
+        lower, upper = _norm_bracket(b, w, hermitian, max(kept.shape), scale,
+                                     0.0 if keep is None else _EPS * peak / scale)
+        residual = max(value - lower, upper - value) / value
+        if residual <= tol:
+            return NormEstimate(value, "dense", 0, residual, True, lower, upper)
     # shift in place unless b is the caller's array; the residual reads b
     shifted, diagonal = b if b is not a else b.copy(), b.diagonal().copy()
     np.fill_diagonal(shifted, diagonal - (mu + _SHIFT * mu))
@@ -322,7 +380,92 @@ def _dense_block_norm(a, tol: float) -> NormEstimate:
         iterations=0,
         relative_residual=defect,
         converged=defect <= tol,
+        lower=lower,
+        upper=upper,
     )
+
+
+def _norm_bracket(b, w, hermitian: bool, terms: int, scale: float, trim: float):
+    """Rigorous [lower, upper] for the norm of a nonnegative real operand.
+
+    ``b`` is the matrix that was eigensolved, with ascending eigenvalues
+    ``w``: the kept block itself when ``hermitian``, else the Gram matrix,
+    whose entries each sum ``terms`` products.  Its Perron root is its
+    largest eigenvalue, bracketed by :func:`_perron_bracket` with power
+    steps on B - cI, c = (w[0] + w[-2]) / 2, the shift that damps the rest
+    of the spectrum most.  A Gram matrix computed from nonnegative data has
+    each entry within gamma_terms relative (and an absolute term for
+    products that underflow) of the exact one, so by monotonicity of the
+    Perron root the bracket widens once more by that before its square
+    root.  ``trim`` bounds the dropped coupling of a trimmed operand, and
+    widens the upper end only: the kept block is a compression of the
+    operand, whose norm is no larger.  The ends are in the units of the
+    operand divided by ``scale`` (which divided it exactly, or moved an
+    entry that underflowed by far less than an ulp of its norm, at least
+    1), and are scaled back and rounded outward.
+    """
+    n = b.shape[0]
+    lo, hi = _perron_bracket(b.__matmul__, n, (w[0] + w[-min(2, n)]) / 2)
+    if not hermitian:
+        lo, hi = _widen(lo, hi, terms, np.ldexp(float(n * terms), -1074))
+        lo, hi = np.nextafter(np.sqrt(lo), 0.0), np.nextafter(np.sqrt(hi), np.inf)
+    hi = np.nextafter(hi + trim, np.inf) if trim else hi
+    return float(np.nextafter(scale * lo, 0.0)), float(np.nextafter(scale * hi, np.inf))
+
+
+def _perron_bracket(matvec, n: int, shift: float) -> tuple:
+    """Collatz-Wielandt bracket [lower, upper] of the Perron root rho(B) of a
+    nonnegative n x n matrix B that ``matvec`` applies.
+
+    For any positive p, min_i (Bp)_i / p_i <= rho(B) <= max_i (Bp)_i / p_i
+    (Horn & Johnson, *Matrix Analysis*, ch. 8).  p starts at the ones
+    vector and takes power steps p <- (B - shift I) p, normalised to a
+    largest entry 1 and floored at _FLOOR.  The bracket kept is the largest
+    lower and the smallest upper end seen; the steps stop once it stops
+    shrinking, once it is as narrow as its widening, once a step leaves no
+    positive entry, or after _BRACKET_STEPS matvecs.
+
+    Each computed (Bp)_i sums n nonnegative products, so nothing cancels
+    and its relative error is at most gamma_n; the ratio's rounding makes
+    it gamma_{n+1}.  That holds while the products and ratios stay normal:
+    each one that underflows is off by at most 2^-1075 absolute, which over
+    a row and divided by p_i >= 2^-500 stays below (n + 1) 2^-574.  The
+    ends are widened by both and rounded outward.
+    """
+    g = _gamma(n + 1)
+    p = np.ones(n)
+    lo, hi = 0.0, np.inf
+    for _ in range(_BRACKET_STEPS):
+        q = matvec(p)
+        ratios = q / p
+        step_lo, step_hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        if step_lo <= lo and step_hi >= hi:
+            break
+        lo, hi = step_lo, step_hi
+        if hi - lo <= g * hi:
+            break
+        p = q - shift * p
+        top = p.max()
+        if not top > 0.0:
+            break
+        p = np.maximum(p / top, _FLOOR)
+    return _widen(lo, hi, n + 1, np.ldexp(n + 1.0, -574))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53, taken at k + 2: the two
+    spare units cover the rounding of the widening that uses it."""
+    ku = (k + 2) * _EPS / 2
+    return ku / (1.0 - ku)
+
+
+def _widen(lo: float, hi: float, k: int, tiny: float) -> tuple:
+    """[lo, hi] as computed to within gamma_k relative and ``tiny`` absolute
+    of exact values: the exact ends lie in the result, which is rounded
+    outward and never below 0."""
+    g = _gamma(k)
+    lower = float(np.nextafter((lo - tiny) * (1.0 - g), -np.inf))
+    return max(lower, 0.0), float(np.nextafter((hi + tiny) * (1.0 + g), np.inf))
 
 
 def _symmetry(a: np.ndarray) -> int:

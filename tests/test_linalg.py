@@ -36,6 +36,7 @@ from foguel_lab import (
     op_norm_dense,
     op_norm_power,
 )
+from foguel_lab import linalg
 from foguel_lab.cli import NORM_TARGETS, parse_alpha
 from foguel_lab.linalg import _pattern_blocks
 from conftest import random_complex
@@ -221,7 +222,7 @@ def test_op_norm_dense_zero_operand():
     explicit = sp.csr_matrix((np.zeros(3), ([0, 1, 2], [0, 2, 1])), shape=(3, 4))
     assert explicit.nnz == 3  # only explicit zeros
     for a in (np.zeros((5, 3)), np.zeros((4, 4), dtype=complex), sp.csr_matrix((6, 6)), explicit):
-        assert op_norm_dense(a) == NormEstimate(0.0, "dense", 0, 0.0, True)
+        assert op_norm_dense(a) == NormEstimate(0.0, "dense", 0, 0.0, True, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("peak", [2.0**e for e in (-1060, -1000, -565, -465, -201, -199,
@@ -266,6 +267,7 @@ def test_geometric_section_is_eigensolved_on_its_leading_rows():
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1, -1]))
+@example(seed=3, real=True, sign=1)  # one live index, a positive entry
 def test_trimmed_hermitian_operand_matches_the_full_eigensolve(seed, real, sign):
     # a random Hermitian (sign 1) or skew-Hermitian (sign -1) block on
     # interleaved live indices; every other entry has modulus below the
@@ -296,6 +298,16 @@ def test_trimmed_hermitian_operand_matches_the_full_eigensolve(seed, real, sign)
     # is Hermitian with the norm of a skew-Hermitian A
     ref = float(np.abs(np.linalg.eigvalsh(a if sign == 1 else 1j * a)).max())
     assert abs(est.value - ref) <= eps * peak + 4 * n * eps * ref
+    assert est.converged
+    if not spy.solve_out:
+        # a real nonnegative live block (one positive entry h) is certified
+        # by its Collatz-Wielandt bracket, and takes no solve; by Weyl and
+        # the compression to the live index, the exact norm lies in
+        # [h, h + eps * peak], and the bracket holds all of it
+        assert real and sign == 1 and kept.shape == (1, 1) and kept[0, 0] > 0
+        assert est.lower <= kept[0, 0] and kept[0, 0] + eps * peak <= est.upper
+        assert est.relative_residual == max(est.value - est.lower, est.upper - est.value) / est.value
+        return
     # the residual is the defect of the zero-padded vector on the full
     # operand, or on its full Gram A*A = -A^2
     w = spy.eigvalsh_out[0]
@@ -304,7 +316,6 @@ def test_trimmed_hermitian_operand_matches_the_full_eigensolve(seed, real, sign)
     v[live] = spy.solve_out[-1]
     bv = a @ v if sign == 1 else -(a @ (a @ v))
     assert est.relative_residual == np.linalg.norm(bv - mu * v) / abs(mu)
-    assert est.converged
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.booleans(),
@@ -421,6 +432,147 @@ def test_op_norm_dense_against_mpmath():
         ev = mpmath.eigsy(mpmath.matrix(h.real.tolist()), eigvals_only=True)
         exact = float(max(abs(x) for x in ev))
     assert op_norm_dense(h).value == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.fixture
+def matvecs(monkeypatch):
+    """Wraps the dense route's Collatz-Wielandt bracket: one (B, p) pair
+    for each matvec it forms."""
+    seen, bracket = [], linalg._perron_bracket
+
+    def spy_bracket(matvec, *args):
+        def counted(p):
+            seen.append((matvec.__self__, p.copy()))
+            return matvec(p)
+        return bracket(counted, *args)
+
+    monkeypatch.setattr(linalg, "_perron_bracket", spy_bracket)
+    return seen
+
+
+@pytest.mark.parametrize("operand, value, solves", [
+    (np.diag([2.0, 1.0]), 2.0, 2),  # reducible: the lower end stays at 1
+    (make_shift(64), 1.0, 2),  # its Gram: top eigenvalue of multiplicity 63, and a 0
+    (np.eye(6), 1.0, 0),  # c = mu: B - cI annihilates p, the first ratios certify
+    (np.ones((5, 5)), 5.0, 0),
+    (np.ones((1, 1)), 1.0, 0),
+])
+def test_a_bracket_that_cannot_tighten_falls_back_to_the_solves(operand, value, solves,
+                                                                spy, matvecs):
+    # the value and converged flag are the inverse-iteration route's either
+    # way; what cannot be certified within tol takes its two solves
+    est = op_norm_dense(operand)
+    assert (est.value, est.converged) == (value, True)
+    assert len(spy.solve_out) == solves
+    assert 0 < len(matvecs) <= linalg._BRACKET_STEPS
+    assert est.lower <= value <= est.upper
+
+
+def test_the_shift_gram_falls_back_within_the_step_budget(spy, matvecs):
+    # diag(1, .., 1, 0): the ratio on the last index stays 0, so the
+    # bracket stops shrinking at once and the solves certify
+    est = op_norm_dense(make_shift(2048))
+    assert (est.value, est.converged) == (1.0, True)
+    assert len(spy.solve_out) == 2
+    assert 0 < len(matvecs) <= linalg._BRACKET_STEPS
+    assert all(b.shape == (2048, 2048) for b, _ in matvecs)
+
+
+def _hilbert_oracle(n: int = 32):
+    """The float64 Hilbert section [1/(i+j+1)] and its norm from 40-digit eigenvalues."""
+    h = NORM_TARGETS["hankel-deriv"](parse_alpha("power:2"), n).dense()
+    with mpmath.workdps(40):
+        ev = mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)
+        return h, max(abs(x) for x in ev)
+
+
+def _bracket_cases():
+    """(operand, exact norm) pairs for the Collatz-Wielandt certificate."""
+    h, exact = _hilbert_oracle()
+    cases = [(h * 2.0**e, exact * mpmath.mpf(2)**e) for e in (0, 1000, -1000)]
+    # [r^(i+j)] is rank one; at N = 2048 it is trimmed to its leading rows
+    for r, n in ((0.5, 8), (0.5, 40), (0.25, 20), (0.5, 2048)):
+        section = Section.of(HankelSpec(WeightSequence.geometric(r), n), "hankel")
+        rank_one = (1 - mpmath.mpf(r)**(2 * n)) / (1 - mpmath.mpf(r)**2)
+        cases += [(section / 2.0**-e, rank_one * mpmath.mpf(2)**e) for e in (0, 1000, -1000)]
+    # [0.1]: each row sum of 400 copies rounds to the same float, about
+    # eight units of roundoff above the exact 400 fl(0.1)
+    cases.append((np.full((400, 400), 0.1), 400 * mpmath.mpf(0.1)))
+    # a nonnegative non-square operand takes the Gram route
+    with mpmath.workdps(40):
+        m = mpmath.matrix(h[:, :20].tolist())
+        cases.append((h[:, :20], mpmath.sqrt(max(mpmath.eigsy(m.T * m, eigvals_only=True)))))
+    return cases
+
+
+def _check_brackets():
+    with mpmath.workdps(40):
+        for operand, exact in _bracket_cases():
+            est = op_norm_dense(operand)
+            assert est.converged
+            assert mpmath.mpf(est.lower) <= exact <= mpmath.mpf(est.upper), (est, exact)
+
+
+def test_the_bracket_holds_the_exact_norm(spy):
+    _check_brackets()
+    assert not spy.solve_out  # every case was certified by its bracket
+
+
+@pytest.mark.parametrize("mutation", ["gamma", "gamma and outward rounding"])
+def test_the_bracket_misses_without_its_widening(monkeypatch, mutation):
+    # without the (1 +- gamma) widening the one-ulp outward rounding is not
+    # enough on [0.1]; without either, the bare ratios miss on [2^-(i+j)]
+    # at N = 40, where every ratio rounds to the same float below the norm.
+    # (The outward rounding alone lies within gamma's two spare units.)
+    monkeypatch.setattr(linalg, "_gamma", lambda k: 0.0)
+    if mutation != "gamma":
+        monkeypatch.setattr(linalg, "_widen", lambda lo, hi, k, tiny: (lo, hi))
+        monkeypatch.setattr(linalg.np, "nextafter", lambda x, direction: x)
+    with pytest.raises(AssertionError):
+        _check_brackets()
+
+
+def test_products_that_underflow_keep_the_bracket(spy, matvecs):
+    # entries near 2^-1000 beside a unit peak: with p_1 near 2^-40, their
+    # products reach the subnormals, where gamma_n alone bounds nothing
+    tiny = np.array([2.0**-1000 * k for k in (3, 5, 7)])
+    section = Section(np.concatenate([[1.0, 2.0**-40], tiny]))
+    wide = np.array([[1.0, 2.0**-1000], [2.0**-30, 2.0**-1000]])  # the Gram route
+    for operand in (section, wide):
+        matvecs.clear()
+        a = np.asarray(operand)
+        with mpmath.workdps(60):
+            m = mpmath.matrix(a.tolist())
+            exact = mpmath.sqrt(max(mpmath.eigsy(m.T * m, eigvals_only=True)))
+            est = op_norm_dense(operand)
+            assert (est.value, est.converged) == (1.0, True)
+            assert mpmath.mpf(est.lower) <= exact <= mpmath.mpf(est.upper)
+        assert any(((b > 0) & (b * p < 2.0**-1022)).any() for b, p in matvecs)
+
+
+#: Values of the scalar-sections norm ladders as the solves certified them,
+#: which the bracket must not move: (target, alpha) -> {N: repr(value)}.
+SCALAR_LADDERS = {
+    ("hankel", "geometric:0.5"): dict.fromkeys((256, 512, 1024, 2048), "1.3333333333333333"),
+    ("hankel-deriv", "power:2"): {128: "2.2168607663259543", 256: "2.3038089954245766",
+                                  512: "2.379312511861073", 1024: "2.445267942109468"},
+    ("derivation-commutator", "geometric:0.5"):
+        dict.fromkeys((64, 128, 256, 512), "1.7777777777777777"),
+    ("derivation-commutator", "power:1.5"): {64: "3.80795558255044", 128: "5.161123279278356",
+                                             256: "7.12766854556765", 512: "9.956030128280632"},
+}
+
+
+@pytest.mark.parametrize("target, alpha", SCALAR_LADDERS)
+def test_scalar_ladders_solve_only_when_signed(target, alpha, spy):
+    # the nonnegative Hankel sections are certified by their bracket with
+    # no LU solve; the signed commutator keeps its two solves per norm
+    per_norm = 2 if target == "derivation-commutator" else 0
+    for n, value in SCALAR_LADDERS[target, alpha].items():
+        solves = len(spy.solve_out)
+        est = op_norm(NORM_TARGETS[target](parse_alpha(alpha), n))
+        assert (repr(est.value), est.converged) == (value, True), n
+        assert len(spy.solve_out) - solves == per_norm, n
 
 
 def test_dense_converged_follows_tol(rng):
